@@ -4,8 +4,10 @@ from .expressions import PeriodicExpr, Term, const, expr_sum, term_expr
 from .kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
                       KernelMoment, TableDensity, UniformDensity, convolve,
                       exp_moment, total_variation)
-from .model import (Activation, ConstantIC, ExprIC, NetworkModel, SampledIC,
-                    ValidationReport, builtin_example, eval_coefficients, validate)
+from .model import (Activation, ConstantIC, ExprIC, HermiteNodes, NetworkModel, SampledIC,
+                    SampledModel, ValidationReport, builtin_example, eval_coefficients,
+                    validate)
+from .config import ConfigError, model_to_config, parse_config
 from .certify import (Certificate, CriterionReport, ModelShapeError,
                       check_period_scaled_criterion, check_row_dominance,
                       check_split_sup_criterion, check_sup_criterion, compute_bounds,

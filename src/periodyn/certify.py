@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
 from .kernels import Atom, DelayKernel, ExponentialDensity
-from .model import Activation, NetworkModel
+from .model import Activation, NetworkModel, eval_coefficients, sampled
 
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
@@ -87,57 +87,38 @@ class CriterionReport:
 
 
 class _ConditionGrid:
-    """Precomputed coefficient grids for fast residual evaluation."""
+    """Coefficient magnitudes on the grid, shaped for fast residual evaluation."""
 
     def __init__(self, model: NetworkModel, grid_points: int):
-        self.model = model
-        n = model.n
-        self.n = n
-        self.t = np.linspace(0.0, model.omega, grid_points, endpoint=False)
+        sm = sampled(model, grid_points, model.omega / grid_points)
+        self.n = model.n
+        self.t = sm.t
         self.G = np.array([act.lipschitz for act in model.g])
         self.F = np.array([act.lipschitz for act in model.f])
-        self.d = np.stack([model.d[i].eval(self.t) for i in range(n)], axis=1)
-        self.abs_a = np.empty((grid_points, n, n))
-        self.tau = np.empty((grid_points, n, n))
-        self.atom_s: list[list[np.ndarray]] = []
-        self.atom_w: list[list[np.ndarray]] = []
-        self.dens_w: list[list[np.ndarray | None]] = []
-        self.dens_shape: list[list[object | None]] = []
-        for i in range(n):
-            srow, wrow, dwrow, dsrow = [], [], [], []
-            for j in range(n):
-                self.abs_a[:, i, j] = np.abs(model.a[i][j].eval(self.t))
-                self.tau[:, i, j] = model.tau[i][j].eval(self.t)
-                kern = model.kernels[i][j]
-                srow.append(np.array([atom.s for atom in kern.atoms]))
-                wrow.append(np.stack([np.abs(a.weight.eval(self.t)) for a in kern.atoms],
-                                     axis=1) if kern.atoms else np.zeros((grid_points, 0)))
-                if kern.density is not None:
-                    dwrow.append(np.abs(kern.density.weight.eval(self.t)))
-                    dsrow.append(kern.density.shape)
-                else:
-                    dwrow.append(None)
-                    dsrow.append(None)
-            self.atom_s.append(srow)
-            self.atom_w.append(wrow)
-            self.dens_w.append(dwrow)
-            self.dens_shape.append(dsrow)
+        self.d = sm.d
+        self.abs_a = np.abs(sm.a)
+        self.tau = sm.tau
+        self.atom_terms = [(i, j, np.array([s for s, _ in atoms]),
+                            np.stack([np.abs(w) for _, w in atoms], axis=1))
+                           for i, row in enumerate(sm.atoms) for j, atoms in enumerate(row)
+                           if atoms]
+        self.dens_terms = [(i, j, dens[0], np.abs(dens[1]))
+                           for i, row in enumerate(sm.densities)
+                           for j, dens in enumerate(row) if dens is not None]
 
     def moments(self, alpha: float) -> tuple[np.ndarray, bool]:
         """Exponential kernel moments on the grid; [gp, n, n]."""
         out = np.zeros_like(self.abs_a)
+        for i, j, s, w in self.atom_terms:
+            out[:, i, j] += w @ np.exp(alpha * s)
         finite = True
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.atom_s[i][j].size:
-                    out[:, i, j] += self.atom_w[i][j] @ np.exp(alpha * self.atom_s[i][j])
-                if self.dens_w[i][j] is not None:
-                    mass, ok = self.dens_shape[i][j].exp_abs_moment(alpha)
-                    if not ok:
-                        out[:, i, j] = math.inf
-                        finite = False
-                    else:
-                        out[:, i, j] += self.dens_w[i][j] * mass
+        for i, j, shape, b in self.dens_terms:
+            mass, ok = shape.exp_abs_moment(alpha)
+            if not ok:
+                out[:, i, j] = math.inf
+                finite = False
+            else:
+                out[:, i, j] += b * mass
         return out, finite
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
@@ -167,11 +148,12 @@ class _ConditionGrid:
 def row_residual(model: NetworkModel, xi, t: float, i: int) -> float:
     """Left side of the dominance condition for row ``i`` at time ``t``."""
     xi = np.asarray(xi, dtype=float)
-    acc = -xi[i] * model.d[i].eval(t)
+    sl = eval_coefficients(model, t)
+    tv = sl.total_variation()
+    acc = -xi[i] * sl.d[i]
     for j in range(model.n):
-        acc += xi[j] * model.g[j].lipschitz * abs(model.a[i][j].eval(t))
-        acc += xi[j] * model.f[j].lipschitz * float(
-            model.kernels[i][j].total_variation_values(np.asarray(t, dtype=float)))
+        acc += xi[j] * model.g[j].lipschitz * abs(sl.a[i, j])
+        acc += xi[j] * model.f[j].lipschitz * tv[i, j]
     return float(acc)
 
 
@@ -290,11 +272,9 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     if worst(0.0) > 0.0:
         return 0.0
     cap = float(cg.d.max()) + 1.0
-    for i in range(model.n):
-        for j in range(model.n):
-            kern = model.kernels[i][j]
-            if kern.density is not None and isinstance(kern.density.shape, ExponentialDensity):
-                cap = min(cap, kern.density.shape.lam * (1.0 - 1e-9))
+    for _, _, shape, _ in cg.dens_terms:
+        if isinstance(shape, ExponentialDensity):
+            cap = min(cap, shape.lam * (1.0 - 1e-9))
     if worst(cap) <= 0.0:
         return cap
     lo, hi = 0.0, cap
@@ -316,15 +296,17 @@ def compute_bounds(model: NetworkModel, certificate: Certificate,
     ball.  With no inputs or offsets (J = 0) any positive M works; 1 is used.
     """
     gp = grid_points or certificate.grid_points or 4096
-    t = np.linspace(0.0, model.omega, gp, endpoint=False)
-    n = model.n
+    sm = sampled(model, gp, model.omega / gp)
     xi = certificate.xi
-    abs_a = np.stack([[np.abs(model.a[i][j].eval(t)) for j in range(n)]
-                      for i in range(n)])
-    tv = np.stack([[model.kernels[i][j].total_variation_values(t) for j in range(n)]
-                   for i in range(n)])
-    abs_inputs = np.stack([np.abs(model.inputs[i].eval(t)) for i in range(n)])
-    d_abs = np.stack([np.abs(model.d[i].eval(t)) for i in range(n)])
+
+    def unit_major(x: np.ndarray) -> np.ndarray:
+        # time axis last and contiguous, so the row sums below run over j in order
+        return np.ascontiguousarray(np.moveaxis(x, 0, -1))
+
+    abs_a = unit_major(np.abs(sm.a))
+    tv = unit_major(sm.total_variation())
+    abs_inputs = unit_major(np.abs(sm.inputs))
+    d_abs = unit_major(np.abs(sm.d))
     C = np.array([act.offset for act in model.g])
     D = np.array([act.offset for act in model.f])
     G = np.array([act.lipschitz for act in model.g])
@@ -362,9 +344,9 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
     conservative application otherwise (and irrelevant at rate zero).
     """
     n = model.n
-    t = np.linspace(0.0, model.omega, grid_points, endpoint=False)
+    sm = sampled(model, grid_points, model.omega / grid_points)
+    tau_sup = sm.tau.max(axis=0)
     b_sup = np.zeros((n, n))
-    tau_sup = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             kern = model.kernels[i][j]
@@ -376,14 +358,11 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
                 raise ModelShapeError(
                     f"kernel[{i}][{j}] has multiple atoms; sup criteria need a single "
                     "delay per pair")
-            tau_sup[i, j] = float(model.tau[i][j].eval(t).max())
-            if kern.atoms:
-                atom = kern.atoms[0]
-                tau_sup[i, j] += atom.s
-                b_sup[i, j] = float(np.abs(atom.weight.eval(t)).max())
-    d_inf = np.array([float(model.d[i].eval(t).min()) for i in range(n)])
-    a_sup = np.array([[float(np.abs(model.a[i][j].eval(t)).max()) for j in range(n)]
-                      for i in range(n)])
+            for s_loc, w in sm.atoms[i][j]:
+                tau_sup[i, j] += s_loc
+                b_sup[i, j] = float(np.abs(w).max())
+    d_inf = sm.d.min(axis=0)
+    a_sup = np.abs(sm.a).max(axis=0)
     return DiscreteDelayForm(d_inf=d_inf, a_sup=a_sup, b_sup=b_sup, tau_sup=tau_sup)
 
 

@@ -1,16 +1,13 @@
 """Command-line front end: certify, simulate, find-period, compare.
 
-Configs are JSON documents mapping 1:1 onto the network model; expressions
-are term lists (``{"const": 2.51}`` or ``{"amp": 0.5, "fn": "sin2", "k": 1}``
-where ``sin2(k)`` denotes sin^2(k*pi*t)).  Unknown fields are rejected.
-Reports are JSON on stdout; exit codes are 0 success, 1 input error,
-2 infeasible, 3 no-convergence.
+Each command reads a config document (see :mod:`periodyn.config`).  Reports
+are JSON on stdout; exit codes are 0 success, 1 input error, 2 infeasible,
+3 no-convergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -20,10 +17,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .expressions import PeriodicExpr, Term, TERM_KINDS
-from .kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
-                      TableDensity, UniformDensity)
-from .model import Activation, ConstantIC, NetworkModel, validate
+# builtin_config_path, model_to_config, parse_config, serialize_config and
+# validate are re-exported: callers reach them as periodyn.cli.*
+from .config import (ConfigError, builtin_config_path, config_hash, load_model,
+                     model_to_config, parse_config, serialize_config)
+from .model import ConstantIC, validate
 from .certify import (check_period_scaled_criterion, check_row_dominance,
                       compute_bounds, find_decay_rate, find_weights, ModelShapeError,
                       pointwise_report, random_discrete_delay_model,
@@ -36,242 +34,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-class ConfigError(ValueError):
-    def __init__(self, message: str, where: str = ""):
-        self.where = where
-        super().__init__(f"{where}: {message}" if where else message)
-
-
-def _require_mapping(obj, where: str) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"expected an object, got {type(obj).__name__}", where)
-    return obj
-
-
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)}", where)
-
-
-def _number(obj, where: str) -> float:
-    if isinstance(obj, bool) or not isinstance(obj, (int, float)):
-        raise ConfigError(f"expected a number, got {type(obj).__name__}", where)
-    return float(obj)
-
-
-def _parse_term(obj, where: str) -> Term:
-    obj = _require_mapping(obj, where)
-    if "const" in obj:
-        _reject_unknown(obj, {"const"}, where)
-        return Term("const", _number(obj["const"], f"{where}.const"))
-    _reject_unknown(obj, {"amp", "fn", "k"}, where)
-    for key in ("amp", "fn", "k"):
-        if key not in obj:
-            raise ConfigError(f"term needs '{key}'", where)
-    fn = obj["fn"]
-    if fn not in TERM_KINDS or fn == "const":
-        raise ConfigError(f"unknown term function {fn!r}", f"{where}.fn")
-    k = obj["k"]
-    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
-        raise ConfigError("term frequency k must be a positive integer", f"{where}.k")
-    return Term(fn, _number(obj["amp"], f"{where}.amp"), k)
-
-
-def _parse_expr(obj, where: str) -> PeriodicExpr:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        value = float(obj)
-        return PeriodicExpr((Term("const", value),)) if value != 0.0 else PeriodicExpr(())
-    if isinstance(obj, dict):
-        obj = [obj]
-    if not isinstance(obj, list):
-        raise ConfigError("expression must be a number, a term or a list of terms", where)
-    return PeriodicExpr(tuple(_parse_term(item, f"{where}[{idx}]")
-                              for idx, item in enumerate(obj)))
-
-
-def _parse_density(obj, where: str) -> DistributedPart:
-    obj = _require_mapping(obj, where)
-    if "shape" not in obj:
-        raise ConfigError("density needs 'shape'", where)
-    shape = obj["shape"]
-    if shape == "exponential":
-        _reject_unknown(obj, {"shape", "lam", "weight"}, where)
-        dens = ExponentialDensity(_number(obj.get("lam", 0.0), f"{where}.lam"))
-    elif shape == "uniform":
-        _reject_unknown(obj, {"shape", "width", "weight"}, where)
-        dens = UniformDensity(_number(obj.get("width", 0.0), f"{where}.width"))
-    elif shape == "table":
-        _reject_unknown(obj, {"shape", "s", "values", "weight"}, where)
-        s = obj.get("s")
-        values = obj.get("values")
-        if not isinstance(s, list) or not isinstance(values, list):
-            raise ConfigError("table density needs 's' and 'values' lists", where)
-        dens = TableDensity(tuple(float(x) for x in s), tuple(float(v) for v in values))
-    else:
-        raise ConfigError(f"unknown density shape {shape!r}", f"{where}.shape")
-    if "weight" not in obj:
-        raise ConfigError("density needs 'weight'", where)
-    return DistributedPart(shape=dens, weight=_parse_expr(obj["weight"], f"{where}.weight"))
-
-
-def _parse_kernel(obj, where: str) -> DelayKernel:
-    if obj is None:
-        return DelayKernel()
-    obj = _require_mapping(obj, where)
-    _reject_unknown(obj, {"atoms", "density"}, where)
-    atoms = []
-    for idx, spec in enumerate(obj.get("atoms", []) or []):
-        spec = _require_mapping(spec, f"{where}.atoms[{idx}]")
-        _reject_unknown(spec, {"s", "weight"}, f"{where}.atoms[{idx}]")
-        if "s" not in spec or "weight" not in spec:
-            raise ConfigError("atom needs 's' and 'weight'", f"{where}.atoms[{idx}]")
-        atoms.append(Atom(_number(spec["s"], f"{where}.atoms[{idx}].s"),
-                          _parse_expr(spec["weight"], f"{where}.atoms[{idx}].weight")))
-    density = obj.get("density")
-    part = _parse_density(density, f"{where}.density") if density is not None else None
-    return DelayKernel(atoms=tuple(atoms), density=part)
-
-
-_BUILTIN_ACTS = {
-    "tanh": Activation.tanh,
-    "arctan": Activation.arctan,
-    "identity": Activation.identity,
-    "zero": Activation.zero,
-}
-
-
-def _parse_activation(obj, where: str) -> Activation:
-    if isinstance(obj, str):
-        if obj not in _BUILTIN_ACTS:
-            raise ConfigError(f"unknown activation {obj!r}", where)
-        return _BUILTIN_ACTS[obj]()
-    obj = _require_mapping(obj, where)
-    kind = obj.get("kind")
-    if kind == "satlin":
-        _reject_unknown(obj, {"kind", "slope", "cap"}, where)
-        return Activation.saturating(_number(obj.get("slope", 1.0), f"{where}.slope"),
-                                     _number(obj.get("cap", 1.0), f"{where}.cap"))
-    if kind in _BUILTIN_ACTS:
-        _reject_unknown(obj, {"kind"}, where)
-        return _BUILTIN_ACTS[kind]()
-    raise ConfigError(f"unknown activation kind {kind!r}", where)
-
-
-def _matrix(obj, n: int, name: str, parse_one) -> tuple[tuple, ...]:
-    if not isinstance(obj, list) or len(obj) != n:
-        raise ConfigError(f"expected {n} rows", name)
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != n:
-            raise ConfigError(f"expected {n} entries", f"{name}[{i}]")
-        rows.append(tuple(parse_one(entry, f"{name}[{i}][{j}]")
-                          for j, entry in enumerate(row)))
-    return tuple(rows)
-
-
-def _vector(obj, n: int, name: str, parse_one) -> tuple:
-    if not isinstance(obj, list) or len(obj) != n:
-        raise ConfigError(f"expected {n} entries", name)
-    return tuple(parse_one(entry, f"{name}[{i}]") for i, entry in enumerate(obj))
-
-
-def parse_config(doc, source: str = "<config>") -> NetworkModel:
-    """Parse a config document (dict or JSON text) into a validated-shape model."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
-                              f"{exc.msg}", source) from exc
-    doc = _require_mapping(doc, source)
-    _reject_unknown(doc, {"meta", "d", "a", "kernels", "tau", "inputs", "activations"}, source)
-    meta = _require_mapping(doc.get("meta"), f"{source}.meta")
-    _reject_unknown(meta, {"n", "omega"}, f"{source}.meta")
-    if "n" not in meta or "omega" not in meta:
-        raise ConfigError("meta needs 'n' and 'omega'", f"{source}.meta")
-    n = meta["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError("n must be a positive integer", f"{source}.meta.n")
-    omega = _number(meta["omega"], f"{source}.meta.omega")
-    if omega <= 0.0:
-        raise ConfigError("omega must be positive", f"{source}.meta.omega")
-    acts = _require_mapping(doc.get("activations"), f"{source}.activations")
-    _reject_unknown(acts, {"g", "f"}, f"{source}.activations")
-    return NetworkModel(
-        n=n, omega=omega,
-        d=_vector(doc.get("d"), n, f"{source}.d", _parse_expr),
-        a=_matrix(doc.get("a"), n, f"{source}.a", _parse_expr),
-        kernels=_matrix(doc.get("kernels"), n, f"{source}.kernels", _parse_kernel),
-        tau=_matrix(doc.get("tau"), n, f"{source}.tau", _parse_expr),
-        inputs=_vector(doc.get("inputs"), n, f"{source}.inputs", _parse_expr),
-        g=_vector(acts.get("g"), n, f"{source}.activations.g", _parse_activation),
-        f=_vector(acts.get("f"), n, f"{source}.activations.f", _parse_activation),
-    )
-
-
-def _expr_to_config(expr: PeriodicExpr) -> list:
-    out = []
-    for term in expr.terms:
-        if term.kind == "const":
-            out.append({"const": term.c})
-        else:
-            out.append({"amp": term.c, "fn": term.kind, "k": term.k})
-    return out
-
-
-def _kernel_to_config(kernel: DelayKernel):
-    if kernel.is_zero:
-        return None
-    out: dict = {}
-    if kernel.atoms:
-        out["atoms"] = [{"s": atom.s, "weight": _expr_to_config(atom.weight)}
-                        for atom in kernel.atoms]
-    if kernel.density is not None:
-        shape = kernel.density.shape
-        if isinstance(shape, ExponentialDensity):
-            spec = {"shape": "exponential", "lam": shape.lam}
-        elif isinstance(shape, UniformDensity):
-            spec = {"shape": "uniform", "width": shape.width}
-        else:
-            spec = {"shape": "table", "s": list(shape.s), "values": list(shape.values)}
-        spec["weight"] = _expr_to_config(kernel.density.weight)
-        out["density"] = spec
-    return out
-
-
-def _activation_to_config(act: Activation):
-    if act.kind == "satlin":
-        return {"kind": "satlin", "slope": act.slope, "cap": act.cap}
-    return act.kind
-
-
-def model_to_config(model: NetworkModel) -> dict:
-    """Canonical config document for a model (term-list form everywhere)."""
-    return {
-        "meta": {"n": model.n, "omega": model.omega},
-        "d": [_expr_to_config(e) for e in model.d],
-        "a": [[_expr_to_config(e) for e in row] for row in model.a],
-        "kernels": [[_kernel_to_config(k) for k in row] for row in model.kernels],
-        "tau": [[_expr_to_config(e) for e in row] for row in model.tau],
-        "inputs": [_expr_to_config(e) for e in model.inputs],
-        "activations": {"g": [_activation_to_config(a) for a in model.g],
-                        "f": [_activation_to_config(a) for a in model.f]},
-    }
-
-
-def serialize_config(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def config_hash(model: NetworkModel) -> str:
-    return hashlib.sha256(serialize_config(model_to_config(model)).encode()).hexdigest()
-
-
-def builtin_config_path() -> str:
-    return os.path.join(os.path.dirname(__file__), "configs", "builtin_example.json")
 
 
 # --- SVG line plots ----------------------------------------------------------
@@ -395,19 +157,6 @@ class RunReport:
         print(json.dumps(self.to_dict(), indent=2))
 
 
-def _load_model(path: str) -> NetworkModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(str(exc), path) from exc
-    model = parse_config(text, source=path)
-    report = validate(model)
-    if not report.ok:
-        raise ConfigError("model validation failed: " + "; ".join(report.violations), path)
-    return model
-
-
 def _parse_ic(spec: str | None, n: int) -> ConstantIC:
     if spec is None or spec == "zero":
         return ConstantIC(tuple(0.0 for _ in range(n)))
@@ -421,7 +170,7 @@ def _parse_ic(spec: str | None, n: int) -> ConstantIC:
 
 
 def cmd_certify(args) -> int:
-    model = _load_model(args.config)
+    model = load_model(args.config)
     report = RunReport("certify", args.config, config_hash(model),
                        parameters={"grid": args.grid, "tol": args.tol})
     cert = find_weights(model, grid_points=args.grid)
@@ -441,7 +190,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _load_model(args.config)
+    model = load_model(args.config)
     report = RunReport("simulate", args.config, config_hash(model),
                        parameters={"t_end": args.t_end, "h": args.h, "ic": args.ic,
                                    "tail_tol": args.tail_tol, "grid": args.grid,
@@ -474,7 +223,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_find_period(args) -> int:
-    model = _load_model(args.config)
+    model = load_model(args.config)
     report = RunReport("find-period", args.config, config_hash(model),
                        parameters={"h": args.h, "fp_tol": args.fp_tol,
                                    "grid": args.grid, "max_iters": args.max_iters})
@@ -558,7 +307,7 @@ def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
 
 
 def cmd_compare(args) -> int:
-    model = _load_model(args.config)
+    model = load_model(args.config)
     seed = args.seed
     env_seed = os.environ.get("PERIODYN_SEED")
     if env_seed is not None:
@@ -593,45 +342,54 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="periodyn",
         description="Certify, simulate and compare periodically forced delayed networks.")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = _Parser(add_help=False)  # every command reads a config and certifies on a grid
+    common.add_argument("config")
+    common.add_argument("--grid", type=_positive_int, default=4096)
 
-    p = sub.add_parser("certify", help="search weights, margin, decay rate and bounds")
-    p.add_argument("config")
-    p.add_argument("--grid", type=int, default=4096)
+    p = sub.add_parser("certify", parents=[common],
+                       help="search weights, margin, decay rate and bounds")
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(handler=cmd_certify)
 
-    p = sub.add_parser("simulate", help="integrate the network and export CSV/SVG")
-    p.add_argument("config")
+    p = sub.add_parser("simulate", parents=[common],
+                       help="integrate the network and export CSV/SVG")
     p.add_argument("--t-end", type=float, required=True, dest="t_end")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--ic", default=None, help="comma-separated constant history")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--plot", default=None, help="SVG output path")
     p.add_argument("--tail-tol", type=float, default=1e-8, dest="tail_tol")
-    p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--force", action="store_true",
                    help="simulate even when certification fails")
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("find-period", help="locate the periodic orbit by period-map iteration")
-    p.add_argument("config")
+    p = sub.add_parser("find-period", parents=[common],
+                       help="locate the periodic orbit by period-map iteration")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--fp-tol", type=float, default=1e-10, dest="fp_tol")
-    p.add_argument("--max-iters", type=int, default=1000, dest="max_iters")
+    p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
     p.add_argument("--out", default=None, help="CSV output path for the orbit segment")
-    p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--rate-periods", type=int, default=8, dest="rate_periods",
                    help="periods to simulate for the decay-rate fit (0 disables)")
     p.set_defaults(handler=cmd_find_period)
 
-    p = sub.add_parser("compare", help="evaluate this and rival criteria, optionally on an ensemble")
-    p.add_argument("config")
-    p.add_argument("--grid", type=int, default=4096)
+    p = sub.add_parser("compare", parents=[common],
+                       help="evaluate this and rival criteria, optionally on an ensemble")
     p.add_argument("--draws", type=int, default=200)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--ensemble", type=int, default=0)

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import convolve, density_quadrature
-from .model import (InitialCondition, NetworkModel, _hermite, _hermite_derivative,
-                    eval_coefficients)
+from .kernels import density_quadrature
+from .model import (HermiteNodes, InitialCondition, NetworkModel, SampledIC, SampledModel,
+                    sampled)
 
 
 class HistoryUnderrunError(RuntimeError):
@@ -32,7 +32,7 @@ class DivergenceError(RuntimeError):
         self.t = t
 
 
-class HistoryBuffer:
+class HistoryBuffer(HermiteNodes):
     """Uniform node grid with Hermite interpolation and an initial segment.
 
     Times at or before ``start_time`` delegate to the initial condition;
@@ -44,7 +44,7 @@ class HistoryBuffer:
                  capacity: int = 64):
         self.ic = ic
         self.start_time = float(start_time)
-        self.h = float(h)
+        self.h = self.step = float(h)  # the Hermite base reads ``step``
         self.n = int(n)
         self.values = np.empty((max(capacity, 2), n))
         self.derivs = np.empty((max(capacity, 2), n))
@@ -70,7 +70,8 @@ class HistoryBuffer:
     def set_last_derivative(self, du: np.ndarray) -> None:
         self.derivs[self.count - 1] = du
 
-    def _interval(self, t: float) -> tuple[int, float]:
+    def _locate(self, t: float) -> tuple[int, float]:
+        """Interval of a time after the start; -1 means one node (Taylor step)."""
         x = (t - self.start_time) / self.h
         last = self.count - 1
         if x < last:
@@ -80,36 +81,45 @@ class HistoryBuffer:
         if t <= self.last_time + eps or t <= self.horizon + eps:
             if last >= 1:
                 return last - 1, x - (last - 1)
-            return -1, 0.0  # single node: Taylor fallback
+            return -1, 0.0
         raise HistoryUnderrunError(
             f"lookup at t={t!r} beyond history end {self.last_time!r}")
 
     def lookup_scalar(self, t: float, j: int) -> float:
         if t <= self.start_time:
             return self.ic.eval_component(t, j)
-        idx, theta = self._interval(t)
+        idx, theta = self._locate(t)
         if idx < 0:
             return float(self.values[0, j] + (t - self.start_time) * self.derivs[0, j])
-        return float(_hermite(theta, self.h, self.values[idx, j], self.values[idx + 1, j],
-                              self.derivs[idx, j], self.derivs[idx + 1, j]))
+        return float(self._value(idx, theta, j))
 
     def lookup(self, t: float) -> np.ndarray:
         if t <= self.start_time:
             return np.asarray(self.ic.eval(t), dtype=float)
-        idx, theta = self._interval(t)
+        idx, theta = self._locate(t)
         if idx < 0:
             return self.values[0] + (t - self.start_time) * self.derivs[0]
-        return _hermite(theta, self.h, self.values[idx], self.values[idx + 1],
-                        self.derivs[idx], self.derivs[idx + 1])
+        return self._value(idx, theta)
 
     def derivative(self, t: float) -> np.ndarray:
         if t <= self.start_time:
             return np.array([self.ic.derivative_component(t, j) for j in range(self.n)])
-        idx, theta = self._interval(t)
+        idx, theta = self._locate(t)
         if idx < 0:
             return self.derivs[0].copy()
-        return _hermite_derivative(theta, self.h, self.values[idx], self.values[idx + 1],
-                                   self.derivs[idx], self.derivs[idx + 1])
+        return self._slope(idx, theta)
+
+    def window(self, steps: int) -> SampledIC:
+        """Copy of the newest ``steps`` steps, re-based to end at time 0."""
+        first = self.count - 1 - steps
+        values = self.values[max(first, 0): self.count]
+        derivs = self.derivs[max(first, 0): self.count]
+        if first < 0:
+            times = self.start_time + np.arange(first, 0) * self.h
+            values = np.concatenate([[self.lookup(t) for t in times], values])
+            derivs = np.concatenate([[self.derivative(t) for t in times], derivs])
+        return SampledIC(start=-steps * self.h, step=self.h,
+                         values=values.copy(), derivs=derivs.copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,53 +144,51 @@ def write_states_csv(path, times: np.ndarray, states: np.ndarray) -> None:
             fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
+def _stage_function(model: NetworkModel, sm: SampledModel, hist: HistoryBuffer,
+                    tail_tol: float, quad_step: float | None):
+    """The right side ``stage(k, t, u)`` with coefficients from sample ``k``.
+
+    ``k`` counts samples of ``sm`` and wraps around its length, so a model
+    sampled over one period serves every period.  Delayed terms read
+    ``hist``; densities are integrated with steps of at most ``quad_step``.
+    """
+    n = model.n
+    mod = sm.t.shape[0]
+    d, a, tau, inputs = sm.d, sm.a, sm.tau, sm.inputs
+    atom_terms = [(i, j, s_loc, w) for i in range(n) for j in range(n)
+                  for s_loc, w in sm.atoms[i][j]]
+    density_terms = [(i, j, dens[0], dens[1]) for i in range(n) for j in range(n)
+                     if (dens := sm.densities[i][j]) is not None]
+    f_act = model.f
+    g_act = model.g
+
+    def stage(jh: int, t: float, u: np.ndarray) -> np.ndarray:
+        idx = jh % mod
+        gu = np.array([g_act[q](float(u[q])) for q in range(n)])
+        du = -d[idx] * u + a[idx] @ gu + inputs[idx]
+        for i, j, s_loc, w in atom_terms:
+            wk = w[idx]
+            if wk != 0.0:
+                du[i] += wk * f_act[j](hist.lookup_scalar(t - tau[idx, i, j] - s_loc, j))
+        for i, j, shape, bw in density_terms:
+            b = bw[idx]
+            if b != 0.0:
+                base = t - tau[idx, i, j]
+                ff = f_act[j]
+                du[i] += b * density_quadrature(
+                    shape, lambda s, jj=j, bb=base, f2=ff: f2(hist.lookup_scalar(bb - s, jj)),
+                    tail_tol=tail_tol, step=quad_step)
+        return du
+
+    return stage, atom_terms, density_terms
+
+
 def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
         tail_tol: float = 1e-8, quad_step: float | None = None) -> np.ndarray:
-    """Exact term-by-term right side at time ``t`` with delayed lookups."""
-    sl = eval_coefficients(model, t)
-    u = np.asarray(u, dtype=float)
-    n = model.n
-    gu = np.array([model.g[j](float(u[j])) for j in range(n)])
-    du = -sl.d * u + sl.a @ gu + sl.inputs
-    for i in range(n):
-        for j in range(n):
-            kern = model.kernels[i][j]
-            if kern.is_zero:
-                continue
-            base = t - sl.tau[i, j]
-            f_j = model.f[j]
-            du[i] += convolve(
-                kern, t,
-                lambda s, jj=j, bb=base, ff=f_j: ff(history.lookup_scalar(bb - s, jj)),
-                tail_tol=tail_tol, step=quad_step)
-    return du
-
-
-class _StageCoefficients:
-    """Coefficient slices cached on the half-step grid of one period."""
-
-    def __init__(self, model: NetworkModel, h: float, steps_per_period: int):
-        self.mod = 2 * steps_per_period
-        th = np.arange(self.mod) * (0.5 * h)
-        n = model.n
-        self.d = np.stack([model.d[i].eval(th) for i in range(n)], axis=1)
-        self.a = np.empty((self.mod, n, n))
-        self.tau = np.empty((self.mod, n, n))
-        for i in range(n):
-            for j in range(n):
-                self.a[:, i, j] = model.a[i][j].eval(th)
-                self.tau[:, i, j] = model.tau[i][j].eval(th)
-        self.inputs = np.stack([model.inputs[i].eval(th) for i in range(n)], axis=1)
-        self.atom_terms = []
-        self.density_terms = []
-        for i in range(n):
-            for j in range(n):
-                kern = model.kernels[i][j]
-                for atom in kern.atoms:
-                    self.atom_terms.append((i, j, atom.s, atom.weight.eval(th)))
-                if kern.density is not None:
-                    self.density_terms.append(
-                        (i, j, kern.density.shape, kern.density.weight.eval(th)))
+    """Right side at time ``t`` with delayed lookups: one stage of :func:`simulate`."""
+    stage, _, _ = _stage_function(model, SampledModel(model, [t]), history, tail_tol,
+                                  quad_step)
+    return stage(0, t, np.asarray(u, dtype=float))
 
 
 def _exact_steps(total: float, h: float, what: str) -> int:
@@ -203,37 +211,16 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
     steps_per_period = _exact_steps(model.omega, h, "period")
     steps = _exact_steps(t_end, h, "t_end") if t_end > 0.0 else 0
     n = model.n
-    co = _StageCoefficients(model, h, steps_per_period)
-    min_lag = math.inf
-    for i, j, s_loc, _ in co.atom_terms:
-        min_lag = min(min_lag, float(co.tau[:, i, j].min()) + s_loc)
-    for i, j, _, _ in co.density_terms:
-        min_lag = min(min_lag, float(co.tau[:, i, j].min()))
+    hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1)
+    sm = sampled(model, 2 * steps_per_period, 0.5 * h)
+    stage, atom_terms, density_terms = _stage_function(model, sm, hist, tail_tol, h)
+    min_lag = min([float(sm.tau[:, i, j].min()) + s_loc for i, j, s_loc, _ in atom_terms]
+                  + [float(sm.tau[:, i, j].min()) for i, j, _, _ in density_terms],
+                  default=math.inf)
     if 0.0 < min_lag < math.inf and h >= min_lag:
         # sub-step lookups will run on the extrapolant every step
         warnings.warn(f"step h={h} is not below the smallest delay {min_lag:.6g}; "
                       "intra-step lookups fall back to the Hermite extrapolant")
-    hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1)
-    f_act = model.f
-    g_act = model.g
-
-    def stage(jh: int, t: float, u: np.ndarray) -> np.ndarray:
-        idx = jh % co.mod
-        gu = np.array([g_act[q](float(u[q])) for q in range(n)])
-        du = -co.d[idx] * u + co.a[idx] @ gu + co.inputs[idx]
-        for i, j, s_loc, w in co.atom_terms:
-            wk = w[idx]
-            if wk != 0.0:
-                du[i] += wk * f_act[j](hist.lookup_scalar(t - co.tau[idx, i, j] - s_loc, j))
-        for i, j, shape, bw in co.density_terms:
-            b = bw[idx]
-            if b != 0.0:
-                base = t - co.tau[idx, i, j]
-                ff = f_act[j]
-                du[i] += b * density_quadrature(
-                    shape, lambda s, jj=j, bb=base, f2=ff: f2(hist.lookup_scalar(bb - s, jj)),
-                    tail_tol=tail_tol, step=h)
-        return du
 
     u = np.asarray(ic.eval(0.0), dtype=float).copy()
     if u.shape != (n,):

@@ -182,11 +182,17 @@ class DelayKernel:
     def total_variation_values(self, t) -> np.ndarray:
         """Vectorized total variation over an array of times."""
         t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for atom in self.atoms:
-            out += np.abs(atom.weight.eval(t))
-        if self.density is not None:
-            out += np.abs(self.density.weight.eval(t)) * self.density.shape.abs_mass()
+        return self.sampled_total_variation(
+            np.zeros_like(t), [atom.weight.eval(t) for atom in self.atoms],
+            None if self.density is None else self.density.weight.eval(t))
+
+    def sampled_total_variation(self, out: np.ndarray, atom_weights,
+                                density_weight) -> np.ndarray:
+        """Add the total variation to ``out`` from weights sampled on its times."""
+        for w in atom_weights:
+            out += np.abs(w)
+        if density_weight is not None:
+            out += np.abs(density_weight) * self.density.shape.abs_mass()
         return out
 
     def exp_moment_values(self, t, alpha: float) -> tuple[np.ndarray, bool]:

@@ -12,6 +12,7 @@ verifies by dense sampling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -124,8 +125,44 @@ class ExprIC:
         return (e.eval(t + dt) - e.eval(t - dt)) / (2.0 * dt)
 
 
+class HermiteNodes:
+    """Cubic Hermite dense output on uniform nodes ``start + k*step``.
+
+    Row k of ``values`` and ``derivs`` holds the state and its slope at node
+    k; between two nodes the state is the cubic matching both ends, the
+    continuous extension of Bellen & Zennaro, *Numerical Methods for Delay
+    Differential Equations* (2003).  Subclasses provide ``step``, ``values``,
+    ``derivs`` and, for the default :meth:`_locate`, ``start``; each decides
+    what a time outside the nodes means.
+    """
+
+    def _locate(self, t: float) -> tuple[int, float]:
+        """Interval and offset of ``t``; the end cubics extend past the nodes."""
+        x = (t - self.start) / self.step
+        idx = min(max(int(math.floor(x)), 0), self.values.shape[0] - 2)
+        return idx, x - idx
+
+    def _value(self, idx: int, theta: float, col=slice(None)):
+        """State at offset ``theta`` into interval ``idx``; ``col`` picks units."""
+        y, m = self.values, self.derivs
+        t2 = theta * theta
+        t3 = t2 * theta
+        return ((2.0 * t3 - 3.0 * t2 + 1.0) * y[idx, col]
+                + (-2.0 * t3 + 3.0 * t2) * y[idx + 1, col]
+                + self.step * ((t3 - 2.0 * t2 + theta) * m[idx, col]
+                               + (t3 - t2) * m[idx + 1, col]))
+
+    def _slope(self, idx: int, theta: float, col=slice(None)):
+        """Time derivative of :meth:`_value`."""
+        y, m = self.values, self.derivs
+        t2 = theta * theta
+        return ((6.0 * t2 - 6.0 * theta) * (y[idx, col] - y[idx + 1, col]) / self.step
+                + (3.0 * t2 - 4.0 * theta + 1.0) * m[idx, col]
+                + (3.0 * t2 - 2.0 * theta) * m[idx + 1, col])
+
+
 @dataclass(frozen=True)
-class SampledIC:
+class SampledIC(HermiteNodes):
     """History sampled on a uniform grid ending at 0, constant before it.
 
     Stores values and derivatives so cubic Hermite evaluation keeps the
@@ -153,51 +190,23 @@ class SampledIC:
     def end(self) -> float:
         return self.start + (self.values.shape[0] - 1) * self.step
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        x = (t - self.start) / self.step
-        idx = int(math.floor(x))
-        idx = min(max(idx, 0), self.values.shape[0] - 2)
-        return idx, x - idx
-
     def eval(self, t: float) -> np.ndarray:
         if t <= self.start:
             return self.values[0].copy()
-        idx, theta = self._locate(t)
-        return _hermite(theta, self.step, self.values[idx], self.values[idx + 1],
-                        self.derivs[idx], self.derivs[idx + 1])
+        return self._value(*self._locate(t))
 
     def eval_component(self, t: float, j: int) -> float:
         if t <= self.start:
             return float(self.values[0, j])
-        idx, theta = self._locate(t)
-        return float(_hermite(theta, self.step, self.values[idx, j], self.values[idx + 1, j],
-                              self.derivs[idx, j], self.derivs[idx + 1, j]))
+        return float(self._value(*self._locate(t), j))
 
     def derivative_component(self, t: float, j: int) -> float:
         if t <= self.start:
             return 0.0
-        idx, theta = self._locate(t)
-        return float(_hermite_derivative(theta, self.step, self.values[idx, j],
-                                         self.values[idx + 1, j], self.derivs[idx, j],
-                                         self.derivs[idx + 1, j]))
+        return float(self._slope(*self._locate(t), j))
 
 
 InitialCondition = ConstantIC | ExprIC | SampledIC
-
-
-def _hermite(theta, h, y0, y1, m0, m1):
-    t2 = theta * theta
-    t3 = t2 * theta
-    return ((2.0 * t3 - 3.0 * t2 + 1.0) * y0
-            + (-2.0 * t3 + 3.0 * t2) * y1
-            + h * ((t3 - 2.0 * t2 + theta) * m0 + (t3 - t2) * m1))
-
-
-def _hermite_derivative(theta, h, y0, y1, m0, m1):
-    t2 = theta * theta
-    return ((6.0 * t2 - 6.0 * theta) * (y0 - y1) / h
-            + (3.0 * t2 - 4.0 * theta + 1.0) * m0
-            + (3.0 * t2 - 2.0 * theta) * m1)
 
 
 @dataclass(frozen=True)
@@ -235,6 +244,7 @@ class NetworkModel:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError(f"{name} must be an {n}x{n} matrix")
 
+    @functools.lru_cache(maxsize=8)
     def max_lag(self, tail_tol: float = 1e-8, grid_points: int = 4096) -> float:
         """Longest lookback any delayed term can need (delay plus kernel lag)."""
         t = np.linspace(0.0, self.omega, grid_points, endpoint=False)
@@ -248,23 +258,66 @@ class NetworkModel:
         return lag
 
 
-@dataclass(frozen=True)
-class CoefficientSlice:
-    t: float
-    d: np.ndarray
-    a: np.ndarray
-    tau: np.ndarray
-    inputs: np.ndarray
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
-def eval_coefficients(model: NetworkModel, t: float) -> CoefficientSlice:
+class SampledModel:
+    """Every coefficient of a model evaluated once on an array of times.
+
+    Time axes come first and the arrays are read-only: ``d`` and ``inputs``
+    are (*T, n), ``a`` and ``tau`` (*T, n, n).  ``atoms[i][j]`` lists the
+    (lag, weight) pairs of kernel (i, j) and ``densities[i][j]`` is None or
+    its (shape, weight), each weight of shape T.  Certification and
+    integration read the coefficients only from here.
+    """
+
+    def __init__(self, model: NetworkModel, t):
+        t = _read_only(np.array(t, dtype=float))
+
+        def sample(expr: PeriodicExpr) -> np.ndarray:
+            return _read_only(expr.eval(t))
+
+        def vector(exprs) -> np.ndarray:
+            return _read_only(np.stack([expr.eval(t) for expr in exprs], axis=-1))
+
+        self.model = model
+        self.t = t
+        self.d = vector(model.d)
+        self.inputs = vector(model.inputs)
+        self.a = _read_only(np.stack([vector(row) for row in model.a], axis=-2))
+        self.tau = _read_only(np.stack([vector(row) for row in model.tau], axis=-2))
+        self.atoms = tuple(tuple(tuple((atom.s, sample(atom.weight)) for atom in kern.atoms)
+                                 for kern in row) for row in model.kernels)
+        self.densities = tuple(tuple(None if kern.density is None
+                                     else (kern.density.shape, sample(kern.density.weight))
+                                     for kern in row) for row in model.kernels)
+
+    def total_variation(self) -> np.ndarray:
+        """Absolute delayed gain of every kernel at the sample times; (*T, n, n)."""
+        tv = np.zeros(self.a.shape)
+        for i, row in enumerate(self.model.kernels):
+            for j, kern in enumerate(row):
+                dens = self.densities[i][j]
+                kern.sampled_total_variation(tv[..., i, j], [w for _, w in self.atoms[i][j]],
+                                             None if dens is None else dens[1])
+        return tv
+
+
+@functools.lru_cache(maxsize=8)
+def sampled(model: NetworkModel, count: int, step: float) -> SampledModel:
+    """The model sampled at ``arange(count) * step``, remembered per grid.
+
+    Certification samples one period at its grid, integration one period at
+    half steps; each command then reads one sampling in all its stages.
+    """
+    return SampledModel(model, np.arange(count) * step)
+
+
+def eval_coefficients(model: NetworkModel, t: float) -> SampledModel:
     """Evaluate all coefficient expressions at one time; pure and deterministic."""
-    n = model.n
-    d = np.array([model.d[i].eval(t) for i in range(n)])
-    a = np.array([[model.a[i][j].eval(t) for j in range(n)] for i in range(n)])
-    tau = np.array([[model.tau[i][j].eval(t) for j in range(n)] for i in range(n)])
-    inputs = np.array([model.inputs[i].eval(t) for i in range(n)])
-    return CoefficientSlice(t=float(t), d=d, a=a, tau=tau, inputs=inputs)
+    return SampledModel(model, float(t))
 
 
 @dataclass
@@ -292,17 +345,19 @@ def _check_periodic(report: ValidationReport, name: str, expr: PeriodicExpr,
         report.add(f"{name}: not periodic with omega={omega} at t={t_check[k]:.6g}")
 
 
-def _check_activation(report: ValidationReport, name: str, act: Activation,
-                      rng: np.random.Generator) -> None:
+def _activation_violations(act: Activation, rng: np.random.Generator) -> list[str]:
+    """Growth and Lipschitz bounds checked on dense and random samples."""
+    out = []
     s = np.linspace(-100.0, 100.0, 100_001)
     excess = np.abs(act(s)) - (act.lipschitz * np.abs(s) + act.offset)
     if excess.max() > 1e-9:
-        report.add(f"{name}: growth bound violated (excess {excess.max():.3g})")
+        out.append(f"growth bound violated (excess {excess.max():.3g})")
     x = rng.uniform(-50.0, 50.0, size=20_000)
     h = rng.uniform(-5.0, 5.0, size=20_000)
     lip_excess = np.abs(act(x + h) - act(x)) - act.lipschitz * np.abs(h)
     if lip_excess.max() > 1e-9:
-        report.add(f"{name}: Lipschitz bound violated (excess {lip_excess.max():.3g})")
+        out.append(f"Lipschitz bound violated (excess {lip_excess.max():.3g})")
+    return out
 
 
 def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> ValidationReport:
@@ -343,9 +398,14 @@ def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> Val
                 k = int(np.argmin(vals))
                 report.add(f"negative delay tau[{i}][{j}] at t={t[k]:.6g}")
 
+    # each distinct activation is checked once and reported under every index
+    checked: dict[Activation, list[str]] = {}
     for i in range(n):
-        _check_activation(report, f"g[{i}]", model.g[i], rng)
-        _check_activation(report, f"f[{i}]", model.f[i], rng)
+        for name, act in ((f"g[{i}]", model.g[i]), (f"f[{i}]", model.f[i])):
+            if act not in checked:
+                checked[act] = _activation_violations(act, rng)
+            for message in checked[act]:
+                report.add(f"{name}: {message}")
     return report
 
 

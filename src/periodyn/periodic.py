@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import Trajectory, simulate, write_states_csv
-from .model import InitialCondition, NetworkModel, SampledIC, _hermite
+from .model import HermiteNodes, InitialCondition, NetworkModel, SampledIC
 
 
 class NoConvergenceError(RuntimeError):
@@ -27,13 +27,19 @@ class NoConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class PeriodSegment:
+class PeriodSegment(HermiteNodes):
     """One period of the located orbit, wrapped periodically for evaluation."""
 
     omega: float
     h: float
     values: np.ndarray
     derivs: np.ndarray
+
+    start = 0.0
+
+    @property
+    def step(self) -> float:
+        return self.h
 
     @property
     def n(self) -> int:
@@ -49,28 +55,20 @@ class PeriodSegment:
         return float(np.abs(self.values[-1] - self.values[0]).max())
 
     def _locate(self, t: float) -> tuple[int, float]:
-        tm = t - self.omega * math.floor(t / self.omega)
-        x = tm / self.h
-        idx = min(int(x), self.nodes_per_period - 1)
-        return idx, x - idx
+        return super()._locate(t - self.omega * math.floor(t / self.omega))
 
     def eval(self, t: float) -> np.ndarray:
-        idx, theta = self._locate(t)
-        return _hermite(theta, self.h, self.values[idx], self.values[idx + 1],
-                        self.derivs[idx], self.derivs[idx + 1])
+        return self._value(*self._locate(t))
 
     def eval_component(self, t: float, j: int) -> float:
-        idx, theta = self._locate(t)
-        return float(_hermite(theta, self.h, self.values[idx, j], self.values[idx + 1, j],
-                              self.derivs[idx, j], self.derivs[idx + 1, j]))
+        return float(self._value(*self._locate(t), j))
 
     def as_history(self, lookback_steps: int) -> SampledIC:
         """Wrap the segment into a sampled history over [-lookback, 0]."""
         m = max(int(lookback_steps), 1)
-        k = self.nodes_per_period
-        rows = [(q - m) % k for q in range(m + 1)]
+        rows = np.arange(-m, 1) % self.nodes_per_period
         return SampledIC(start=-m * self.h, step=self.h,
-                         values=self.values[rows].copy(), derivs=self.derivs[rows].copy())
+                         values=self.values[rows], derivs=self.derivs[rows])
 
     def write_csv(self, path) -> None:
         times = np.arange(self.values.shape[0]) * self.h
@@ -106,21 +104,7 @@ def lookback_steps(model: NetworkModel, h: float, tail_tol: float = 1e-8) -> int
 def _advance_one_period(model: NetworkModel, ic: InitialCondition, h: float,
                         tail_tol: float) -> tuple[SampledIC, Trajectory]:
     traj = simulate(model, ic, model.omega, h, tail_tol)
-    m = lookback_steps(model, h, tail_tol)
-    k = traj.states.shape[0] - 1
-    n = model.n
-    values = np.empty((m + 1, n))
-    derivs = np.empty((m + 1, n))
-    for q in range(m + 1):
-        node = k - m + q
-        if node >= 0:
-            values[q] = traj.history.values[node]
-            derivs[q] = traj.history.derivs[node]
-        else:
-            t = node * h
-            values[q] = traj.history.lookup(t)
-            derivs[q] = traj.history.derivative(t)
-    return SampledIC(start=-m * h, step=h, values=values, derivs=derivs), traj
+    return traj.history.window(lookback_steps(model, h, tail_tol)), traj
 
 
 def period_map(model: NetworkModel, ic: InitialCondition, h: float,

@@ -283,3 +283,40 @@ class TestSvg:
         ticks = _nice_ticks(0.0, 2.0)
         assert ticks[0] == 0.0 and ticks[-1] == pytest.approx(2.0)
         assert _nice_ticks(1.0, 1.0) == [1.0]
+
+
+def _table_kernel(s, values):
+    return [[{"density": {"shape": "table", "s": s, "values": values, "weight": 0.1}}]]
+
+
+class TestConfigBoundaries:
+    @pytest.mark.parametrize("overrides, where", [
+        ({"meta": {"n": 1, "omega": float("inf")}}, ".meta.omega"),
+        ({"d": [float("nan")]}, ".d[0]"),
+        ({"kernels": _table_kernel([0.0, 0.5, 1.0], [0.0, float("nan"), 0.0])},
+         ".kernels[0][0].density.values[1]"),
+        ({"kernels": _table_kernel([0.0, 0.5, 1.0], [0, "x", 0])},
+         ".kernels[0][0].density.values[1]"),
+        ({"kernels": _table_kernel([0.0, float("inf"), 1.0], [0.0, 1.0, 0.0])},
+         ".kernels[0][0].density.s[1]"),
+    ])
+    def test_bad_number_exits_one_with_path(self, tmp_path, capsys, overrides, where):
+        path = tmp_path / "bad_number.json"
+        path.write_text(json.dumps(tiny_config(**overrides)))
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}{where}: ")
+
+
+class TestFlagBounds:
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--grid", "0"],
+        ["simulate", "--t-end", "1", "--h", "0.01", "--grid", "-4"],
+        ["find-period", "--h", "0.01", "--grid", "0"],
+        ["find-period", "--h", "0.01", "--max-iters", "0"],
+        ["compare", "--grid", "0"],
+    ])
+    def test_non_positive_count_is_usage_error(self, cfg_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], cfg_file, *argv[1:]])
+        assert exc.value.code == 1
+        assert "must be a positive integer" in capsys.readouterr().err
