@@ -342,14 +342,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,16 +392,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fp-tol", type=float, default=1e-10, dest="fp_tol")
     p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
     p.add_argument("--out", default=None, help="CSV output path for the orbit segment")
-    p.add_argument("--rate-periods", type=int, default=8, dest="rate_periods",
+    p.add_argument("--rate-periods", type=_non_negative_int, default=8, dest="rate_periods",
                    help="periods to simulate for the decay-rate fit (0 disables)")
     p.set_defaults(handler=cmd_find_period)
 
     p = sub.add_parser("compare", parents=[common],
                        help="evaluate this and rival criteria, optionally on an ensemble")
-    p.add_argument("--draws", type=int, default=200)
+    p.add_argument("--draws", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--ensemble", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--ensemble", type=_non_negative_int, default=0)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(handler=cmd_compare)
     return parser
 

@@ -76,6 +76,14 @@ def _parse_expr(obj, where: str) -> PeriodicExpr:
                               for idx, item in enumerate(obj)))
 
 
+def _construct(make, where: str, *args):
+    """``make(*args)``, its ValueError reported at ``where``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc), where) from exc
+
+
 def _parse_density(obj, where: str) -> DistributedPart:
     obj = _require_mapping(obj, where)
     if "shape" not in obj:
@@ -83,19 +91,22 @@ def _parse_density(obj, where: str) -> DistributedPart:
     shape = obj["shape"]
     if shape == "exponential":
         _reject_unknown(obj, {"shape", "lam", "weight"}, where)
-        dens = ExponentialDensity(_number(obj.get("lam", 0.0), f"{where}.lam"))
+        dens = _construct(ExponentialDensity, where,
+                          _number(obj.get("lam", 0.0), f"{where}.lam"))
     elif shape == "uniform":
         _reject_unknown(obj, {"shape", "width", "weight"}, where)
-        dens = UniformDensity(_number(obj.get("width", 0.0), f"{where}.width"))
+        dens = _construct(UniformDensity, where,
+                          _number(obj.get("width", 0.0), f"{where}.width"))
     elif shape == "table":
         _reject_unknown(obj, {"shape", "s", "values", "weight"}, where)
         s = obj.get("s")
         values = obj.get("values")
         if not isinstance(s, list) or not isinstance(values, list):
             raise ConfigError("table density needs 's' and 'values' lists", where)
-        dens = TableDensity(tuple(_number(x, f"{where}.s[{k}]") for k, x in enumerate(s)),
-                            tuple(_number(v, f"{where}.values[{k}]")
-                                  for k, v in enumerate(values)))
+        dens = _construct(TableDensity, where,
+                          tuple(_number(x, f"{where}.s[{k}]") for k, x in enumerate(s)),
+                          tuple(_number(v, f"{where}.values[{k}]")
+                                for k, v in enumerate(values)))
     else:
         raise ConfigError(f"unknown density shape {shape!r}", f"{where}.shape")
     if "weight" not in obj:
@@ -110,15 +121,16 @@ def _parse_kernel(obj, where: str) -> DelayKernel:
     _reject_unknown(obj, {"atoms", "density"}, where)
     atoms = []
     for idx, spec in enumerate(obj.get("atoms", []) or []):
-        spec = _require_mapping(spec, f"{where}.atoms[{idx}]")
-        _reject_unknown(spec, {"s", "weight"}, f"{where}.atoms[{idx}]")
+        at = f"{where}.atoms[{idx}]"
+        spec = _require_mapping(spec, at)
+        _reject_unknown(spec, {"s", "weight"}, at)
         if "s" not in spec or "weight" not in spec:
-            raise ConfigError("atom needs 's' and 'weight'", f"{where}.atoms[{idx}]")
-        atoms.append(Atom(_number(spec["s"], f"{where}.atoms[{idx}].s"),
-                          _parse_expr(spec["weight"], f"{where}.atoms[{idx}].weight")))
+            raise ConfigError("atom needs 's' and 'weight'", at)
+        atoms.append(_construct(Atom, at, _number(spec["s"], f"{at}.s"),
+                                _parse_expr(spec["weight"], f"{at}.weight")))
     density = obj.get("density")
     part = _parse_density(density, f"{where}.density") if density is not None else None
-    return DelayKernel(atoms=tuple(atoms), density=part)
+    return _construct(DelayKernel, where, tuple(atoms), part)
 
 
 _BUILTIN_ACTS = {

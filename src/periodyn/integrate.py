@@ -2,11 +2,22 @@
 
 The step is fixed at an exact divisor of the period so the period map is
 exact on nodes.  Node values and derivatives feed a cubic Hermite continuous
-extension used for all delayed lookups; stage lookups that land inside the
-current step (delays shorter than the step) evaluate the newest Hermite
-cubic beyond its interval instead of solving implicit stage equations.
-Coefficient expressions are cached over one period at half-step resolution,
-which also makes the periodicity of the flow exact in floating point.
+extension used for all delayed lookups.  The initial history is a leading
+block of nodes in the same storage: a constant history is one node, a
+sampled history on the same step keeps its own nodes, and any other history
+is sampled onto the step grid back to the model's largest lag.  One locate
+rule then serves every time from before the start up to the horizon.
+
+Each stage reads all its delayed terms -- every atom and every Simpson node
+of every density -- in one array lookup, applies each distinct activation
+once and adds the weighted terms onto their units with ``np.bincount``.
+The delayed terms read only the history, never the current state, so the
+two midpoint stages of a step share one lookup.  Stage lookups that land
+inside the current step (delays shorter than the step) evaluate the newest
+Hermite cubic beyond its interval instead of solving implicit stage
+equations.  Coefficient expressions are cached over one period at half-step
+resolution, which also makes the periodicity of the flow exact in floating
+point.
 """
 
 from __future__ import annotations
@@ -14,12 +25,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import density_quadrature
-from .model import (HermiteNodes, InitialCondition, NetworkModel, SampledIC, SampledModel,
-                    sampled)
+from .kernels import Atom, simpson_rule
+from .model import (ConstantIC, HermiteNodes, InitialCondition, NetworkModel, SampledIC,
+                    SampledModel, sampled)
 
 
 class HistoryUnderrunError(RuntimeError):
@@ -32,94 +44,159 @@ class DivergenceError(RuntimeError):
         self.t = t
 
 
-class HistoryBuffer(HermiteNodes):
-    """Uniform node grid with Hermite interpolation and an initial segment.
+def _initial_nodes(ic: InitialCondition, start: float, h: float,
+                   lag: float) -> tuple[np.ndarray, np.ndarray]:
+    """The initial history as (values, derivs) nodes on the step grid ending at ``start``.
 
-    Times at or before ``start_time`` delegate to the initial condition;
-    times up to ``horizon`` just past the last node are served by
-    extrapolating the newest cubic; anything later raises.
+    A constant history is a single node, which the constant rule before the
+    first node returns exactly; a cubic blend of two equal nodes can miss
+    the constant in the last bit.
+    """
+    if isinstance(ic, ConstantIC):
+        return np.array([ic.values]), np.zeros((1, ic.n))
+    if isinstance(ic, SampledIC) and ic.step == h and abs(ic.end - start) <= 1e-9 * h:
+        return ic.values, ic.derivs
+    times = start + np.arange(-(math.ceil(lag / h) + 1), 1) * h
+    values = np.array([ic.eval(float(t)) for t in times])
+    derivs = np.array([[ic.derivative_component(float(t), j) for j in range(ic.n)]
+                       for t in times])
+    return values, derivs
+
+
+class HistoryBuffer(HermiteNodes):
+    """Hermite nodes of the initial history followed by the run's nodes.
+
+    The first ``base`` rows hold the initial history on the step grid, the
+    last of them at ``start_time`` with the history's slope; the run's node 0
+    follows at the same time with the run's slope.  Times at or before
+    ``start_time`` therefore read the initial block and later times the run,
+    through one locate rule: the history is constant before its first node,
+    the newest cubic serves times up to ``horizon`` just past the last node,
+    and anything later raises.  ``lag`` is how far before ``start_time`` an
+    initial history that is not already on the grid gets sampled.
+
+    ``values`` and ``derivs`` are (rows, n) views from the run's node 0.  The
+    storage is unit-major, so one flat gather reads any mix of units.
     """
 
     def __init__(self, ic: InitialCondition, start_time: float, h: float, n: int,
-                 capacity: int = 64):
+                 capacity: int = 64, lag: float = 0.0):
         self.ic = ic
         self.start_time = float(start_time)
         self.h = self.step = float(h)  # the Hermite base reads ``step``
         self.n = int(n)
-        self.values = np.empty((max(capacity, 2), n))
-        self.derivs = np.empty((max(capacity, 2), n))
+        ic_values, ic_derivs = _initial_nodes(ic, self.start_time, self.h, lag)
+        self.base = ic_values.shape[0]
         self.count = 0
-        self.horizon = float(start_time)
+        self.horizon = self.start_time
+        self._units = np.arange(self.n)
+        values = np.zeros((self.n, self.base + max(capacity, 2)))
+        derivs = np.zeros_like(values)
+        values[:, :self.base] = ic_values.T
+        derivs[:, :self.base] = ic_derivs.T
+        self._store(values, derivs)
+
+    def _store(self, values: np.ndarray, derivs: np.ndarray) -> None:
+        self._v, self._d = values, derivs
+        self._flat = (values.reshape(-1), derivs.reshape(-1))
+        self._cap = values.shape[1]
+
+    def _ends(self, flat, col=None):
+        # unit-major storage: ``flat`` is row + unit * capacity and already
+        # holds the unit, and a unit's next node is the next flat entry
+        v, m = self._flat
+        nxt = flat + 1
+        return v[flat], v[nxt], m[flat], m[nxt]
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._v[:, self.base:].T
+
+    @property
+    def derivs(self) -> np.ndarray:
+        return self._d[:, self.base:].T
 
     @property
     def last_time(self) -> float:
         return self.start_time + (self.count - 1) * self.h
 
     def append(self, u: np.ndarray, du: np.ndarray) -> None:
-        if self.count == self.values.shape[0]:
-            grown_v = np.empty((2 * self.count, self.n))
-            grown_d = np.empty((2 * self.count, self.n))
-            grown_v[: self.count] = self.values
-            grown_d[: self.count] = self.derivs
-            self.values = grown_v
-            self.derivs = grown_d
-        self.values[self.count] = u
-        self.derivs[self.count] = du
+        row = self.base + self.count
+        if row == self._cap:
+            self._store(np.concatenate([self._v, np.zeros_like(self._v)], axis=1),
+                        np.concatenate([self._d, np.zeros_like(self._d)], axis=1))
+        self._v[:, row] = u
+        self._d[:, row] = du
         self.count += 1
 
     def set_last_derivative(self, du: np.ndarray) -> None:
-        self.derivs[self.count - 1] = du
+        self._d[:, self.base + self.count - 1] = du
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        """Interval of a time after the start; -1 means one node (Taylor step)."""
-        x = (t - self.start_time) / self.h
-        last = self.count - 1
-        if x < last:
-            idx = int(x)
-            return idx, x - idx
-        eps = 1e-9 * self.h
-        if t <= self.last_time + eps or t <= self.horizon + eps:
-            if last >= 1:
-                return last - 1, x - (last - 1)
-            return -1, 0.0
-        raise HistoryUnderrunError(
-            f"lookup at t={t!r} beyond history end {self.last_time!r}")
+    def _check_horizon(self, t_max: float) -> None:
+        if t_max > max(self.last_time, self.horizon) + 1e-9 * self.h:
+            raise HistoryUnderrunError(
+                f"lookup at t={float(t_max)!r} beyond history end {self.last_time!r}")
+
+    def _locate(self, t):
+        """Row and offset of ``t`` (scalar or array), without the horizon check."""
+        x = np.maximum((t - self.start_time) / self.h, 1.0 - self.base)
+        k = np.minimum(np.floor(x), max(self.count - 2, 0))
+        # the run's node 0 sits one row after the initial block's node at the start
+        return k.astype(np.intp) + (self.base - (x <= 0.0)), x - k
+
+    def _lookup(self, t, flat):
+        """History at ``t`` for the unit offsets ``flat`` (``unit * capacity``)."""
+        row, theta = self._locate(t)
+        out = self._value(row + flat, theta)
+        if self.count <= 1:  # one node: a first-order Taylor step after the start
+            node = self.base + flat
+            v, m = self._flat
+            out = np.where(t > self.start_time, v[node] + (t - self.start_time) * m[node], out)
+        return out
+
+    def lookup_batch(self, times: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Unit ``cols[k]`` of the history at ``times[k]`` for every k, in one gather."""
+        if times.size:
+            self._check_horizon(times.max())
+        return self._lookup(times, cols * self._cap)
 
     def lookup_scalar(self, t: float, j: int) -> float:
-        if t <= self.start_time:
-            return self.ic.eval_component(t, j)
-        idx, theta = self._locate(t)
-        if idx < 0:
-            return float(self.values[0, j] + (t - self.start_time) * self.derivs[0, j])
-        return float(self._value(idx, theta, j))
+        self._check_horizon(t)
+        return float(self._lookup(t, j * self._cap))
 
     def lookup(self, t: float) -> np.ndarray:
-        if t <= self.start_time:
-            return np.asarray(self.ic.eval(t), dtype=float)
-        idx, theta = self._locate(t)
-        if idx < 0:
-            return self.values[0] + (t - self.start_time) * self.derivs[0]
-        return self._value(idx, theta)
+        self._check_horizon(t)
+        return self._lookup(t, self._units * self._cap)
 
     def derivative(self, t: float) -> np.ndarray:
-        if t <= self.start_time:
-            return np.array([self.ic.derivative_component(t, j) for j in range(self.n)])
-        idx, theta = self._locate(t)
-        if idx < 0:
-            return self.derivs[0].copy()
-        return self._slope(idx, theta)
+        """Slope at ``t``; zero before the first node, the node slope while there is one node."""
+        self._check_horizon(t)
+        flat = self._units * self._cap
+        if self.count <= 1 and t > self.start_time:
+            return self._flat[1][self.base + flat]
+        if t < self.start_time - (self.base - 1) * self.h:
+            return np.zeros(self.n)
+        row, theta = self._locate(t)
+        return self._slope(row + flat, theta)
 
     def window(self, steps: int) -> SampledIC:
-        """Copy of the newest ``steps`` steps, re-based to end at time 0."""
+        """Copy of the newest ``steps`` steps, re-based to end at time 0.
+
+        Nodes before the start come from the initial block; before its first
+        node the history is constant with zero slope.
+        """
         first = self.count - 1 - steps
-        values = self.values[max(first, 0): self.count]
-        derivs = self.derivs[max(first, 0): self.count]
-        if first < 0:
-            times = self.start_time + np.arange(first, 0) * self.h
-            values = np.concatenate([[self.lookup(t) for t in times], values])
-            derivs = np.concatenate([[self.derivative(t) for t in times], derivs])
+        lo = self.base - 1 + min(first, 0)  # block row of the earliest node before the start
+        pad = max(-lo, 0)
+        before = slice(max(lo, 0), self.base - 1)
+        run = slice(self.base + max(first, 0), self.base + self.count)
+        values = np.concatenate([np.repeat(self._v[:, :1], pad, axis=1),
+                                 self._v[:, before], self._v[:, run]], axis=1)
+        derivs = np.concatenate([np.zeros((self.n, pad)), self._d[:, before], self._d[:, run]],
+                                axis=1)
         return SampledIC(start=-steps * self.h, step=self.h,
-                         values=values.copy(), derivs=derivs.copy())
+                         values=np.ascontiguousarray(values.T),
+                         derivs=np.ascontiguousarray(derivs.T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,51 +221,93 @@ def write_states_csv(path, times: np.ndarray, states: np.ndarray) -> None:
             fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def _stage_function(model: NetworkModel, sm: SampledModel, hist: HistoryBuffer,
-                    tail_tol: float, quad_step: float | None):
-    """The right side ``stage(k, t, u)`` with coefficients from sample ``k``.
+class _DelayedReads(NamedTuple):
+    """Every delayed read of a stage, one entry per atom and per Simpson node.
+
+    Entry k reads unit ``src[k]`` at ``t - tau[pair[k]] - lag[k]`` and adds
+    ``kernel_weights[col[k]] * scale[k]`` times its activation to unit
+    ``dst[k]``; ``pair`` indexes the flattened (i, j) delay.
+    """
+
+    dst: np.ndarray
+    src: np.ndarray
+    pair: np.ndarray
+    col: np.ndarray
+    lag: np.ndarray
+    scale: np.ndarray
+
+
+def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float | None) -> _DelayedReads:
+    dst, src, col, lag, scale = [], [], [], [], []
+    for k, (i, j, part) in enumerate(sm.kernel_parts):
+        if isinstance(part, Atom):
+            nodes, weights = [part.s], [1.0]
+        else:
+            nodes, weights = simpson_rule(part.shape, tail_tol, quad_step)
+        dst += [i] * len(nodes)
+        src += [j] * len(nodes)
+        col += [k] * len(nodes)
+        lag.extend(nodes)
+        scale.extend(weights)
+    dst, src = np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
+    return _DelayedReads(dst, src, dst * sm.model.n + src, np.array(col, dtype=np.intp),
+                         np.array(lag, dtype=float), np.array(scale, dtype=float))
+
+
+def _elementwise(acts, units):
+    """Apply ``acts[units[k]]`` to entry k of an array, one call per distinct activation."""
+    groups: dict = {}
+    for k, q in enumerate(units):
+        groups.setdefault(acts[q], []).append(k)
+    if len(groups) == 1:
+        return next(iter(groups))
+    index = [(act, np.array(pos, dtype=np.intp)) for act, pos in groups.items()]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        for act, pos in index:
+            out[pos] = act(x[pos])
+        return out
+
+    return apply
+
+
+def _stage_function(sm: SampledModel, hist: HistoryBuffer, reads: _DelayedReads):
+    """The right side as ``stage(k, t, u, delayed(k, t))``, coefficients from sample ``k``.
 
     ``k`` counts samples of ``sm`` and wraps around its length, so a model
-    sampled over one period serves every period.  Delayed terms read
-    ``hist``; densities are integrated with steps of at most ``quad_step``.
+    sampled over one period serves every period.  ``delayed`` sums the
+    delayed terms ``reads``, all looked up in ``hist`` at once; they depend
+    on the time and the history but not on ``u``, so stages at one time and
+    one history can share them.
     """
+    model = sm.model
     n = model.n
     mod = sm.t.shape[0]
-    d, a, tau, inputs = sm.d, sm.a, sm.tau, sm.inputs
-    atom_terms = [(i, j, s_loc, w) for i in range(n) for j in range(n)
-                  for s_loc, w in sm.atoms[i][j]]
-    density_terms = [(i, j, dens[0], dens[1]) for i in range(n) for j in range(n)
-                     if (dens := sm.densities[i][j]) is not None]
-    f_act = model.f
-    g_act = model.g
+    d, a, inputs, weights = sm.d, sm.a, sm.inputs, sm.kernel_weights
+    tau = sm.tau.reshape(mod, n * n)
+    dst, src, pair, col, lag, scale = reads
+    g_act = _elementwise(model.g, range(n))
+    f_act = _elementwise(model.f, src)
 
-    def stage(jh: int, t: float, u: np.ndarray) -> np.ndarray:
+    def delayed(jh: int, t: float) -> np.ndarray:
         idx = jh % mod
-        gu = np.array([g_act[q](float(u[q])) for q in range(n)])
-        du = -d[idx] * u + a[idx] @ gu + inputs[idx]
-        for i, j, s_loc, w in atom_terms:
-            wk = w[idx]
-            if wk != 0.0:
-                du[i] += wk * f_act[j](hist.lookup_scalar(t - tau[idx, i, j] - s_loc, j))
-        for i, j, shape, bw in density_terms:
-            b = bw[idx]
-            if b != 0.0:
-                base = t - tau[idx, i, j]
-                ff = f_act[j]
-                du[i] += b * density_quadrature(
-                    shape, lambda s, jj=j, bb=base, f2=ff: f2(hist.lookup_scalar(bb - s, jj)),
-                    tail_tol=tail_tol, step=quad_step)
-        return du
+        values = f_act(hist.lookup_batch((t - tau[idx][pair]) - lag, src))
+        return np.bincount(dst, weights=weights[idx][col] * scale * values, minlength=n)
 
-    return stage, atom_terms, density_terms
+    def stage(jh: int, t: float, u: np.ndarray, du_delayed: np.ndarray) -> np.ndarray:
+        idx = jh % mod
+        return -d[idx] * u + a[idx] @ g_act(u) + inputs[idx] + du_delayed
+
+    return stage, delayed
 
 
 def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
         tail_tol: float = 1e-8, quad_step: float | None = None) -> np.ndarray:
     """Right side at time ``t`` with delayed lookups: one stage of :func:`simulate`."""
-    stage, _, _ = _stage_function(model, SampledModel(model, [t]), history, tail_tol,
-                                  quad_step)
-    return stage(0, t, np.asarray(u, dtype=float))
+    sm = SampledModel(model, [t])
+    stage, delayed = _stage_function(sm, history, _delayed_reads(sm, tail_tol, quad_step))
+    return stage(0, t, np.asarray(u, dtype=float), delayed(0, t))
 
 
 def _exact_steps(total: float, h: float, what: str) -> int:
@@ -206,26 +325,29 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
     ``h`` must divide the period exactly and ``t_end`` must be a multiple of
     ``h``.  Identical inputs produce bit-identical trajectories.
     """
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError("step must be positive")
     steps_per_period = _exact_steps(model.omega, h, "period")
+    if steps_per_period < 1:
+        raise ValueError(f"step h={h} is longer than the period omega={model.omega}")
     steps = _exact_steps(t_end, h, "t_end") if t_end > 0.0 else 0
     n = model.n
-    hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1)
+    u = np.asarray(ic.eval(0.0), dtype=float).copy()
+    if u.shape != (n,):
+        raise ValueError(f"initial condition has dimension {u.shape}, expected ({n},)")
     sm = sampled(model, 2 * steps_per_period, 0.5 * h)
-    stage, atom_terms, density_terms = _stage_function(model, sm, hist, tail_tol, h)
-    min_lag = min([float(sm.tau[:, i, j].min()) + s_loc for i, j, s_loc, _ in atom_terms]
-                  + [float(sm.tau[:, i, j].min()) for i, j, _, _ in density_terms],
-                  default=math.inf)
+    reads = _delayed_reads(sm, tail_tol, h)
+    tau = sm.tau.reshape(sm.t.shape[0], n * n)
+    min_lag = float((tau.min(axis=0)[reads.pair] + reads.lag).min(initial=math.inf))
     if 0.0 < min_lag < math.inf and h >= min_lag:
         # sub-step lookups will run on the extrapolant every step
         warnings.warn(f"step h={h} is not below the smallest delay {min_lag:.6g}; "
                       "intra-step lookups fall back to the Hermite extrapolant")
+    max_lag = float((tau.max(axis=0)[reads.pair] + reads.lag).max(initial=0.0))
+    hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1, lag=max_lag)
+    stage, delayed = _stage_function(sm, hist, reads)
 
-    u = np.asarray(ic.eval(0.0), dtype=float).copy()
-    if u.shape != (n,):
-        raise ValueError(f"initial condition has dimension {u.shape}, expected ({n},)")
-    k1 = stage(0, 0.0, u)
+    k1 = stage(0, 0.0, u, delayed(0, 0.0))
     hist.append(u, k1)
     for m in range(steps):
         t0 = m * h
@@ -233,14 +355,15 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
         t1 = (m + 1) * h
         hist.horizon = t1
         with np.errstate(over="ignore", invalid="ignore"):
-            k2 = stage(2 * m + 1, t_half, u + (0.5 * h) * k1)
-            k3 = stage(2 * m + 1, t_half, u + (0.5 * h) * k2)
-            k4 = stage(2 * m + 2, t1, u + h * k3)
+            mid = delayed(2 * m + 1, t_half)  # k2 and k3 read the same history
+            k2 = stage(2 * m + 1, t_half, u + (0.5 * h) * k1, mid)
+            k3 = stage(2 * m + 1, t_half, u + (0.5 * h) * k2, mid)
+            k4 = stage(2 * m + 2, t1, u + h * k3, delayed(2 * m + 2, t1))
             u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise DivergenceError(t1)
         hist.append(u, k4)  # provisional slope until the node is committed
-        k1 = stage(2 * m + 2, t1, u)
+        k1 = stage(2 * m + 2, t1, u, delayed(2 * m + 2, t1))
         hist.set_last_derivative(k1)
     times = np.arange(steps + 1) * h
     return Trajectory(times=times, states=hist.values[: steps + 1].copy(), history=hist)

@@ -229,14 +229,16 @@ def exp_moment(kernel: DelayKernel, t: float, alpha: float) -> KernelMoment:
     return KernelMoment(alpha=alpha, value=float(values), finite=finite)
 
 
-def density_quadrature(shape: Density, lookup: Callable[[float], float],
-                       tail_tol: float = 1e-8, step: float | None = None) -> float:
-    """Composite Simpson of ``density(s) * lookup(s)`` over [0, cutoff].
+def simpson_rule(shape: Density, tail_tol: float = 1e-8,
+                 step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of composite Simpson for ``density(s) * lookup(s)`` on [0, cutoff].
 
-    Infinite-support shapes are truncated where the remaining tail mass drops
-    below ``tail_tol``, bounding the truncation error by
-    ``tail_tol * sup |lookup|``.  The quadrature step never exceeds ``step``
-    when given (callers pass the integrator step to keep consistency).
+    The weights carry the density values, so ``weights @ lookup(nodes)`` is
+    the quadrature.  Infinite-support shapes are truncated where the
+    remaining tail mass drops below ``tail_tol``, bounding the truncation
+    error by ``tail_tol * sup |lookup|``.  The node spacing never exceeds
+    ``step`` when given (callers pass the integrator step to keep
+    consistency).
     """
     s_cut = shape.cutoff(tail_tol)
     if step is None:
@@ -244,17 +246,18 @@ def density_quadrature(shape: Density, lookup: Callable[[float], float],
     else:
         n = max(2, int(math.ceil(s_cut / step)))
         n += n % 2
-    grid = np.linspace(0.0, s_cut, n + 1)
-    dens = shape.eval(grid)
-    f_vals = np.array([lookup(float(s)) for s in grid])
-    integrand = dens * f_vals
-    h = s_cut / n
-    return float((h / 3.0) * (
-        integrand[0]
-        + integrand[-1]
-        + 4.0 * integrand[1:-1:2].sum()
-        + 2.0 * integrand[2:-1:2].sum()
-    ))
+    nodes = np.linspace(0.0, s_cut, n + 1)
+    coef = np.full(n + 1, 2.0)
+    coef[1::2] = 4.0
+    coef[0] = coef[-1] = 1.0
+    return nodes, (s_cut / n / 3.0) * coef * shape.eval(nodes)
+
+
+def density_quadrature(shape: Density, lookup: Callable[[float], float],
+                       tail_tol: float = 1e-8, step: float | None = None) -> float:
+    """Integral of ``density(s) * lookup(s)`` by :func:`simpson_rule`, one lookup per node."""
+    nodes, weights = simpson_rule(shape, tail_tol, step)
+    return float(weights @ np.array([lookup(float(s)) for s in nodes]))
 
 
 def convolve(

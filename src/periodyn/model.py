@@ -136,29 +136,37 @@ class HermiteNodes:
     what a time outside the nodes means.
     """
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        """Interval and offset of ``t``; the end cubics extend past the nodes."""
+    def _locate(self, t):
+        """Interval and offset of ``t`` (scalar or array); the end cubics extend past the nodes."""
         x = (t - self.start) / self.step
-        idx = min(max(int(math.floor(x)), 0), self.values.shape[0] - 2)
+        idx = np.clip(np.floor(x), 0, self.values.shape[0] - 2).astype(np.intp)
         return idx, x - idx
 
-    def _value(self, idx: int, theta: float, col=slice(None)):
-        """State at offset ``theta`` into interval ``idx``; ``col`` picks units."""
+    def _ends(self, idx, col):
+        """Values and slopes at both ends of interval ``idx`` for units ``col``."""
         y, m = self.values, self.derivs
+        return y[idx, col], y[idx + 1, col], m[idx, col], m[idx + 1, col]
+
+    def _value(self, idx: int, theta: float, col=slice(None)):
+        """State at offset ``theta`` into interval ``idx``; ``col`` picks units.
+
+        ``idx``, ``theta`` and ``col`` may be arrays of one shape: one gather
+        then evaluates many (interval, unit) pairs.
+        """
+        y0, y1, m0, m1 = self._ends(idx, col)
         t2 = theta * theta
         t3 = t2 * theta
-        return ((2.0 * t3 - 3.0 * t2 + 1.0) * y[idx, col]
-                + (-2.0 * t3 + 3.0 * t2) * y[idx + 1, col]
-                + self.step * ((t3 - 2.0 * t2 + theta) * m[idx, col]
-                               + (t3 - t2) * m[idx + 1, col]))
+        h01 = 3.0 * t2 - 2.0 * t3  # basis of y1; that of y0 is 1 - h01, exactly
+        return ((1.0 - h01) * y0 + h01 * y1
+                + self.step * ((t3 - 2.0 * t2 + theta) * m0 + (t3 - t2) * m1))
 
     def _slope(self, idx: int, theta: float, col=slice(None)):
         """Time derivative of :meth:`_value`."""
-        y, m = self.values, self.derivs
+        y0, y1, m0, m1 = self._ends(idx, col)
         t2 = theta * theta
-        return ((6.0 * t2 - 6.0 * theta) * (y[idx, col] - y[idx + 1, col]) / self.step
-                + (3.0 * t2 - 4.0 * theta + 1.0) * m[idx, col]
-                + (3.0 * t2 - 2.0 * theta) * m[idx + 1, col])
+        return ((6.0 * t2 - 6.0 * theta) * (y0 - y1) / self.step
+                + (3.0 * t2 - 4.0 * theta + 1.0) * m0
+                + (3.0 * t2 - 2.0 * theta) * m1)
 
 
 @dataclass(frozen=True)
@@ -267,32 +275,42 @@ class SampledModel:
     """Every coefficient of a model evaluated once on an array of times.
 
     Time axes come first and the arrays are read-only: ``d`` and ``inputs``
-    are (*T, n), ``a`` and ``tau`` (*T, n, n).  ``atoms[i][j]`` lists the
-    (lag, weight) pairs of kernel (i, j) and ``densities[i][j]`` is None or
-    its (shape, weight), each weight of shape T.  Certification and
-    integration read the coefficients only from here.
+    are (*T, n), ``a`` and ``tau`` (*T, n, n).  ``kernel_parts`` lists every
+    atom and density as (i, j, part) and ``kernel_weights`` (*T, K) holds
+    their weights, one column per part.  ``atoms[i][j]`` lists the (lag,
+    weight) pairs of kernel (i, j) and ``densities[i][j]`` is None or its
+    (shape, weight), each weight a column of ``kernel_weights``.
+    Certification and integration read the coefficients only from here.
     """
 
     def __init__(self, model: NetworkModel, t):
         t = _read_only(np.array(t, dtype=float))
 
-        def sample(expr: PeriodicExpr) -> np.ndarray:
-            return _read_only(expr.eval(t))
-
         def vector(exprs) -> np.ndarray:
             return _read_only(np.stack([expr.eval(t) for expr in exprs], axis=-1))
 
+        n = model.n
         self.model = model
         self.t = t
         self.d = vector(model.d)
         self.inputs = vector(model.inputs)
         self.a = _read_only(np.stack([vector(row) for row in model.a], axis=-2))
         self.tau = _read_only(np.stack([vector(row) for row in model.tau], axis=-2))
-        self.atoms = tuple(tuple(tuple((atom.s, sample(atom.weight)) for atom in kern.atoms)
-                                 for kern in row) for row in model.kernels)
-        self.densities = tuple(tuple(None if kern.density is None
-                                     else (kern.density.shape, sample(kern.density.weight))
-                                     for kern in row) for row in model.kernels)
+        self.kernel_parts = tuple(
+            (i, j, part) for i, row in enumerate(model.kernels) for j, kern in enumerate(row)
+            for part in kern.atoms + (() if kern.density is None else (kern.density,)))
+        weights = np.empty(t.shape + (len(self.kernel_parts),))
+        atoms = [[[] for _ in range(n)] for _ in range(n)]
+        densities = [[None] * n for _ in range(n)]
+        for k, (i, j, part) in enumerate(self.kernel_parts):
+            weights[..., k] = part.weight.eval(t)
+            if isinstance(part, Atom):
+                atoms[i][j].append((part.s, weights[..., k]))
+            else:
+                densities[i][j] = (part.shape, weights[..., k])
+        self.kernel_weights = _read_only(weights)
+        self.atoms = tuple(tuple(tuple(pairs) for pairs in row) for row in atoms)
+        self.densities = tuple(tuple(row) for row in densities)
 
     def total_variation(self) -> np.ndarray:
         """Absolute delayed gain of every kernel at the sample times; (*T, n, n)."""

@@ -54,8 +54,8 @@ class PeriodSegment(HermiteNodes):
         """Continuity defect between the two endpoints of the stored period."""
         return float(np.abs(self.values[-1] - self.values[0]).max())
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        return super()._locate(t - self.omega * math.floor(t / self.omega))
+    def _locate(self, t):
+        return super()._locate(t - self.omega * np.floor(t / self.omega))
 
     def eval(self, t: float) -> np.ndarray:
         return self._value(*self._locate(t))
@@ -173,7 +173,8 @@ def estimate_decay_rate(model: NetworkModel, segment: PeriodSegment,
     """
     xi = np.ones(model.n) if xi is None else np.asarray(xi, dtype=float)
     traj = simulate(model, ic_perturbed, t_end, h, tail_tol)
-    orbit = np.stack([segment.eval(float(t)) for t in traj.times])
+    idx, theta = segment._locate(traj.times)
+    orbit = segment._value(idx, theta[:, None])
     err = np.max(np.abs(traj.states - orbit) / xi[None, :], axis=1)
     lo = t_end / 4.0
     mask = (traj.times >= lo) & (err >= 1e-12)

@@ -192,6 +192,13 @@ class TestSimulateCommand:
                      "--grid", "256", "--ic", "1,2"]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("h", ["inf", "1e10"])
+    def test_step_longer_than_period_exit_one(self, cfg_file, capsys, h):
+        assert main(["simulate", cfg_file, "--t-end", "2", "--h", h,
+                     "--grid", "256", "--force"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: step h={float(h)} is longer than the period omega=2.0")
+
 
 class TestFindPeriodCommand:
     def test_builtin_orbit(self, cfg_file, tmp_path, capsys):
@@ -306,6 +313,24 @@ class TestConfigBoundaries:
         assert main(["certify", str(path)]) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}{where}: ")
 
+    @pytest.mark.parametrize("kernel, where, message", [
+        ({"density": {"shape": "exponential", "lam": 0, "weight": 0.1}},
+         ".kernels[0][0].density", "exponential density requires lam > 0"),
+        ({"density": {"shape": "uniform", "width": -1.0, "weight": 0.1}},
+         ".kernels[0][0].density", "uniform density requires width > 0"),
+        (_table_kernel([0.0, 1.0, 0.5], [0.0, 1.0, 0.0])[0][0],
+         ".kernels[0][0].density", "table knots must be nonnegative and strictly increasing"),
+        ({"atoms": [{"s": -1.0, "weight": 0.1}]},
+         ".kernels[0][0].atoms[0]", "atom location must be finite and nonnegative"),
+        ({"atoms": [{"s": 1.0, "weight": 0.1}, {"s": 0.5, "weight": 0.1}]},
+         ".kernels[0][0]", "atom locations must be strictly increasing"),
+    ])
+    def test_constructor_error_keeps_path(self, tmp_path, capsys, kernel, where, message):
+        path = tmp_path / "bad_kernel.json"
+        path.write_text(json.dumps(tiny_config(kernels=[[kernel]])))
+        assert main(["certify", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
+
 
 class TestFlagBounds:
     @pytest.mark.parametrize("argv", [
@@ -320,3 +345,15 @@ class TestFlagBounds:
             main([argv[0], cfg_file, *argv[1:]])
         assert exc.value.code == 1
         assert "must be a positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, what", [
+        (["compare", "--ensemble", "-2"], "a non-negative integer"),
+        (["compare", "--draws", "0"], "a positive integer"),
+        (["compare", "--workers", "-1"], "a positive integer"),
+        (["find-period", "--h", "0.01", "--rate-periods", "-1"], "a non-negative integer"),
+    ])
+    def test_out_of_range_count_is_usage_error(self, cfg_file, capsys, argv, what):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], cfg_file, *argv[1:]])
+        assert exc.value.code == 1
+        assert f"must be {what}, got {argv[-1]}" in capsys.readouterr().err
