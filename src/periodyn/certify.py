@@ -261,8 +261,12 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     The rate-extended residual is nondecreasing in alpha (every alpha term
     is), so the feasible rates form an interval [0, alpha*].  The cap stays
     below any exponential density's decay constant, where the moment blows
-    up.  Returns 0.0 when even the base condition fails.
+    up.  Returns 0.0 when even the base condition fails.  The bisection
+    stops at bracket width ``tol`` (> 0) or when the midpoint rounds onto
+    an end of the bracket.
     """
+    if not tol > 0.0:
+        raise ValueError(f"bisection tolerance must be > 0, got {tol}")
     cg = _ConditionGrid(model, grid_points)
     xi = np.asarray(xi, dtype=float)
 
@@ -280,6 +284,8 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     lo, hi = 0.0, cap
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if worst(mid) <= 0.0:
             lo = mid
         else:

@@ -360,6 +360,28 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0, "a non-negative integer")
 
 
+def _bounded_float(text: str, ok, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not ok(value):
+        raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    return _bounded_float(text, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+
+
+def _non_negative_float(text: str) -> float:
+    return _bounded_float(text, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+
+
+def _fraction(text: str) -> float:
+    return _bounded_float(text, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="periodyn",
@@ -371,17 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", parents=[common],
                        help="search weights, margin, decay rate and bounds")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_float, default=1e-6)
     p.set_defaults(handler=cmd_certify)
 
     p = sub.add_parser("simulate", parents=[common],
                        help="integrate the network and export CSV/SVG")
-    p.add_argument("--t-end", type=float, required=True, dest="t_end")
+    p.add_argument("--t-end", type=_non_negative_float, required=True, dest="t_end")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--ic", default=None, help="comma-separated constant history")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--plot", default=None, help="SVG output path")
-    p.add_argument("--tail-tol", type=float, default=1e-8, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_fraction, default=1e-8, dest="tail_tol")
     p.add_argument("--force", action="store_true",
                    help="simulate even when certification fails")
     p.set_defaults(handler=cmd_simulate)
@@ -389,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-period", parents=[common],
                        help="locate the periodic orbit by period-map iteration")
     p.add_argument("--h", type=float, required=True)
-    p.add_argument("--fp-tol", type=float, default=1e-10, dest="fp_tol")
+    p.add_argument("--fp-tol", type=_positive_float, default=1e-10, dest="fp_tol")
     p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
     p.add_argument("--out", default=None, help="CSV output path for the orbit segment")
     p.add_argument("--rate-periods", type=_non_negative_int, default=8, dest="rate_periods",

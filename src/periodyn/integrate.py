@@ -9,19 +9,28 @@ is sampled onto the step grid back to the model's largest lag.  One locate
 rule then serves every time from before the start up to the horizon.
 
 Each stage reads all its delayed terms -- every atom and every Simpson node
-of every density -- in one array lookup, applies each distinct activation
-once and adds the weighted terms onto their units with ``np.bincount``.
-The delayed terms read only the history, never the current state, so the
-two midpoint stages of a step share one lookup.  Stage lookups that land
-inside the current step (delays shorter than the step) evaluate the newest
-Hermite cubic beyond its interval instead of solving implicit stage
-equations.  Coefficient expressions are cached over one period at half-step
-resolution, which also makes the periodicity of the flow exact in floating
-point.
+of every density -- through a read plan.  The step divides the period and
+every coefficient has the period, so each read lies at the same place
+relative to its stage's node in every period; the plan, built once per
+model, step and tail tolerance, holds per half-step sample each read's
+interval relative to that node, its Hermite basis and its weight.  A stage
+is then one gather of interval ends, one Hermite blend (the history's own),
+one call per distinct activation and one ``np.bincount``.  Reads at or
+before the start shift into the initial block, reads before its first node
+return it unchanged, and while the run has one node reads past it take its
+Taylor step.  The delayed terms read only the history, never the current
+state, so the two midpoint stages of a step share one sum, and the next
+step's first stage reuses the last stage's sum unless one of its reads lies
+in the step just taken.  Stage reads that land inside the current step
+(delays shorter than the step) evaluate the newest Hermite cubic beyond its
+interval instead of solving implicit stage equations.  Coefficient
+expressions are cached over one period at half-step resolution, which also
+makes the periodicity of the flow exact in floating point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -31,7 +40,7 @@ import numpy as np
 
 from .kernels import Atom, simpson_rule
 from .model import (ConstantIC, HermiteNodes, InitialCondition, NetworkModel, SampledIC,
-                    SampledModel, sampled)
+                    SampledModel, _read_only, sampled)
 
 
 class HistoryUnderrunError(RuntimeError):
@@ -98,15 +107,16 @@ class HistoryBuffer(HermiteNodes):
 
     def _store(self, values: np.ndarray, derivs: np.ndarray) -> None:
         self._v, self._d = values, derivs
-        self._flat = (values.reshape(-1), derivs.reshape(-1))
+        self._flat = v, m = values.reshape(-1), derivs.reshape(-1)
+        self._next = v[1:], m[1:]
         self._cap = values.shape[1]
 
     def _ends(self, flat, col=None):
         # unit-major storage: ``flat`` is row + unit * capacity and already
         # holds the unit, and a unit's next node is the next flat entry
         v, m = self._flat
-        nxt = flat + 1
-        return v[flat], v[nxt], m[flat], m[nxt]
+        v1, m1 = self._next
+        return v[flat], v1[flat], m[flat], m1[flat]
 
     @property
     def values(self) -> np.ndarray:
@@ -272,42 +282,164 @@ def _elementwise(acts, units):
     return apply
 
 
-def _stage_function(sm: SampledModel, hist: HistoryBuffer, reads: _DelayedReads):
-    """The right side as ``stage(k, t, u, delayed(k, t))``, coefficients from sample ``k``.
+class _ReadPlan:
+    """Every delayed read of every sample of ``sm``, located in the history once.
 
-    ``k`` counts samples of ``sm`` and wraps around its length, so a model
-    sampled over one period serves every period.  ``delayed`` sums the
-    delayed terms ``reads``, all looked up in ``hist`` at once; they depend
-    on the time and the history but not on ``u``, so stages at one time and
-    one history can share them.
+    The stage of sample r is anchored at a node and its reads lie
+    ``pos = offsets[r] - (tau + lag) / h`` steps after that node.  ``rel``
+    holds each read's interval counted from the node, the one the read lies
+    in at an offset in (0, 1], clamped to the newest interval ``-1`` so that
+    reads past the node extrapolate the newest cubic; ``h01``, ``h10`` and
+    ``h11`` hold the Hermite basis there and ``coef`` the read's weight.
+    ``low[r]`` is the lowest interval sample r can read.
+
+    The reads less than one step before the node (``near_*``, sample r's in
+    ``near_ptr[r]:near_ptr[r + 1]``) keep their position and the basis of
+    interval ``-2``: RK4's last stage reads before its node is appended, so
+    there they extrapolate the cubic one interval earlier, and while the run
+    has one node they take its Taylor step instead.  All tables are
+    (samples, reads) except ``near_*``.
     """
-    model = sm.model
-    n = model.n
+
+    _CHUNK = 64  # samples located at a time, which bounds the temporaries
+
+    def __init__(self, sm: SampledModel, reads: _DelayedReads, h: float, offsets):
+        model = sm.model
+        count = sm.t.shape[0]
+        tau = sm.tau.reshape(count, model.n * model.n)
+        offsets = np.asarray(offsets, dtype=float)
+        self.sm, self.h, self.dst, self.src = sm, h, reads.dst, reads.src
+        self.f_act = _elementwise(model.f, reads.src)
+        self.coef = sm.kernel_weights[:, reads.col]
+        self.coef *= reads.scale
+        shape = (count, reads.src.size)
+        self.rel = np.empty(shape, dtype=np.int32)
+        self.h01, self.h10, self.h11 = (np.empty(shape) for _ in range(3))
+        self.latest = np.empty(count)
+        near = []
+        for lo in range(0, count, self._CHUNK):
+            rows = slice(lo, lo + self._CHUNK)
+            pos = offsets[rows, None] - (tau[rows, reads.pair] + reads.lag) / h
+            rel = np.minimum(np.ceil(pos) - 1.0, -1.0)
+            self.rel[rows] = rel
+            self.h01[rows], self.h10[rows], self.h11[rows] = HermiteNodes._basis(pos - rel)
+            self.latest[rows] = pos.max(axis=1, initial=-math.inf)
+            r, k = np.nonzero(pos > -1.0)
+            near.append((r + lo, k, pos[r, k]))
+        for table in (self.coef, self.rel, self.h01, self.h10, self.h11):
+            _read_only(table)
+        self.low = np.minimum(self.rel.min(axis=1, initial=0), -2).tolist()
+        r, self.near_k, self.near_pos = (np.concatenate(parts) for parts in zip(*near))
+        self.near_ptr = np.searchsorted(r, np.arange(count + 1)).tolist()
+        self.near_any = [lo < hi for lo, hi in zip(self.near_ptr, self.near_ptr[1:])]
+        self.near_basis = HermiteNodes._basis(self.near_pos + 2.0)
+        lags = sm.tau.min(axis=0).reshape(-1)[reads.pair] + reads.lag
+        self.min_lag = float(lags.min(initial=math.inf))
+        self.max_lag = float((sm.tau.max(axis=0).reshape(-1)[reads.pair]
+                              + reads.lag).max(initial=0.0))
+
+
+@functools.lru_cache(maxsize=4)
+def _period_plan(model: NetworkModel, h: float, tail_tol: float) -> _ReadPlan:
+    """The read plan of one period at half steps, remembered per step and tolerance.
+
+    Sample r belongs to half step r and is anchored at node ``r // 2``; the
+    period map runs every iteration on the same plan.
+    """
+    count = 2 * _exact_steps(model.omega, h, "period")
+    sm = sampled(model, count, 0.5 * h)
+    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h), h, np.arange(count) % 2 * 0.5)
+    # the history reaches the midpoint's step end, and the node at the other stages
+    ahead = plan.latest - (np.arange(count) % 2 + 1e-9)
+    if (ahead > 0.0).any():
+        r = int(np.argmax(ahead))
+        read = (r // 2 + float(plan.latest[r])) * h
+        raise HistoryUnderrunError(
+            f"the stage at t={float(sm.t[r])!r} reads t={read!r}, past the history")
+    return plan
+
+
+def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
+    """The right side as ``stage(jh, u, delayed(jh))``, coefficients from sample ``jh``.
+
+    ``jh`` counts half steps: sample ``jh`` wraps around the plan's length,
+    so a plan of one period serves every period, and the stage is anchored
+    at node ``jh // 2``.  ``delayed`` sums the delayed terms from ``hist``
+    in one gather and one blend; they depend on the time and the history but
+    not on ``u``, so stages at one time and one history can share them.
+    """
+    sm = plan.sm
+    n = sm.model.n
     mod = sm.t.shape[0]
-    d, a, inputs, weights = sm.d, sm.a, sm.inputs, sm.kernel_weights
-    tau = sm.tau.reshape(mod, n * n)
-    dst, src, pair, col, lag, scale = reads
-    g_act = _elementwise(model.g, range(n))
-    f_act = _elementwise(model.f, src)
+    neg_d, a, inputs = -sm.d, sm.a, sm.inputs
+    g_act = _elementwise(sm.model.g, range(n))
+    f_act, dst, coef, low, h = plan.f_act, plan.dst, plan.coef, plan.low, plan.h
+    rel_t, h01_t, h10_t, h11_t = plan.rel, plan.h01, plan.h10, plan.h11
+    near_ptr, near_k, near_pos = plan.near_ptr, plan.near_k, plan.near_pos
+    near01, near10, near11 = plan.near_basis
+    base = hist.base
+    units = {}  # storage capacity -> each read's flat index of the run's node 0
 
-    def delayed(jh: int, t: float) -> np.ndarray:
-        idx = jh % mod
-        values = f_act(hist.lookup_batch((t - tau[idx][pair]) - lag, src))
-        return np.bincount(dst, weights=weights[idx][col] * scale * values, minlength=n)
+    def read(r: int, node: int) -> np.ndarray:
+        count = hist.count
+        unit = units.get(hist._cap)
+        if unit is None:
+            unit = units[hist._cap] = plan.src * hist._cap + base
+        rr = rel_t[r] + node  # interval rows counted from the run's node 0
+        basis = h01_t[r], h10_t[r], h11_t[r]
+        lo, hi = near_ptr[r], near_ptr[r + 1]
+        if 1 < count <= node and lo < hi:  # the node is not appended yet
+            k = near_k[lo:hi]
+            rr[k] = node - 2
+            basis = tuple(b.copy() for b in basis)
+            for b, nb in zip(basis, (near01, near10, near11)):
+                b[k] = nb[lo:hi]
+        rows = rr + unit
+        before = None
+        if node + low[r] < 0:
+            # at or before the start: the initial block, whose last node is the start
+            rows -= rr < 0
+            if node + low[r] < 1 - base:  # before its first node: constant
+                before = rr < 1 - base
+                rows[before] = unit[before] - base
+        ends = hist._ends(rows)
+        out = hist._blend(ends, basis)
+        if before is not None:
+            out[before] = ends[0][before]
+        if count == 1:  # one node: a first-order Taylor step past the start
+            x = node + near_pos[lo:hi]
+            ahead = x > 0.0
+            k = near_k[lo:hi][ahead]
+            flat = unit[k]
+            v, m = hist._flat
+            out[k] = v[flat] + (x[ahead] * h) * m[flat]
+        return out
 
-    def stage(jh: int, t: float, u: np.ndarray, du_delayed: np.ndarray) -> np.ndarray:
+    def delayed(jh: int) -> np.ndarray:
+        r = jh % mod
+        return np.bincount(dst, weights=coef[r] * f_act(read(r, jh // 2)), minlength=n)
+
+    def stage(jh: int, u: np.ndarray, du_delayed: np.ndarray) -> np.ndarray:
         idx = jh % mod
-        return -d[idx] * u + a[idx] @ g_act(u) + inputs[idx] + du_delayed
+        return neg_d[idx] * u + a[idx] @ g_act(u) + inputs[idx] + du_delayed
 
     return stage, delayed
 
 
 def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
         tail_tol: float = 1e-8, quad_step: float | None = None) -> np.ndarray:
-    """Right side at time ``t`` with delayed lookups: one stage of :func:`simulate`."""
+    """Right side at time ``t`` with delayed lookups: one stage of :func:`simulate`.
+
+    The stage is anchored at the newest node of ``history`` on a plan of one sample.
+    """
     sm = SampledModel(model, [t])
-    stage, delayed = _stage_function(sm, history, _delayed_reads(sm, tail_tol, quad_step))
-    return stage(0, t, np.asarray(u, dtype=float), delayed(0, t))
+    h = history.h
+    node = max(history.count - 1, 0)
+    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, quad_step), h,
+                     [(t - history.start_time) / h - node])
+    history._check_horizon(history.start_time + (node + float(plan.latest[0])) * h)
+    stage, delayed = _stage_function(plan, history)
+    return stage(0, np.asarray(u, dtype=float), delayed(2 * node))
 
 
 def _exact_steps(total: float, h: float, what: str) -> int:
@@ -327,44 +459,41 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
     """
     if not h > 0.0:
         raise ValueError("step must be positive")
-    steps_per_period = _exact_steps(model.omega, h, "period")
-    if steps_per_period < 1:
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"t_end must be a finite time >= 0, got {t_end}")
+    if _exact_steps(model.omega, h, "period") < 1:
         raise ValueError(f"step h={h} is longer than the period omega={model.omega}")
-    steps = _exact_steps(t_end, h, "t_end") if t_end > 0.0 else 0
+    steps = _exact_steps(t_end, h, "t_end")
     n = model.n
     u = np.asarray(ic.eval(0.0), dtype=float).copy()
     if u.shape != (n,):
         raise ValueError(f"initial condition has dimension {u.shape}, expected ({n},)")
-    sm = sampled(model, 2 * steps_per_period, 0.5 * h)
-    reads = _delayed_reads(sm, tail_tol, h)
-    tau = sm.tau.reshape(sm.t.shape[0], n * n)
-    min_lag = float((tau.min(axis=0)[reads.pair] + reads.lag).min(initial=math.inf))
-    if 0.0 < min_lag < math.inf and h >= min_lag:
+    plan = _period_plan(model, h, tail_tol)
+    if 0.0 < plan.min_lag < math.inf and h >= plan.min_lag:
         # sub-step lookups will run on the extrapolant every step
-        warnings.warn(f"step h={h} is not below the smallest delay {min_lag:.6g}; "
+        warnings.warn(f"step h={h} is not below the smallest delay {plan.min_lag:.6g}; "
                       "intra-step lookups fall back to the Hermite extrapolant")
-    max_lag = float((tau.max(axis=0)[reads.pair] + reads.lag).max(initial=0.0))
-    hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1, lag=max_lag)
-    stage, delayed = _stage_function(sm, hist, reads)
-
-    k1 = stage(0, 0.0, u, delayed(0, 0.0))
-    hist.append(u, k1)
-    for m in range(steps):
-        t0 = m * h
-        t_half = t0 + 0.5 * h
-        t1 = (m + 1) * h
-        hist.horizon = t1
-        with np.errstate(over="ignore", invalid="ignore"):
-            mid = delayed(2 * m + 1, t_half)  # k2 and k3 read the same history
-            k2 = stage(2 * m + 1, t_half, u + (0.5 * h) * k1, mid)
-            k3 = stage(2 * m + 1, t_half, u + (0.5 * h) * k2, mid)
-            k4 = stage(2 * m + 2, t1, u + h * k3, delayed(2 * m + 2, t1))
+    hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1, lag=plan.max_lag)
+    stage, delayed = _stage_function(plan, hist)
+    near_any, samples = plan.near_any, len(plan.near_any)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = stage(0, u, delayed(0))
+        hist.append(u, k1)
+        for m in range(steps):
+            jh = 2 * m
+            mid = delayed(jh + 1)  # k2 and k3 read the same history
+            k2 = stage(jh + 1, u + (0.5 * h) * k1, mid)
+            k3 = stage(jh + 1, u + (0.5 * h) * k2, mid)
+            end = delayed(jh + 2)
+            k4 = stage(jh + 2, u + h * k3, end)
             u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(u).all():
-            raise DivergenceError(t1)
-        hist.append(u, k4)  # provisional slope until the node is committed
-        k1 = stage(2 * m + 2, t1, u, delayed(2 * m + 2, t1))
-        hist.set_last_derivative(k1)
+            if not np.isfinite(u).all():
+                raise DivergenceError((m + 1) * h)
+            hist.append(u, k4)  # provisional slope until the node is committed
+            if near_any[(jh + 2) % samples]:  # some reads lie in the step just taken
+                end = delayed(jh + 2)
+            k1 = stage(jh + 2, u, end)
+            hist.set_last_derivative(k1)
     times = np.arange(steps + 1) * h
     return Trajectory(times=times, states=hist.values[: steps + 1].copy(), history=hist)
 

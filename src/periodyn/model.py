@@ -147,18 +147,29 @@ class HermiteNodes:
         y, m = self.values, self.derivs
         return y[idx, col], y[idx + 1, col], m[idx, col], m[idx + 1, col]
 
+    @staticmethod
+    def _basis(theta):
+        """Hermite basis (h01, h10, h11) of y1, m0 and m1 at offset ``theta``.
+
+        The basis of y0 is 1 - h01, exactly, so :meth:`_blend` forms it.
+        """
+        t2 = theta * theta
+        t3 = t2 * theta
+        return 3.0 * t2 - 2.0 * t3, t3 - 2.0 * t2 + theta, t3 - t2
+
+    def _blend(self, ends, basis):
+        """Cubic from interval ends (y0, y1, m0, m1) and a :meth:`_basis`."""
+        y0, y1, m0, m1 = ends
+        h01, h10, h11 = basis
+        return (1.0 - h01) * y0 + h01 * y1 + self.step * (h10 * m0 + h11 * m1)
+
     def _value(self, idx: int, theta: float, col=slice(None)):
         """State at offset ``theta`` into interval ``idx``; ``col`` picks units.
 
         ``idx``, ``theta`` and ``col`` may be arrays of one shape: one gather
         then evaluates many (interval, unit) pairs.
         """
-        y0, y1, m0, m1 = self._ends(idx, col)
-        t2 = theta * theta
-        t3 = t2 * theta
-        h01 = 3.0 * t2 - 2.0 * t3  # basis of y1; that of y0 is 1 - h01, exactly
-        return ((1.0 - h01) * y0 + h01 * y1
-                + self.step * ((t3 - 2.0 * t2 + theta) * m0 + (t3 - t2) * m1))
+        return self._blend(self._ends(idx, col), self._basis(theta))
 
     def _slope(self, idx: int, theta: float, col=slice(None)):
         """Time derivative of :meth:`_value`."""

@@ -367,3 +367,17 @@ class TestWeightedNorm:
         assert form.a_sup[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert form.b_sup[0, 2] == pytest.approx(0.5 * math.exp(-1.0), abs=1e-9)
         assert form.tau_sup[0, 1] == pytest.approx(math.pi / 2, abs=1e-5)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_decay_rate_rejects_non_positive_tolerance(builtin, tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        find_decay_rate(builtin, np.ones(3), grid_points=256, tol=tol)
+
+
+def test_decay_rate_bisection_ends_below_resolution(builtin):
+    # a bracket narrower than one ulp cannot shrink below tol; the midpoint check ends it
+    alpha = find_decay_rate(builtin, np.ones(3), grid_points=256, tol=1e-300)
+    assert alpha == pytest.approx(find_decay_rate(builtin, np.ones(3), grid_points=256),
+                                  abs=1e-6)
+

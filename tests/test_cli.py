@@ -199,6 +199,25 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: step h={float(h)} is longer than the period omega=2.0")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--tail-tol", "0"), ("--tail-tol", "-1"), ("--tail-tol", "inf"), ("--tail-tol", "nan"),
+        ("--tail-tol", "1"), ("--t-end", "-1"), ("--t-end", "nan"), ("--t-end", "inf"),
+    ])
+    def test_out_of_range_time_or_tail_is_usage_error(self, tmp_path, capsys, flag, value):
+        doc = tiny_config(kernels=[[{"density": {"shape": "exponential", "lam": 12.0,
+                                                 "weight": 0.2}}]], tau=[[0.1]])
+        path = tmp_path / "exponential.json"
+        path.write_text(json.dumps(doc))
+        args = {"--t-end": "1", "--tail-tol": "1e-8", flag: value}
+        argv = ["simulate", str(path), "--h", "0.01", "--force"]
+        for name, text in args.items():
+            argv += [name, text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err and "Traceback" not in err
+
 
 class TestFindPeriodCommand:
     def test_builtin_orbit(self, cfg_file, tmp_path, capsys):
@@ -357,3 +376,18 @@ class TestFlagBounds:
             main([argv[0], cfg_file, *argv[1:]])
         assert exc.value.code == 1
         assert f"must be {what}, got {argv[-1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--tol", "0"], ["certify", "--tol", "-1"],
+        ["certify", "--tol", "nan"], ["certify", "--tol", "inf"],
+        ["find-period", "--h", "0.01", "--fp-tol", "nan"],
+        ["find-period", "--h", "0.01", "--fp-tol", "-1"],
+        ["find-period", "--h", "0.01", "--fp-tol", "0"],
+        ["find-period", "--h", "0.01", "--fp-tol", "inf"],
+    ])
+    def test_non_positive_tolerance_is_usage_error(self, cfg_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], cfg_file, *argv[1:]])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"must be a finite number > 0, got {argv[-1]}" in err and "Traceback" not in err

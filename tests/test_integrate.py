@@ -242,3 +242,10 @@ class TestCertifiedBounds:
         dist = weighted_norms(a.states - b.states, builtin_cert.xi)
         ratio = dist * np.exp(builtin_alpha * a.times) / dist[0]
         assert ratio.max() <= 1.0 + 1e-3
+
+
+@pytest.mark.parametrize("t_end", [-0.1, math.nan, math.inf])
+def test_t_end_must_be_finite_and_non_negative(t_end):
+    with pytest.raises(ValueError, match="t_end"):
+        simulate(linear_forced(), ConstantIC((0.0,)), t_end, 0.1)
+
