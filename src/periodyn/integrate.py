@@ -11,21 +11,24 @@ rule then serves every time from before the start up to the horizon.
 Each stage reads all its delayed terms -- every atom and every Simpson node
 of every density -- through a read plan.  The step divides the period and
 every coefficient has the period, so each read lies at the same place
-relative to its stage's node in every period; the plan, built once per
-model, step and tail tolerance, holds per half-step sample each read's
-interval relative to that node, its Hermite basis and its weight.  A stage
-is then one gather of interval ends, one Hermite blend (the history's own),
-one call per distinct activation and one ``np.bincount``.  Reads at or
-before the start shift into the initial block, reads before its first node
-return it unchanged, and while the run has one node reads past it take its
-Taylor step.  The delayed terms read only the history, never the current
-state, so the two midpoint stages of a step share one sum, and the next
-step's first stage reuses the last stage's sum unless one of its reads lies
-in the step just taken.  Stage reads that land inside the current step
-(delays shorter than the step) evaluate the newest Hermite cubic beyond its
-interval instead of solving implicit stage equations.  Coefficient
-expressions are cached over one period at half-step resolution, which also
-makes the periodicity of the flow exact in floating point.
+relative to its stage's node in every period.  The plan, built once per
+model, step and tail tolerance, holds per half-step sample where each
+kernel part's first read lies and each part's weight; the other Simpson
+nodes of a density trail its first read by fixed lags, so the plan grows
+with the samples times the parts.  A stage then places its reads with one
+subtract and one ceil, gathers their interval ends, forms the Hermite blend
+(the history's own), calls each distinct activation once and sums with
+``np.bincount``.  Reads at or before the start shift into the initial
+block, reads before its first node return it unchanged, and while the run
+has one node reads past it take its Taylor step.  The delayed terms read
+only the history, never the current state, so the two midpoint stages of a
+step share one sum, and the next step's first stage reuses the last stage's
+sum unless one of its reads lies in the step just taken.  Stage reads that
+land inside the current step (delays shorter than the step) evaluate the
+newest Hermite cubic beyond its interval instead of solving implicit stage
+equations.  Coefficient expressions are cached over one period at half-step
+resolution, which also makes the periodicity of the flow exact in floating
+point.
 """
 
 from __future__ import annotations
@@ -283,56 +286,35 @@ def _elementwise(acts, units):
 
 
 class _ReadPlan:
-    """Every delayed read of every sample of ``sm``, located in the history once.
+    """Every delayed read of every sample of ``sm``, placed relative to its stage's node.
 
-    The stage of sample r is anchored at a node and its reads lie
-    ``pos = offsets[r] - (tau + lag) / h`` steps after that node.  ``rel``
-    holds each read's interval counted from the node, the one the read lies
-    in at an offset in (0, 1], clamped to the newest interval ``-1`` so that
-    reads past the node extrapolate the newest cubic; ``h01``, ``h10`` and
-    ``h11`` hold the Hermite basis there and ``coef`` the read's weight.
-    ``low[r]`` is the lowest interval sample r can read.
-
-    The reads less than one step before the node (``near_*``, sample r's in
-    ``near_ptr[r]:near_ptr[r + 1]``) keep their position and the basis of
-    interval ``-2``: RK4's last stage reads before its node is appended, so
-    there they extrapolate the cubic one interval earlier, and while the run
-    has one node they take its Taylor step instead.  All tables are
-    (samples, reads) except ``near_*``.
+    The reads of one kernel part (an atom, or the Simpson nodes of one
+    density) share a delay and a weight.  The stage of sample r is anchored
+    at a node, and read k of part p lies ``anchor[r, p] - steps[k]`` steps
+    after that node: ``anchor`` places the part's first read and ``steps``
+    holds each read's fixed lag behind it, in steps (0 for an atom).  A
+    stage locates its reads from these with one subtract and one ceil, so
+    the tables grow with the samples times the parts, not with the Simpson
+    nodes.  ``latest[r]`` is the position of sample r's latest read and
+    ``low[r]`` bounds the interval of its earliest.
     """
-
-    _CHUNK = 64  # samples located at a time, which bounds the temporaries
 
     def __init__(self, sm: SampledModel, reads: _DelayedReads, h: float, offsets):
         model = sm.model
-        count = sm.t.shape[0]
-        tau = sm.tau.reshape(count, model.n * model.n)
         offsets = np.asarray(offsets, dtype=float)
-        self.sm, self.h, self.dst, self.src = sm, h, reads.dst, reads.src
+        parts = sm.kernel_weights.shape[1]
+        first = np.searchsorted(reads.col, np.arange(parts))  # reads of a part are adjacent
+        last = np.searchsorted(reads.col, np.arange(parts), side="right") - 1
+        part_lag = reads.lag[first]
+        tau = sm.tau.reshape(-1, model.n * model.n)[:offsets.size, reads.pair[first]]
+        self.anchor = _read_only(offsets[:, None] - (tau + part_lag) / h)
+        self.steps = (reads.lag - part_lag[reads.col]) / h  # Simpson nodes run from lag 0 up
+        self.sm, self.h, self.col, self.src, self.scale = sm, h, reads.col, reads.src, reads.scale
+        self.part_dst = reads.dst[first]
         self.f_act = _elementwise(model.f, reads.src)
-        self.coef = sm.kernel_weights[:, reads.col]
-        self.coef *= reads.scale
-        shape = (count, reads.src.size)
-        self.rel = np.empty(shape, dtype=np.int32)
-        self.h01, self.h10, self.h11 = (np.empty(shape) for _ in range(3))
-        self.latest = np.empty(count)
-        near = []
-        for lo in range(0, count, self._CHUNK):
-            rows = slice(lo, lo + self._CHUNK)
-            pos = offsets[rows, None] - (tau[rows, reads.pair] + reads.lag) / h
-            rel = np.minimum(np.ceil(pos) - 1.0, -1.0)
-            self.rel[rows] = rel
-            self.h01[rows], self.h10[rows], self.h11[rows] = HermiteNodes._basis(pos - rel)
-            self.latest[rows] = pos.max(axis=1, initial=-math.inf)
-            r, k = np.nonzero(pos > -1.0)
-            near.append((r + lo, k, pos[r, k]))
-        for table in (self.coef, self.rel, self.h01, self.h10, self.h11):
-            _read_only(table)
-        self.low = np.minimum(self.rel.min(axis=1, initial=0), -2).tolist()
-        r, self.near_k, self.near_pos = (np.concatenate(parts) for parts in zip(*near))
-        self.near_ptr = np.searchsorted(r, np.arange(count + 1)).tolist()
-        self.near_any = [lo < hi for lo, hi in zip(self.near_ptr, self.near_ptr[1:])]
-        self.near_basis = HermiteNodes._basis(self.near_pos + 2.0)
+        self.latest = self.anchor.max(axis=1, initial=-math.inf)
+        earliest = (self.anchor - self.steps[last]).min(axis=1, initial=math.inf)
+        self.low = np.minimum(np.ceil(earliest) - 1.0, -2.0).astype(int).tolist()
         lags = sm.tau.min(axis=0).reshape(-1)[reads.pair] + reads.lag
         self.min_lag = float(lags.min(initial=math.inf))
         self.max_lag = float((sm.tau.max(axis=0).reshape(-1)[reads.pair]
@@ -340,17 +322,17 @@ class _ReadPlan:
 
 
 @functools.lru_cache(maxsize=4)
-def _period_plan(model: NetworkModel, h: float, tail_tol: float) -> _ReadPlan:
-    """The read plan of one period at half steps, remembered per step and tolerance.
+def _period_plan(model: NetworkModel, h: float, tail_tol: float, samples: int) -> _ReadPlan:
+    """The read plan of a period's first ``samples`` half steps.
 
     Sample r belongs to half step r and is anchored at node ``r // 2``; the
-    period map runs every iteration on the same plan.
+    period map runs every iteration on the same plan of a whole period.
     """
-    count = 2 * _exact_steps(model.omega, h, "period")
-    sm = sampled(model, count, 0.5 * h)
-    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h), h, np.arange(count) % 2 * 0.5)
+    sm = sampled(model, 2 * _exact_steps(model.omega, h, "period"), 0.5 * h)
+    half = np.arange(samples) % 2
+    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h), h, half * 0.5)
     # the history reaches the midpoint's step end, and the node at the other stages
-    ahead = plan.latest - (np.arange(count) % 2 + 1e-9)
+    ahead = plan.latest - (half + 1e-9)
     if (ahead > 0.0).any():
         r = int(np.argmax(ahead))
         read = (r // 2 + float(plan.latest[r])) * h
@@ -362,21 +344,20 @@ def _period_plan(model: NetworkModel, h: float, tail_tol: float) -> _ReadPlan:
 def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
     """The right side as ``stage(jh, u, delayed(jh))``, coefficients from sample ``jh``.
 
-    ``jh`` counts half steps: sample ``jh`` wraps around the plan's length,
-    so a plan of one period serves every period, and the stage is anchored
+    ``jh`` counts half steps: sample ``jh`` wraps around the period, so a
+    plan of one period serves every period, and the stage is anchored
     at node ``jh // 2``.  ``delayed`` sums the delayed terms from ``hist``
-    in one gather and one blend; they depend on the time and the history but
-    not on ``u``, so stages at one time and one history can share them.
+    in one gather and one blend, per kernel part and then per unit; they
+    depend on the time and the history but not on ``u``, so stages at one
+    time and one history can share them.
     """
     sm = plan.sm
     n = sm.model.n
-    mod = sm.t.shape[0]
-    neg_d, a, inputs = -sm.d, sm.a, sm.inputs
+    mod, parts = sm.kernel_weights.shape
+    neg_d, a, inputs, weights = -sm.d, sm.a, sm.inputs, sm.kernel_weights
     g_act = _elementwise(sm.model.g, range(n))
-    f_act, dst, coef, low, h = plan.f_act, plan.dst, plan.coef, plan.low, plan.h
-    rel_t, h01_t, h10_t, h11_t = plan.rel, plan.h01, plan.h10, plan.h11
-    near_ptr, near_k, near_pos = plan.near_ptr, plan.near_k, plan.near_pos
-    near01, near10, near11 = plan.near_basis
+    f_act, col, scale, part_dst = plan.f_act, plan.col, plan.scale, plan.part_dst
+    anchor, steps, low, h = plan.anchor, plan.steps, plan.low, plan.h
     base = hist.base
     units = {}  # storage capacity -> each read's flat index of the run's node 0
 
@@ -385,15 +366,17 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
         unit = units.get(hist._cap)
         if unit is None:
             unit = units[hist._cap] = plan.src * hist._cap + base
-        rr = rel_t[r] + node  # interval rows counted from the run's node 0
-        basis = h01_t[r], h10_t[r], h11_t[r]
-        lo, hi = near_ptr[r], near_ptr[r + 1]
-        if 1 < count <= node and lo < hi:  # the node is not appended yet
-            k = near_k[lo:hi]
-            rr[k] = node - 2
-            basis = tuple(b.copy() for b in basis)
-            for b, nb in zip(basis, (near01, near10, near11)):
-                b[k] = nb[lo:hi]
+        pos = anchor[r][col]
+        pos -= steps
+        # the interval each read lies in at an offset in (0, 1], clamped to the
+        # newest one so that later reads extrapolate the newest cubic; RK4's
+        # last stage reads before its node is appended, so there that is -2
+        rel = np.ceil(pos)
+        rel -= 1.0
+        np.minimum(rel, -2.0 if 1 < count <= node else -1.0, out=rel)
+        basis = hist._basis(pos - rel)
+        rr = rel.astype(np.intp)
+        rr += node  # interval rows counted from the run's node 0
         rows = rr + unit
         before = None
         if node + low[r] < 0:
@@ -407,17 +390,17 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
         if before is not None:
             out[before] = ends[0][before]
         if count == 1:  # one node: a first-order Taylor step past the start
-            x = node + near_pos[lo:hi]
+            x = pos + node
             ahead = x > 0.0
-            k = near_k[lo:hi][ahead]
-            flat = unit[k]
+            flat = unit[ahead]
             v, m = hist._flat
-            out[k] = v[flat] + (x[ahead] * h) * m[flat]
+            out[ahead] = v[flat] + (x[ahead] * h) * m[flat]
         return out
 
     def delayed(jh: int) -> np.ndarray:
         r = jh % mod
-        return np.bincount(dst, weights=coef[r] * f_act(read(r, jh // 2)), minlength=n)
+        terms = np.bincount(col, weights=scale * f_act(read(r, jh // 2)), minlength=parts)
+        return np.bincount(part_dst, weights=terms * weights[r], minlength=n)
 
     def stage(jh: int, u: np.ndarray, du_delayed: np.ndarray) -> np.ndarray:
         idx = jh % mod
@@ -461,21 +444,22 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
         raise ValueError("step must be positive")
     if not 0.0 <= t_end < math.inf:
         raise ValueError(f"t_end must be a finite time >= 0, got {t_end}")
-    if _exact_steps(model.omega, h, "period") < 1:
+    period = _exact_steps(model.omega, h, "period")
+    if period < 1:
         raise ValueError(f"step h={h} is longer than the period omega={model.omega}")
     steps = _exact_steps(t_end, h, "t_end")
     n = model.n
     u = np.asarray(ic.eval(0.0), dtype=float).copy()
     if u.shape != (n,):
         raise ValueError(f"initial condition has dimension {u.shape}, expected ({n},)")
-    plan = _period_plan(model, h, tail_tol)
+    plan = _period_plan(model, h, tail_tol, min(2 * period, 2 * steps + 1))
     if 0.0 < plan.min_lag < math.inf and h >= plan.min_lag:
         # sub-step lookups will run on the extrapolant every step
         warnings.warn(f"step h={h} is not below the smallest delay {plan.min_lag:.6g}; "
                       "intra-step lookups fall back to the Hermite extrapolant")
     hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1, lag=plan.max_lag)
     stage, delayed = _stage_function(plan, hist)
-    near_any, samples = plan.near_any, len(plan.near_any)
+    near = (plan.latest > -1.0).tolist()  # some read lies less than a step before the node
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = stage(0, u, delayed(0))
         hist.append(u, k1)
@@ -490,7 +474,7 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
             if not np.isfinite(u).all():
                 raise DivergenceError((m + 1) * h)
             hist.append(u, k4)  # provisional slope until the node is committed
-            if near_any[(jh + 2) % samples]:  # some reads lie in the step just taken
+            if near[(jh + 2) % len(near)]:  # some reads lie in the step just taken
                 end = delayed(jh + 2)
             k1 = stage(jh + 2, u, end)
             hist.set_last_derivative(k1)

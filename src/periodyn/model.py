@@ -154,8 +154,8 @@ class HermiteNodes:
         The basis of y0 is 1 - h01, exactly, so :meth:`_blend` forms it.
         """
         t2 = theta * theta
-        t3 = t2 * theta
-        return 3.0 * t2 - 2.0 * t3, t3 - 2.0 * t2 + theta, t3 - t2
+        h11 = t2 * (theta - 1.0)
+        return t2 - (h11 + h11), (h11 - t2) + theta, h11
 
     def _blend(self, ends, basis):
         """Cubic from interval ends (y0, y1, m0, m1) and a :meth:`_basis`."""

@@ -50,6 +50,11 @@ DISTRIBUTED = {
 }
 
 
+def _plan(model, h):
+    """The read plan of a whole period."""
+    return _period_plan(model, h, TAIL_TOL, 2 * round(model.omega / h))
+
+
 def _reference(model, h, hist, jh):
     """The delayed sum of half step ``jh`` read time by time through ``lookup_batch``."""
     sm = sampled(model, 2 * round(model.omega / h), 0.5 * h)
@@ -70,7 +75,7 @@ def _replay(model, ic, h, steps):
     and the number of slots read while the run has one node.
     """
     traj = simulate(model, ic, steps * h, h, TAIL_TOL)
-    plan = _period_plan(model, h, TAIL_TOL)
+    plan = _plan(model, h)
     hist = HistoryBuffer(ic, 0.0, h, model.n, capacity=4, lag=plan.max_lag)
     _, delayed = _stage_function(plan, hist)
     worst, past, taylor = 0.0, 0, 0
@@ -136,7 +141,7 @@ def test_pre_start_read_of_constant_history_is_exact():
     c = 0.1234567890123
     h = 0.01
     model = scalar_model(1.0, kernel=DelayKernel((Atom(0.3, const(1.0)),)))
-    plan = _period_plan(model, h, TAIL_TOL)
+    plan = _plan(model, h)
     hist = HistoryBuffer(ConstantIC((c,)), 0.0, h, 1, capacity=40, lag=plan.max_lag)
     _, delayed = _stage_function(plan, hist)
     assert delayed(0)[0] == c
@@ -145,3 +150,51 @@ def test_pre_start_read_of_constant_history_is_exact():
         assert delayed(2 * m + 1)[0] == c and delayed(2 * m + 2)[0] == c
         hist.append(np.array([1.0 + m]), np.ones(1))
         assert delayed(2 * m + 2)[0] == c
+
+
+@pytest.mark.parametrize("h", [0.01, 0.002])
+def test_plan_grows_with_parts_not_simpson_nodes(h):
+    model = parse_config(json.dumps(DISTRIBUTED))
+    plan = _plan(model, h)
+    samples = 2 * round(model.omega / h)
+    parts = len(plan.sm.kernel_parts)
+    assert plan.anchor.shape == (samples, parts)
+    assert plan.steps.shape == plan.col.shape and plan.col.size > 10 * parts
+
+
+def test_short_run_plans_only_its_samples():
+    model = parse_config(json.dumps(DISTRIBUTED))
+    h, ic = 0.01, ConstantIC((0.3, -0.2, 0.1))
+    short = simulate(model, ic, 0.5, h, TAIL_TOL)
+    assert _period_plan(model, h, TAIL_TOL, 101).anchor.shape[0] == 101
+    full = simulate(model, ic, 3.0, h, TAIL_TOL)  # past the period: the whole period's plan
+    assert np.array_equal(short.states, full.states[:51])
+
+
+def _recomputing_run(model, ic, h, steps):
+    """The nodes of :func:`simulate`'s RK4 loop with every delayed sum read afresh."""
+    plan = _plan(model, h)
+    hist = HistoryBuffer(ic, 0.0, h, model.n, capacity=steps + 1, lag=plan.max_lag)
+    stage, delayed = _stage_function(plan, hist)
+    u = np.asarray(ic.eval(0.0), dtype=float)
+    k1 = stage(0, u, delayed(0))
+    hist.append(u, k1)
+    for m in range(steps):
+        jh = 2 * m
+        k2 = stage(jh + 1, u + (0.5 * h) * k1, delayed(jh + 1))
+        k3 = stage(jh + 1, u + (0.5 * h) * k2, delayed(jh + 1))
+        k4 = stage(jh + 2, u + h * k3, delayed(jh + 2))
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        hist.append(u, k4)
+        k1 = stage(jh + 2, u, delayed(jh + 2))
+        hist.set_last_derivative(k1)
+    return hist.values[: steps + 1]
+
+
+@pytest.mark.parametrize("which", ["builtin", "distributed"])
+def test_first_stage_reuse_is_bit_identical(builtin, which):
+    # the builtin delays reach 0, so some first stages read the step just taken
+    model = builtin if which == "builtin" else parse_config(json.dumps(DISTRIBUTED))
+    ic, h, steps = ConstantIC((0.5, -1.0, 2.0)), 0.01, 250
+    expected = _recomputing_run(model, ic, h, steps)
+    assert np.array_equal(simulate(model, ic, steps * h, h, TAIL_TOL).states, expected)
