@@ -18,8 +18,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
-from .kernels import Atom, DelayKernel, ExponentialDensity
-from .model import Activation, NetworkModel, eval_coefficients, sampled
+from .kernels import Atom, DelayKernel, ExponentialDensity, total_variation
+from .model import Activation, NetworkModel, SampledModel, eval_coefficients, sampled
 
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
@@ -86,62 +86,64 @@ class CriterionReport:
         }
 
 
+def _lipschitz(acts) -> np.ndarray:
+    """Lipschitz constants of a list of activations, as a vector."""
+    return np.array([act.lipschitz for act in acts])
+
+
+def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
+    """Exponentially weighted absolute gain of every kernel; ((*T, n, n), finite).
+
+    Kernel (i, j) sums its parts: an atom at lag s adds |w| e^{alpha s}, a
+    density |w| times its exponential absolute moment, with w the part's
+    weight at each sample.  At alpha = 0 this is the total variation.  When
+    a density's moment diverges every entry is inf and ``finite`` is False.
+    """
+    gain = np.zeros(sm.a.shape)
+    for k, (i, j, part) in enumerate(sm.kernel_parts):
+        if isinstance(part, Atom):
+            mass = math.exp(alpha * part.s)
+        else:
+            mass, finite = part.shape.exp_abs_moment(alpha)
+            if not finite:
+                return np.full(sm.a.shape, math.inf), False
+        gain[..., i, j] += np.abs(sm.kernel_weights[..., k]) * mass
+    return gain, True
+
+
 class _ConditionGrid:
     """Coefficient magnitudes on the grid, shaped for fast residual evaluation."""
 
     def __init__(self, model: NetworkModel, grid_points: int):
-        sm = sampled(model, grid_points, model.omega / grid_points)
+        self.sm = sampled(model, grid_points, model.omega / grid_points)
         self.n = model.n
-        self.t = sm.t
-        self.G = np.array([act.lipschitz for act in model.g])
-        self.F = np.array([act.lipschitz for act in model.f])
-        self.d = sm.d
-        self.abs_a = np.abs(sm.a)
-        self.tau = sm.tau
-        self.atom_terms = [(i, j, np.array([s for s, _ in atoms]),
-                            np.stack([np.abs(w) for _, w in atoms], axis=1))
-                           for i, row in enumerate(sm.atoms) for j, atoms in enumerate(row)
-                           if atoms]
-        self.dens_terms = [(i, j, dens[0], np.abs(dens[1]))
-                           for i, row in enumerate(sm.densities)
-                           for j, dens in enumerate(row) if dens is not None]
-
-    def moments(self, alpha: float) -> tuple[np.ndarray, bool]:
-        """Exponential kernel moments on the grid; [gp, n, n]."""
-        out = np.zeros_like(self.abs_a)
-        for i, j, s, w in self.atom_terms:
-            out[:, i, j] += w @ np.exp(alpha * s)
-        finite = True
-        for i, j, shape, b in self.dens_terms:
-            mass, ok = shape.exp_abs_moment(alpha)
-            if not ok:
-                out[:, i, j] = math.inf
-                finite = False
-            else:
-                out[:, i, j] += b * mass
-        return out, finite
+        self.G = _lipschitz(model.g)
+        self.F = _lipschitz(model.f)
+        self.abs_a = np.abs(self.sm.a)
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
         """Row gains: G_j |a_ij(t)| + F_j e^{alpha tau_ij(t)} moment_ij(t)."""
-        mom, finite = self.moments(alpha)
+        mom, finite = _kernel_gain(self.sm, alpha)
+        if not finite:
+            return mom, False
         gain = self.abs_a * self.G[None, None, :]
         if alpha == 0.0:
             gain += mom * self.F[None, None, :]
         else:
-            gain += np.exp(alpha * self.tau) * mom * self.F[None, None, :]
-        return gain, finite
+            gain += np.exp(alpha * self.sm.tau) * mom * self.F[None, None, :]
+        return gain, True
 
     def condition_rows(self, alpha: float) -> tuple[np.ndarray, bool]:
         """Full row matrix R with R @ xi the residual; diagonal absorbs -d_i + alpha."""
         gain, finite = self.gain_matrix(alpha)
         idx = np.arange(self.n)
-        gain[:, idx, idx] += alpha - self.d
+        gain[:, idx, idx] += alpha - self.sm.d
         return gain, finite
 
     def residual_rows(self, xi: np.ndarray, alpha: float) -> np.ndarray:
         rows, finite = self.condition_rows(alpha)
         if not finite:
-            return np.full((self.t.size, self.n), math.inf)
+            return np.full(self.sm.d.shape, math.inf)
         return rows @ xi
 
 
@@ -149,11 +151,10 @@ def row_residual(model: NetworkModel, xi, t: float, i: int) -> float:
     """Left side of the dominance condition for row ``i`` at time ``t``."""
     xi = np.asarray(xi, dtype=float)
     sl = eval_coefficients(model, t)
-    tv = sl.total_variation()
     acc = -xi[i] * sl.d[i]
     for j in range(model.n):
         acc += xi[j] * model.g[j].lipschitz * abs(sl.a[i, j])
-        acc += xi[j] * model.f[j].lipschitz * tv[i, j]
+        acc += xi[j] * model.f[j].lipschitz * total_variation(model.kernels[i][j], t)
     return float(acc)
 
 
@@ -183,7 +184,7 @@ def mmatrix_weights(model: NetworkModel, grid_points: int = 4096,
     if not finite:
         return math.inf, None
     P = gain.max(axis=0)
-    delta = (cg.d - alpha).min(axis=0)
+    delta = (cg.sm.d - alpha).min(axis=0)
     if np.any(delta <= 0.0):
         return math.inf, None
     A = P / delta[:, None]
@@ -211,6 +212,16 @@ def _power_iteration_radius(A: np.ndarray, iters: int = 500, tol: float = 1e-12)
     return rho
 
 
+def _max_margin_weights(rows: np.ndarray) -> np.ndarray | None:
+    """Weights in [1, XI_BOX_MAX] that minimize max(rows @ xi), by one LP; None if it fails."""
+    m, n = rows.shape
+    c = np.zeros(n + 1)
+    c[-1] = -1.0
+    res = linprog(c, A_ub=np.hstack([rows, np.ones((m, 1))]), b_ub=np.zeros(m),
+                  bounds=[(1.0, XI_BOX_MAX)] * n + [(None, None)], method="highs")
+    return np.asarray(res.x[:n], dtype=float) if res.status == 0 else None
+
+
 def find_weights(model: NetworkModel, grid_points: int = 4096,
                  alpha: float = 0.0) -> Certificate | None:
     """Search for positive weights certifying the pointwise condition.
@@ -227,21 +238,9 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
     if not finite:
         return None
     n = model.n
-    candidates: list[np.ndarray] = []
-
     _, xi_warm = mmatrix_weights(model, grid_points, alpha)
-    if xi_warm is not None:
-        candidates.append(xi_warm)
-
-    flat = rows.reshape(-1, n)
-    a_ub = np.hstack([flat, np.ones((flat.shape[0], 1))])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    bounds = [(1.0, XI_BOX_MAX)] * n + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(flat.shape[0]), bounds=bounds, method="highs")
-    if res.status == 0:
-        candidates.append(np.asarray(res.x[:n], dtype=float))
-    candidates.append(np.ones(n))
+    xi_lp = _max_margin_weights(rows.reshape(-1, n))
+    candidates = [xi for xi in (xi_warm, xi_lp) if xi is not None] + [np.ones(n)]
 
     best_xi, best_eta = None, -math.inf
     for xi in candidates:
@@ -275,10 +274,10 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
 
     if worst(0.0) > 0.0:
         return 0.0
-    cap = float(cg.d.max()) + 1.0
-    for _, _, shape, _ in cg.dens_terms:
-        if isinstance(shape, ExponentialDensity):
-            cap = min(cap, shape.lam * (1.0 - 1e-9))
+    cap = float(cg.sm.d.max()) + 1.0
+    for _, _, part in cg.sm.kernel_parts:
+        if isinstance(getattr(part, "shape", None), ExponentialDensity):
+            cap = min(cap, part.shape.lam * (1.0 - 1e-9))
     if worst(cap) <= 0.0:
         return cap
     lo, hi = 0.0, cap
@@ -310,13 +309,13 @@ def compute_bounds(model: NetworkModel, certificate: Certificate,
         return np.ascontiguousarray(np.moveaxis(x, 0, -1))
 
     abs_a = unit_major(np.abs(sm.a))
-    tv = unit_major(sm.total_variation())
+    tv = unit_major(_kernel_gain(sm, 0.0)[0])
     abs_inputs = unit_major(np.abs(sm.inputs))
     d_abs = unit_major(np.abs(sm.d))
     C = np.array([act.offset for act in model.g])
     D = np.array([act.offset for act in model.f])
-    G = np.array([act.lipschitz for act in model.g])
-    F = np.array([act.lipschitz for act in model.f])
+    G = _lipschitz(model.g)
+    F = _lipschitz(model.f)
 
     per_row = (abs_a * C[None, :, None]).sum(axis=1) + (tv * D[None, :, None]).sum(axis=1)
     J = float((per_row + abs_inputs).max())
@@ -349,13 +348,10 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
     enter through their supremum, which is exact for constant delays and the
     conservative application otherwise (and irrelevant at rate zero).
     """
-    n = model.n
     sm = sampled(model, grid_points, model.omega / grid_points)
     tau_sup = sm.tau.max(axis=0)
-    b_sup = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            kern = model.kernels[i][j]
+    for i, row in enumerate(model.kernels):
+        for j, kern in enumerate(row):
             if kern.density is not None:
                 raise ModelShapeError(
                     f"kernel[{i}][{j}] has a distributed density; sup criteria need "
@@ -364,53 +360,43 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
                 raise ModelShapeError(
                     f"kernel[{i}][{j}] has multiple atoms; sup criteria need a single "
                     "delay per pair")
-            for s_loc, w in sm.atoms[i][j]:
-                tau_sup[i, j] += s_loc
-                b_sup[i, j] = float(np.abs(w).max())
+            for atom in kern.atoms:
+                tau_sup[i, j] += atom.s
+    b_sup = _kernel_gain(sm, 0.0)[0].max(axis=0)
     d_inf = sm.d.min(axis=0)
     a_sup = np.abs(sm.a).max(axis=0)
     return DiscreteDelayForm(d_inf=d_inf, a_sup=a_sup, b_sup=b_sup, tau_sup=tau_sup)
 
 
-def check_sup_criterion(model: NetworkModel, theta, alpha: float = 0.0,
-                        grid_points: int = 4096) -> CriterionReport:
-    """Plain sup-coefficient row condition for fixed weights theta."""
+def _sup_rows(model: NetworkModel, alpha: float, grid_points: int) -> np.ndarray:
+    """Row matrix S of the sup criterion: (S @ theta)_i is row i's residual."""
     form = discrete_delay_form(model, grid_points)
-    theta = np.asarray(theta, dtype=float)
-    G = np.array([act.lipschitz for act in model.g])
-    F = np.array([act.lipschitz for act in model.f])
-    rows = ((-form.d_inf + alpha) * theta
-            + (form.a_sup * G[None, :]) @ theta
-            + (form.b_sup * F[None, :] * np.exp(alpha * form.tau_sup)) @ theta)
+    S = (form.a_sup * _lipschitz(model.g)[None, :]
+         + form.b_sup * _lipschitz(model.f)[None, :] * np.exp(alpha * form.tau_sup))
+    return S + np.diag(alpha - form.d_inf)
+
+
+def _sup_report(rows: np.ndarray, theta: np.ndarray, alpha: float) -> CriterionReport:
     worst = float(rows.max())
     return CriterionReport(
         criterion="sup", satisfied=worst <= -STRICT_TOL, worst_row_residual=worst,
         witness={"theta": [float(v) for v in theta], "alpha": alpha})
+
+
+def check_sup_criterion(model: NetworkModel, theta, alpha: float = 0.0,
+                        grid_points: int = 4096) -> CriterionReport:
+    """Plain sup-coefficient row condition for fixed weights theta."""
+    theta = np.asarray(theta, dtype=float)
+    return _sup_report(_sup_rows(model, alpha, grid_points) @ theta, theta, alpha)
 
 
 def search_sup_criterion(model: NetworkModel, alpha: float = 0.0,
                          grid_points: int = 4096) -> CriterionReport:
     """Best-weight variant of the sup criterion (exact small feasibility LP)."""
-    form = discrete_delay_form(model, grid_points)
-    n = model.n
-    G = np.array([act.lipschitz for act in model.g])
-    F = np.array([act.lipschitz for act in model.f])
-    S = form.a_sup * G[None, :] + form.b_sup * F[None, :] * np.exp(alpha * form.tau_sup)
-    S = S + np.diag(alpha - form.d_inf)
-    a_ub = np.hstack([S, np.ones((n, 1))])
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(n),
-                  bounds=[(1.0, XI_BOX_MAX)] * n + [(None, None)], method="highs")
-    theta = np.ones(n)
-    if res.status == 0:
-        theta = np.asarray(res.x[:n], dtype=float)
-        theta /= theta.min()
-    rows = S @ theta
-    worst = float(rows.max())
-    return CriterionReport(
-        criterion="sup", satisfied=worst <= -STRICT_TOL, worst_row_residual=worst,
-        witness={"theta": [float(v) for v in theta], "alpha": alpha})
+    S = _sup_rows(model, alpha, grid_points)
+    theta = _max_margin_weights(S)
+    theta = np.ones(model.n) if theta is None else theta / theta.min()
+    return _sup_report(S @ theta, theta, alpha)
 
 
 def _split_sup_report(model: NetworkModel, form: DiscreteDelayForm, xi, alpha,
@@ -421,8 +407,8 @@ def _split_sup_report(model: NetworkModel, form: DiscreteDelayForm, xi, alpha,
     b_exp = np.asarray(b_exp, dtype=float)
     if np.any(a_exp <= 0.0) or np.any(a_exp >= 1.0) or np.any(b_exp <= 0.0) or np.any(b_exp >= 1.0):
         raise ValueError("exponent matrices must lie strictly inside (0, 1)")
-    G = np.array([act.lipschitz for act in model.g])
-    F = np.array([act.lipschitz for act in model.f])
+    G = _lipschitz(model.g)
+    F = _lipschitz(model.f)
     rows = np.empty(n)
     for i in range(n):
         acc = (-form.d_inf[i] + alpha) * xi[i]
@@ -463,12 +449,19 @@ def search_split_sup_criterion(model: NetworkModel, alpha: float = 0.0, draws: i
     choice 1/2, then ``draws`` seeded random (xi, exponents) draws, and
     reports the best row residual found.
     """
+    discrete_delay_form(model, grid_points)  # a model of the wrong shape fails before the LP
+    cert = find_weights(model, grid_points=min(grid_points, 1024))
+    return _split_sup_search(model, alpha, draws, seed, grid_points, cert)
+
+
+def _split_sup_search(model: NetworkModel, alpha: float, draws: int, seed: int,
+                      grid_points: int, cert: Certificate | None) -> CriterionReport:
+    """:func:`search_split_sup_criterion` with the weight search ``cert`` already done."""
     form = discrete_delay_form(model, grid_points)
     n = model.n
     half = np.full((n, n), 0.5)
     candidates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
         (np.ones(n), half, half)]
-    cert = find_weights(model, grid_points=min(grid_points, 1024))
     if cert is not None:
         candidates.append((cert.xi, half, half))
     rng = np.random.default_rng(seed)
@@ -491,8 +484,8 @@ def check_period_scaled_criterion(model: NetworkModel,
                                   grid_points: int = 4096) -> CriterionReport:
     """Sup criterion with gains amplified by (1 + d_i * omega)."""
     form = discrete_delay_form(model, grid_points)
-    G = np.array([act.lipschitz for act in model.g])
-    F = np.array([act.lipschitz for act in model.f])
+    G = _lipschitz(model.g)
+    F = _lipschitz(model.f)
     amp = 1.0 + form.d_inf * model.omega
     rows = (-form.d_inf
             + amp * (form.a_sup * G[None, :]).sum(axis=1)

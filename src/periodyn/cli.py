@@ -22,7 +22,7 @@ import numpy as np
 from .config import (ConfigError, builtin_config_path, config_hash, load_model,
                      model_to_config, parse_config, serialize_config)
 from .model import ConstantIC, validate
-from .certify import (check_period_scaled_criterion, check_row_dominance,
+from .certify import (_split_sup_search, check_period_scaled_criterion, check_row_dominance,
                       compute_bounds, find_decay_rate, find_weights, ModelShapeError,
                       pointwise_report, random_discrete_delay_model,
                       search_split_sup_criterion, search_sup_criterion)
@@ -163,9 +163,11 @@ def _parse_ic(spec: str | None, n: int) -> ConstantIC:
     try:
         values = tuple(float(part) for part in spec.split(","))
     except ValueError as exc:
-        raise ConfigError(f"cannot parse initial condition {spec!r}") from exc
+        raise ConfigError(f"--ic: cannot parse initial condition {spec!r}") from exc
     if len(values) != n:
-        raise ConfigError(f"initial condition has {len(values)} entries, expected {n}")
+        raise ConfigError(f"--ic: initial condition has {len(values)} entries, expected {n}")
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"--ic: initial condition {spec!r} has a non-finite entry")
     return ConstantIC(values)
 
 
@@ -268,11 +270,12 @@ def ensemble_instance(task: tuple[int, int, int]) -> dict:
     seed, grid, draws = task
     rng = np.random.default_rng(seed)
     model = random_discrete_delay_model(rng)
-    split = search_split_sup_criterion(model, alpha=0.0, draws=draws, seed=seed,
-                                       grid_points=grid)
+    # one weight search serves both criteria: run_ensemble keeps the grid at or
+    # below 1024, the grid search_split_sup_criterion certifies on
+    cert = find_weights(model, grid_points=grid)
+    split = _split_sup_search(model, 0.0, draws, seed, grid, cert)
     sup = search_sup_criterion(model, alpha=0.0, grid_points=grid)
     scaled = check_period_scaled_criterion(model, grid_points=grid)
-    cert = find_weights(model, grid_points=grid)
     return {
         "seed": seed,
         "n": model.n,
@@ -311,7 +314,10 @@ def cmd_compare(args) -> int:
     seed = args.seed
     env_seed = os.environ.get("PERIODYN_SEED")
     if env_seed is not None:
-        seed = int(env_seed)
+        try:
+            seed = _non_negative_int(env_seed)
+        except argparse.ArgumentTypeError as exc:
+            raise ConfigError(f"PERIODYN_SEED: {exc}") from None
     report = RunReport("compare", args.config, config_hash(model),
                        parameters={"grid": args.grid, "draws": args.draws, "seed": seed,
                                    "ensemble": args.ensemble, "workers": args.workers})
@@ -421,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", parents=[common],
                        help="evaluate this and rival criteria, optionally on an ensemble")
     p.add_argument("--draws", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_non_negative_int, default=7)
     p.add_argument("--ensemble", type=_non_negative_int, default=0)
     p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(handler=cmd_compare)

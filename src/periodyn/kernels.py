@@ -3,9 +3,9 @@
 A kernel represents the measure that distributes delayed feedback over past
 times.  Atoms give discrete delays (weight expressions evaluated at the
 current time), densities give distributed delays.  The certification code
-needs two integrals of the absolute measure: the total variation and the
-exponentially weighted moment; both are computed in closed form wherever the
-shape allows it.
+needs the exponentially weighted moment of the absolute measure, whose value
+at rate zero is the total variation; it is computed in closed form wherever
+the shape allows it.
 """
 
 from __future__ import annotations
@@ -180,20 +180,8 @@ class DelayKernel:
         return lag
 
     def total_variation_values(self, t) -> np.ndarray:
-        """Vectorized total variation over an array of times."""
-        t = np.asarray(t, dtype=float)
-        return self.sampled_total_variation(
-            np.zeros_like(t), [atom.weight.eval(t) for atom in self.atoms],
-            None if self.density is None else self.density.weight.eval(t))
-
-    def sampled_total_variation(self, out: np.ndarray, atom_weights,
-                                density_weight) -> np.ndarray:
-        """Add the total variation to ``out`` from weights sampled on its times."""
-        for w in atom_weights:
-            out += np.abs(w)
-        if density_weight is not None:
-            out += np.abs(density_weight) * self.density.shape.abs_mass()
-        return out
+        """Vectorized total variation over an array of times: the moment at alpha = 0."""
+        return self.exp_moment_values(t, 0.0)[0]
 
     def exp_moment_values(self, t, alpha: float) -> tuple[np.ndarray, bool]:
         """Vectorized exponential moment; flag False when it diverges."""

@@ -287,11 +287,10 @@ class SampledModel:
 
     Time axes come first and the arrays are read-only: ``d`` and ``inputs``
     are (*T, n), ``a`` and ``tau`` (*T, n, n).  ``kernel_parts`` lists every
-    atom and density as (i, j, part) and ``kernel_weights`` (*T, K) holds
-    their weights, one column per part.  ``atoms[i][j]`` lists the (lag,
-    weight) pairs of kernel (i, j) and ``densities[i][j]`` is None or its
-    (shape, weight), each weight a column of ``kernel_weights``.
-    Certification and integration read the coefficients only from here.
+    atom and density as (i, j, part), in row-major order of the pairs and
+    each kernel's atoms before its density, and ``kernel_weights`` (*T, K)
+    holds their weights, one column per part.  Certification and integration
+    read the coefficients only from here.
     """
 
     def __init__(self, model: NetworkModel, t):
@@ -300,7 +299,6 @@ class SampledModel:
         def vector(exprs) -> np.ndarray:
             return _read_only(np.stack([expr.eval(t) for expr in exprs], axis=-1))
 
-        n = model.n
         self.model = model
         self.t = t
         self.d = vector(model.d)
@@ -311,27 +309,9 @@ class SampledModel:
             (i, j, part) for i, row in enumerate(model.kernels) for j, kern in enumerate(row)
             for part in kern.atoms + (() if kern.density is None else (kern.density,)))
         weights = np.empty(t.shape + (len(self.kernel_parts),))
-        atoms = [[[] for _ in range(n)] for _ in range(n)]
-        densities = [[None] * n for _ in range(n)]
-        for k, (i, j, part) in enumerate(self.kernel_parts):
+        for k, (_, _, part) in enumerate(self.kernel_parts):
             weights[..., k] = part.weight.eval(t)
-            if isinstance(part, Atom):
-                atoms[i][j].append((part.s, weights[..., k]))
-            else:
-                densities[i][j] = (part.shape, weights[..., k])
         self.kernel_weights = _read_only(weights)
-        self.atoms = tuple(tuple(tuple(pairs) for pairs in row) for row in atoms)
-        self.densities = tuple(tuple(row) for row in densities)
-
-    def total_variation(self) -> np.ndarray:
-        """Absolute delayed gain of every kernel at the sample times; (*T, n, n)."""
-        tv = np.zeros(self.a.shape)
-        for i, row in enumerate(self.model.kernels):
-            for j, kern in enumerate(row):
-                dens = self.densities[i][j]
-                kern.sampled_total_variation(tv[..., i, j], [w for _, w in self.atoms[i][j]],
-                                             None if dens is None else dens[1])
-        return tv
 
 
 @functools.lru_cache(maxsize=8)

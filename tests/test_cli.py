@@ -391,3 +391,29 @@ class TestFlagBounds:
         assert exc.value.code == 1
         err = capsys.readouterr().err
         assert f"must be a finite number > 0, got {argv[-1]}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("ic", ["nan,0,0", "0,inf,0", "0,0,-inf"])
+    def test_non_finite_ic_is_input_error(self, cfg_file, capsys, ic):
+        code = main(["simulate", cfg_file, "--force", "--t-end", "0.1", "--h", "0.01",
+                     "--ic", ic])
+        assert code == 1
+        out = capsys.readouterr()
+        assert "error: --ic:" in out.err and "non-finite" in out.err
+        assert "diverged_at" not in out.out
+
+    def test_negative_seed_is_usage_error(self, cfg_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", cfg_file, "--seed", "-1"])
+        assert exc.value.code == 1
+        assert "must be a non-negative integer, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, what", [
+        ("x", "invalid int value: 'x'"),
+        ("-1", "must be a non-negative integer, got -1"),
+    ])
+    def test_bad_env_seed_names_the_variable(self, cfg_file, capsys, monkeypatch, value, what):
+        monkeypatch.setenv("PERIODYN_SEED", value)
+        code = main(["compare", cfg_file, "--grid", "64", "--draws", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: PERIODYN_SEED: {what}" in err and "Traceback" not in err
