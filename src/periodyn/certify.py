@@ -102,7 +102,11 @@ def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     gain = np.zeros(sm.a.shape)
     for k, (i, j, part) in enumerate(sm.kernel_parts):
         if isinstance(part, Atom):
-            mass = math.exp(alpha * part.s)
+            try:
+                mass = math.exp(alpha * part.s)
+            except OverflowError:  # e^{alpha s} past the float range: inf where w != 0
+                gain[..., i, j] += np.where(sm.kernel_weights[..., k] != 0.0, math.inf, 0.0)
+                continue
         else:
             mass, finite = part.shape.exp_abs_moment(alpha)
             if not finite:
@@ -362,10 +366,8 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
                     "delay per pair")
             for atom in kern.atoms:
                 tau_sup[i, j] += atom.s
-    b_sup = _kernel_gain(sm, 0.0)[0].max(axis=0)
-    d_inf = sm.d.min(axis=0)
-    a_sup = np.abs(sm.a).max(axis=0)
-    return DiscreteDelayForm(d_inf=d_inf, a_sup=a_sup, b_sup=b_sup, tau_sup=tau_sup)
+    return DiscreteDelayForm(d_inf=sm.d.min(axis=0), a_sup=np.abs(sm.a).max(axis=0),
+                             b_sup=_kernel_gain(sm, 0.0)[0].max(axis=0), tau_sup=tau_sup)
 
 
 def _sup_rows(model: NetworkModel, alpha: float, grid_points: int) -> np.ndarray:
@@ -449,15 +451,14 @@ def search_split_sup_criterion(model: NetworkModel, alpha: float = 0.0, draws: i
     choice 1/2, then ``draws`` seeded random (xi, exponents) draws, and
     reports the best row residual found.
     """
-    discrete_delay_form(model, grid_points)  # a model of the wrong shape fails before the LP
-    cert = find_weights(model, grid_points=min(grid_points, 1024))
-    return _split_sup_search(model, alpha, draws, seed, grid_points, cert)
-
-
-def _split_sup_search(model: NetworkModel, alpha: float, draws: int, seed: int,
-                      grid_points: int, cert: Certificate | None) -> CriterionReport:
-    """:func:`search_split_sup_criterion` with the weight search ``cert`` already done."""
     form = discrete_delay_form(model, grid_points)
+    cert = find_weights(model, grid_points=min(grid_points, 1024))
+    return _split_sup_search(model, form, alpha, draws, seed, cert)
+
+
+def _split_sup_search(model: NetworkModel, form: DiscreteDelayForm, alpha: float, draws: int,
+                      seed: int, cert: Certificate | None) -> CriterionReport:
+    """:func:`search_split_sup_criterion` with the sup form and weight search done."""
     n = model.n
     half = np.full((n, n), 0.5)
     candidates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [

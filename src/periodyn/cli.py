@@ -23,8 +23,8 @@ from .config import (ConfigError, builtin_config_path, config_hash, load_model,
                      model_to_config, parse_config, serialize_config)
 from .model import ConstantIC, validate
 from .certify import (_split_sup_search, check_period_scaled_criterion, check_row_dominance,
-                      compute_bounds, find_decay_rate, find_weights, ModelShapeError,
-                      pointwise_report, random_discrete_delay_model,
+                      compute_bounds, discrete_delay_form, find_decay_rate, find_weights,
+                      ModelShapeError, pointwise_report, random_discrete_delay_model,
                       search_split_sup_criterion, search_sup_criterion)
 from .integrate import DivergenceError, simulate
 from .periodic import (NoConvergenceError, estimate_decay_rate, find_periodic_orbit,
@@ -270,10 +270,12 @@ def ensemble_instance(task: tuple[int, int, int]) -> dict:
     seed, grid, draws = task
     rng = np.random.default_rng(seed)
     model = random_discrete_delay_model(rng)
-    # one weight search serves both criteria: run_ensemble keeps the grid at or
-    # below 1024, the grid search_split_sup_criterion certifies on
     cert = find_weights(model, grid_points=grid)
-    split = _split_sup_search(model, 0.0, draws, seed, grid, cert)
+    # the split search seeds from the weights at min(grid, 1024); cmd_compare
+    # caps the ensemble grid there, so one weight search serves both criteria
+    split_cert = cert if grid <= 1024 else find_weights(model, grid_points=1024)
+    split = _split_sup_search(model, discrete_delay_form(model, grid), 0.0, draws, seed,
+                              split_cert)
     sup = search_sup_criterion(model, alpha=0.0, grid_points=grid)
     scaled = check_period_scaled_criterion(model, grid_points=grid)
     return {
