@@ -23,6 +23,7 @@ from .model import Activation, NetworkModel, SampledModel, eval_coefficients, sa
 
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
+SPLIT_SEED_GRID = 1024  # the split search seeds from the weights at min(grid, 1024)
 
 
 class ModelShapeError(ValueError):
@@ -84,6 +85,12 @@ class CriterionReport:
             "worst_row_residual": self.worst_row_residual,
             "witness": self.witness,
         }
+
+
+def _report(criterion: str, rows, witness: dict | None = None) -> CriterionReport:
+    """Report on row residuals: satisfied when the worst is at most -STRICT_TOL."""
+    worst = float(np.max(rows))
+    return CriterionReport(criterion, worst <= -STRICT_TOL, worst, witness)
 
 
 def _lipschitz(acts) -> np.ndarray:
@@ -343,6 +350,11 @@ class DiscreteDelayForm:
     b_sup: np.ndarray
     tau_sup: np.ndarray
 
+    def lag(self, alpha: float) -> np.ndarray:
+        """e^{alpha tau_sup}: inf past the float range where b_sup != 0, 0 where b_sup == 0."""
+        with np.errstate(over="ignore"):
+            return np.where(self.b_sup != 0.0, np.exp(alpha * self.tau_sup), 0.0)
+
 
 def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> DiscreteDelayForm:
     """Extract sup coefficients, or raise ModelShapeError.
@@ -370,65 +382,57 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
                              b_sup=_kernel_gain(sm, 0.0)[0].max(axis=0), tau_sup=tau_sup)
 
 
-def _sup_rows(model: NetworkModel, alpha: float, grid_points: int) -> np.ndarray:
-    """Row matrix S of the sup criterion: (S @ theta)_i is row i's residual."""
-    form = discrete_delay_form(model, grid_points)
-    S = (form.a_sup * _lipschitz(model.g)[None, :]
-         + form.b_sup * _lipschitz(model.f)[None, :] * np.exp(alpha * form.tau_sup))
-    return S + np.diag(alpha - form.d_inf)
-
-
-def _sup_report(rows: np.ndarray, theta: np.ndarray, alpha: float) -> CriterionReport:
-    worst = float(rows.max())
-    return CriterionReport(
-        criterion="sup", satisfied=worst <= -STRICT_TOL, worst_row_residual=worst,
-        witness={"theta": [float(v) for v in theta], "alpha": alpha})
+def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
+                theta: np.ndarray | None = None) -> CriterionReport:
+    """Sup criterion for weights theta, or for the best weights (one small LP) when None."""
+    S = (form.a_sup * _lipschitz(model.g) + form.b_sup * _lipschitz(model.f) * form.lag(alpha)
+         + np.diag(alpha - form.d_inf))
+    if theta is None:
+        theta = _max_margin_weights(S)
+        theta = np.ones(model.n) if theta is None else theta / theta.min()
+    return _report("sup", S @ theta, {"theta": [float(v) for v in theta], "alpha": alpha})
 
 
 def check_sup_criterion(model: NetworkModel, theta, alpha: float = 0.0,
                         grid_points: int = 4096) -> CriterionReport:
     """Plain sup-coefficient row condition for fixed weights theta."""
-    theta = np.asarray(theta, dtype=float)
-    return _sup_report(_sup_rows(model, alpha, grid_points) @ theta, theta, alpha)
+    return _sup_report(model, discrete_delay_form(model, grid_points), alpha,
+                       np.asarray(theta, dtype=float))
 
 
 def search_sup_criterion(model: NetworkModel, alpha: float = 0.0,
                          grid_points: int = 4096) -> CriterionReport:
     """Best-weight variant of the sup criterion (exact small feasibility LP)."""
-    S = _sup_rows(model, alpha, grid_points)
-    theta = _max_margin_weights(S)
-    theta = np.ones(model.n) if theta is None else theta / theta.min()
-    return _sup_report(S @ theta, theta, alpha)
+    return _sup_report(model, discrete_delay_form(model, grid_points), alpha)
 
 
-def _split_sup_report(model: NetworkModel, form: DiscreteDelayForm, xi, alpha,
-                      a_exp, b_exp) -> CriterionReport:
-    n = model.n
-    xi = np.asarray(xi, dtype=float)
-    a_exp = np.asarray(a_exp, dtype=float)
-    b_exp = np.asarray(b_exp, dtype=float)
-    if np.any(a_exp <= 0.0) or np.any(a_exp >= 1.0) or np.any(b_exp <= 0.0) or np.any(b_exp >= 1.0):
-        raise ValueError("exponent matrices must lie strictly inside (0, 1)")
+def _split_sup_rows(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
+                    xi: np.ndarray, a_exp: np.ndarray, b_exp: np.ndarray) -> np.ndarray:
+    """Split-criterion row residuals (C, n) of C candidates: xi (C, n), exponents (C, n, n).
+
+    float_power is the scalar C pow (numpy's SIMD power rounds some powers
+    differently), so up to 7 units, where numpy sums in order, the rows equal the
+    scalar per-row sums bit for bit.  A row meeting 0 * inf (an underflowed gain
+    against an overflowing lag) counts as violated.
+    """
     G = _lipschitz(model.g)
     F = _lipschitz(model.f)
-    rows = np.empty(n)
-    for i in range(n):
-        acc = (-form.d_inf[i] + alpha) * xi[i]
-        cross_in = sum(xi[j] * form.a_sup[j, i] ** (2.0 * a_exp[j, i])
-                       for j in range(n) if j != i)
-        acc += G[i] * (xi[i] * form.a_sup[i, i] + 0.5 * cross_in)
-        acc += 0.5 * xi[i] * sum(G[j] * form.a_sup[i, j] ** (2.0 * (1.0 - a_exp[i, j]))
-                                 for j in range(n) if j != i)
-        acc += 0.5 * F[i] * sum(xi[j] * form.b_sup[j, i] ** (2.0 * b_exp[j, i])
-                                * math.exp(alpha * form.tau_sup[j, i]) for j in range(n))
-        acc += 0.5 * xi[i] * sum(F[j] * form.b_sup[i, j] ** (2.0 * (1.0 - b_exp[i, j]))
-                                 * math.exp(alpha * form.tau_sup[i, j]) for j in range(n))
-        rows[i] = acc
-    worst = float(rows.max())
-    return CriterionReport(
-        criterion="split-sup", satisfied=worst <= -STRICT_TOL, worst_row_residual=worst,
-        witness={"xi": [float(v) for v in xi], "alpha": float(alpha),
-                 "a_exp": a_exp.tolist(), "b_exp": b_exp.tolist()})
+    off = 1.0 - np.eye(model.n)
+    lag = form.lag(alpha)
+    xi_j = xi[:, :, None]  # xi_j against the gains [c, j, i] into row i
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_in = (xi_j * np.float_power(form.a_sup, 2.0 * a_exp) * off).sum(axis=1)
+        a_out = (G * np.float_power(form.a_sup, 2.0 * (1.0 - a_exp)) * off).sum(axis=2)
+        b_in = (xi_j * np.float_power(form.b_sup, 2.0 * b_exp) * lag).sum(axis=1)
+        b_out = (F * np.float_power(form.b_sup, 2.0 * (1.0 - b_exp)) * lag).sum(axis=2)
+        rows = ((-form.d_inf + alpha) * xi + G * (xi * np.diag(form.a_sup) + 0.5 * a_in)
+                + 0.5 * xi * a_out + 0.5 * F * b_in + 0.5 * xi * b_out)
+    return np.where(np.isnan(rows), np.inf, rows)
+
+
+def _split_sup_report(rows, xi, alpha, a_exp, b_exp) -> CriterionReport:
+    return _report("split-sup", rows, {"xi": [float(v) for v in xi], "alpha": float(alpha),
+                                       "a_exp": a_exp.tolist(), "b_exp": b_exp.tolist()})
 
 
 def check_split_sup_criterion(model: NetworkModel, xi, alpha, a_exp, b_exp,
@@ -440,69 +444,67 @@ def check_split_sup_criterion(model: NetworkModel, xi, alpha, a_exp, b_exp,
     which is what makes this criterion the most conservative of the three.
     """
     form = discrete_delay_form(model, grid_points)
-    return _split_sup_report(model, form, xi, alpha, a_exp, b_exp)
+    xi, a_exp, b_exp = (np.asarray(v, dtype=float) for v in (xi, a_exp, b_exp))
+    if not all(np.all((0.0 < e) & (e < 1.0)) for e in (a_exp, b_exp)):
+        raise ValueError("exponent matrices must lie strictly inside (0, 1)")
+    rows = _split_sup_rows(model, form, alpha, xi[None], a_exp[None], b_exp[None])[0]
+    return _split_sup_report(rows, xi, alpha, a_exp, b_exp)
 
 
 def search_split_sup_criterion(model: NetworkModel, alpha: float = 0.0, draws: int = 200,
                                seed: int = 0, grid_points: int = 4096) -> CriterionReport:
     """Randomized search over weights and exponents for the split criterion.
 
-    Tries unit weights and the certified weights with the symmetric exponent
-    choice 1/2, then ``draws`` seeded random (xi, exponents) draws, and
-    reports the best row residual found.
+    Tries unit weights and the certified weights (at a grid of at most
+    1024) with the symmetric exponent choice 1/2, then ``draws`` seeded
+    random (xi, exponents) draws.  Reports the first candidate that
+    satisfies the criterion, else the first with the smallest worst row
+    residual.
     """
     form = discrete_delay_form(model, grid_points)
-    cert = find_weights(model, grid_points=min(grid_points, 1024))
+    cert = find_weights(model, grid_points=min(grid_points, SPLIT_SEED_GRID))
     return _split_sup_search(model, form, alpha, draws, seed, cert)
 
 
 def _split_sup_search(model: NetworkModel, form: DiscreteDelayForm, alpha: float, draws: int,
                       seed: int, cert: Certificate | None) -> CriterionReport:
-    """:func:`search_split_sup_criterion` with the sup form and weight search done."""
+    """:func:`search_split_sup_criterion` with the sup form and the seed weights found."""
     n = model.n
-    half = np.full((n, n), 0.5)
-    candidates: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-        (np.ones(n), half, half)]
-    if cert is not None:
-        candidates.append((cert.xi, half, half))
-    rng = np.random.default_rng(seed)
-    for _ in range(draws):
-        xi = np.exp(rng.uniform(-1.5, 1.5, size=n))
-        a_exp = rng.uniform(0.05, 0.95, size=(n, n))
-        b_exp = rng.uniform(0.05, 0.95, size=(n, n))
-        candidates.append((xi, a_exp, b_exp))
-    best: CriterionReport | None = None
-    for xi, a_exp, b_exp in candidates:
-        report = _split_sup_report(model, form, xi, alpha, a_exp, b_exp)
-        if best is None or report.worst_row_residual < best.worst_row_residual:
-            best = report
-        if best.satisfied:
-            break
-    return best
+    fixed = [np.ones(n)] + ([cert.xi] if cert is not None else [])
+    # per-column bounds: each draw takes xi, then a_exp, then b_exp from the stream
+    parts = [n, n * n, n * n]
+    u = np.random.default_rng(seed).uniform(np.repeat([-1.5, 0.05, 0.05], parts),
+                                            np.repeat([1.5, 0.95, 0.95], parts),
+                                            size=(draws, sum(parts)))
+    half = np.full((len(fixed), n, n), 0.5)
+    xi = np.vstack(fixed + [np.exp(u[:, :n])])
+    a_exp = np.concatenate([half, u[:, n:n + n * n].reshape(-1, n, n)])
+    b_exp = np.concatenate([half, u[:, n + n * n:].reshape(-1, n, n)])
+    rows = _split_sup_rows(model, form, alpha, xi, a_exp, b_exp)
+    worst = rows.max(axis=1)
+    k = np.argmin(np.where(worst <= -STRICT_TOL, -np.inf, worst))  # first hit, else first min
+    return _split_sup_report(rows[k], xi[k], alpha, a_exp[k], b_exp[k])
+
+
+def _period_scaled_report(model: NetworkModel, form: DiscreteDelayForm) -> CriterionReport:
+    amp = 1.0 + form.d_inf * model.omega
+    rows = (-form.d_inf
+            + amp * (form.a_sup * _lipschitz(model.g)[None, :]).sum(axis=1)
+            + amp * (form.b_sup * _lipschitz(model.f)[None, :]).sum(axis=1))
+    return _report("sup-period-scaled", rows)
 
 
 def check_period_scaled_criterion(model: NetworkModel,
                                   grid_points: int = 4096) -> CriterionReport:
     """Sup criterion with gains amplified by (1 + d_i * omega)."""
-    form = discrete_delay_form(model, grid_points)
-    G = _lipschitz(model.g)
-    F = _lipschitz(model.f)
-    amp = 1.0 + form.d_inf * model.omega
-    rows = (-form.d_inf
-            + amp * (form.a_sup * G[None, :]).sum(axis=1)
-            + amp * (form.b_sup * F[None, :]).sum(axis=1))
-    worst = float(rows.max())
-    return CriterionReport(
-        criterion="sup-period-scaled", satisfied=worst <= -STRICT_TOL,
-        worst_row_residual=worst, witness=None)
+    return _period_scaled_report(model, discrete_delay_form(model, grid_points))
 
 
 def pointwise_criterion_label(model: NetworkModel) -> str:
     """Label the pointwise check by the kernel shapes it specializes to."""
-    has_atoms = any(model.kernels[i][j].atoms for i in range(model.n)
-                    for j in range(model.n))
-    has_density = any(model.kernels[i][j].density is not None for i in range(model.n)
-                      for j in range(model.n))
+    kernels = [kern for row in model.kernels for kern in row]
+    has_atoms = any(kern.atoms for kern in kernels)
+    has_density = any(kern.density is not None for kern in kernels)
     if has_density and has_atoms:
         return "pointwise"
     if has_density:
@@ -510,17 +512,39 @@ def pointwise_criterion_label(model: NetworkModel) -> str:
     return "pointwise-discrete"
 
 
-def pointwise_report(model: NetworkModel, grid_points: int = 4096) -> CriterionReport:
-    """CriterionReport wrapper around the weight search."""
-    cert = find_weights(model, grid_points=grid_points)
+def _pointwise_report(model: NetworkModel, cert: Certificate | None,
+                      grid_points: int) -> CriterionReport:
+    """Report on the weight search at ``grid_points``, whose result is ``cert``."""
     label = pointwise_criterion_label(model)
     if cert is None:
-        eta, _ = check_row_dominance(model, np.ones(model.n), grid_points)
-        return CriterionReport(criterion=label, satisfied=False,
-                               worst_row_residual=-eta, witness=None)
-    return CriterionReport(
-        criterion=label, satisfied=True, worst_row_residual=-cert.eta,
-        witness={"xi": [float(v) for v in cert.xi], "grid_points": grid_points})
+        return _report(label, -check_row_dominance(model, np.ones(model.n), grid_points)[0])
+    return _report(label, -cert.eta,
+                   {"xi": [float(v) for v in cert.xi], "grid_points": grid_points})
+
+
+def pointwise_report(model: NetworkModel, grid_points: int = 4096) -> CriterionReport:
+    """CriterionReport wrapper around the weight search."""
+    return _pointwise_report(model, find_weights(model, grid_points=grid_points), grid_points)
+
+
+def compare_criteria(model: NetworkModel, grid_points: int = 4096, draws: int = 200,
+                     seed: int = 0) -> list[CriterionReport | ModelShapeError]:
+    """The pointwise, split-sup, sup and sup-period-scaled reports at rate 0, in that order.
+
+    One weight search at ``grid_points`` gives the pointwise report and, on grids up
+    to 1024, seeds the split search; one sup form serves the three sup criteria.  On
+    a model not in discrete-delay form those three are its ModelShapeError instead.
+    """
+    cert = find_weights(model, grid_points=grid_points)
+    pointwise = _pointwise_report(model, cert, grid_points)
+    try:
+        form = discrete_delay_form(model, grid_points)
+    except ModelShapeError as exc:
+        return [pointwise, exc, exc, exc]
+    if grid_points > SPLIT_SEED_GRID:
+        cert = find_weights(model, grid_points=SPLIT_SEED_GRID)
+    return [pointwise, _split_sup_search(model, form, 0.0, draws, seed, cert),
+            _sup_report(model, form, 0.0), _period_scaled_report(model, form)]
 
 
 def random_discrete_delay_model(rng: np.random.Generator, n_max: int = 3) -> NetworkModel:

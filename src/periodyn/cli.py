@@ -22,10 +22,8 @@ import numpy as np
 from .config import (ConfigError, builtin_config_path, config_hash, load_model,
                      model_to_config, parse_config, serialize_config)
 from .model import ConstantIC, validate
-from .certify import (_split_sup_search, check_period_scaled_criterion, check_row_dominance,
-                      compute_bounds, discrete_delay_form, find_decay_rate, find_weights,
-                      ModelShapeError, pointwise_report, random_discrete_delay_model,
-                      search_split_sup_criterion, search_sup_criterion)
+from .certify import (ModelShapeError, check_row_dominance, compare_criteria, compute_bounds,
+                      find_decay_rate, find_weights, random_discrete_delay_model)
 from .integrate import DivergenceError, simulate
 from .periodic import (NoConvergenceError, estimate_decay_rate, find_periodic_orbit,
                        verify_periodicity)
@@ -197,6 +195,7 @@ def cmd_simulate(args) -> int:
                        parameters={"t_end": args.t_end, "h": args.h, "ic": args.ic,
                                    "tail_tol": args.tail_tol, "grid": args.grid,
                                    "force": args.force})
+    ic = _parse_ic(args.ic, model.n)
     if not args.force:
         cert = find_weights(model, grid_points=args.grid)
         if cert is None:
@@ -205,7 +204,6 @@ def cmd_simulate(args) -> int:
             report.emit()
             return EXIT_INFEASIBLE
         report.results["certificate"] = cert.to_dict()
-    ic = _parse_ic(args.ic, model.n)
     try:
         traj = simulate(model, ic, args.t_end, args.h, tail_tol=args.tail_tol)
     except DivergenceError as exc:
@@ -265,27 +263,16 @@ def cmd_find_period(args) -> int:
     return EXIT_OK
 
 
+ENSEMBLE_CRITERIA = ("pointwise", "split_sup", "sup", "period_scaled")  # compare_criteria order
+
+
 def ensemble_instance(task: tuple[int, int, int]) -> dict:
     """Evaluate all criteria on one seeded random constant-delay instance."""
     seed, grid, draws = task
-    rng = np.random.default_rng(seed)
-    model = random_discrete_delay_model(rng)
-    cert = find_weights(model, grid_points=grid)
-    # the split search seeds from the weights at min(grid, 1024); cmd_compare
-    # caps the ensemble grid there, so one weight search serves both criteria
-    split_cert = cert if grid <= 1024 else find_weights(model, grid_points=1024)
-    split = _split_sup_search(model, discrete_delay_form(model, grid), 0.0, draws, seed,
-                              split_cert)
-    sup = search_sup_criterion(model, alpha=0.0, grid_points=grid)
-    scaled = check_period_scaled_criterion(model, grid_points=grid)
-    return {
-        "seed": seed,
-        "n": model.n,
-        "pointwise": cert is not None,
-        "split_sup": split.satisfied,
-        "sup": sup.satisfied,
-        "period_scaled": scaled.satisfied,
-    }
+    model = random_discrete_delay_model(np.random.default_rng(seed))
+    reports = compare_criteria(model, grid, draws, seed)
+    return {"seed": seed, "n": model.n,
+            **{key: r.satisfied for key, r in zip(ENSEMBLE_CRITERIA, reports)}}
 
 
 def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
@@ -299,10 +286,7 @@ def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
         rows = [ensemble_instance(task) for task in tasks]
     counts = {
         "instances": count,
-        "pointwise": sum(r["pointwise"] for r in rows),
-        "split_sup": sum(r["split_sup"] for r in rows),
-        "sup": sum(r["sup"] for r in rows),
-        "period_scaled": sum(r["period_scaled"] for r in rows),
+        **{key: sum(r[key] for r in rows) for key in ENSEMBLE_CRITERIA},
         "split_sup_and_not_pointwise": sum(
             r["split_sup"] and not r["pointwise"] for r in rows),
         "pointwise_and_not_split_sup": sum(
@@ -323,18 +307,10 @@ def cmd_compare(args) -> int:
     report = RunReport("compare", args.config, config_hash(model),
                        parameters={"grid": args.grid, "draws": args.draws, "seed": seed,
                                    "ensemble": args.ensemble, "workers": args.workers})
-    criteria = [pointwise_report(model, grid_points=args.grid).to_dict()]
-    for label, fn, kwargs in (
-        ("split-sup", search_split_sup_criterion,
-         {"alpha": 0.0, "draws": args.draws, "seed": seed, "grid_points": args.grid}),
-        ("sup", search_sup_criterion, {"alpha": 0.0, "grid_points": args.grid}),
-        ("sup-period-scaled", check_period_scaled_criterion, {"grid_points": args.grid}),
-    ):
-        try:
-            criteria.append(fn(model, **kwargs).to_dict())
-        except ModelShapeError as exc:
-            criteria.append({"criterion": label, "error": str(exc)})
-    report.results["criteria"] = criteria
+    pointwise, *rivals = compare_criteria(model, args.grid, args.draws, seed)
+    report.results["criteria"] = [pointwise.to_dict()] + [
+        {"criterion": label, "error": str(c)} if isinstance(c, ModelShapeError) else c.to_dict()
+        for label, c in zip(("split-sup", "sup", "sup-period-scaled"), rivals)]
     if args.ensemble:
         report.results["ensemble"] = run_ensemble(
             args.ensemble, seed, grid=min(args.grid, 1024), draws=args.draws,

@@ -108,18 +108,6 @@ class PeriodicExpr:
         ratio = omega / float(p)
         return abs(ratio - round(ratio)) <= rel_tol * max(1.0, abs(ratio)) and round(ratio) >= 1
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return all(term.kind == "const" or abs(term.c) <= tol for term in self.terms)
-
-    def constant_value(self) -> float:
-        if not self.is_constant():
-            raise ValueError("expression is not constant")
-        return float(sum(term.c for term in self.terms if term.kind == "const"))
-
-    def amplitude_bound(self) -> float:
-        """Upper bound on sup |expr|: sum of term amplitudes."""
-        return float(sum(abs(term.c) for term in self.terms))
-
 
 ZERO = PeriodicExpr(())
 

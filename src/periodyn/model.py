@@ -418,10 +418,6 @@ def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> Val
     return report
 
 
-def zero_kernel() -> DelayKernel:
-    return DelayKernel()
-
-
 def _atom_kernel(weight: PeriodicExpr, s: float = 0.0) -> DelayKernel:
     return DelayKernel(atoms=(Atom(s, weight),))
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from periodyn import cli
 from periodyn.model import builtin_example
 from periodyn.cli import (ConfigError, builtin_config_path, config_hash, main,
                           model_to_config, parse_config, run_ensemble,
@@ -191,6 +192,16 @@ class TestSimulateCommand:
         assert main(["simulate", cfg_file, "--t-end", "1", "--h", "0.01",
                      "--grid", "256", "--ic", "1,2"]) == 1
         capsys.readouterr()
+
+    def test_bad_ic_is_parsed_before_certification(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "find_weights", lambda *a, **k: calls.append(a))
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(tiny_config(a=[[1.5]])))
+        assert main(["simulate", str(path), "--t-end", "1", "--h", "0.01",
+                     "--ic", "1,2"]) == 1
+        assert capsys.readouterr().err.startswith("error: --ic: ")
+        assert calls == []
 
     @pytest.mark.parametrize("h", ["inf", "1e10"])
     def test_step_longer_than_period_exit_one(self, cfg_file, capsys, h):
