@@ -24,6 +24,7 @@ from .model import Activation, NetworkModel, SampledModel, eval_coefficients, sa
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
 SPLIT_SEED_GRID = 1024  # the split search seeds from the weights at min(grid, 1024)
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp overflows past this argument
 
 
 class ModelShapeError(ValueError):
@@ -122,6 +123,12 @@ def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     return gain, True
 
 
+def _rate_factor(alpha: float, tau, gain) -> np.ndarray:
+    """e^{alpha tau} where ``gain`` is nonzero (inf past the float range), 0 where it is zero."""
+    with np.errstate(over="ignore"):
+        return np.where(gain != 0.0, np.exp(alpha * tau), 0.0)
+
+
 class _ConditionGrid:
     """Coefficient magnitudes on the grid, shaped for fast residual evaluation."""
 
@@ -131,6 +138,7 @@ class _ConditionGrid:
         self.G = _lipschitz(model.g)
         self.F = _lipschitz(model.f)
         self.abs_a = np.abs(self.sm.a)
+        self.tau_max = float(self.sm.tau.max())
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
         """Row gains: G_j |a_ij(t)| + F_j e^{alpha tau_ij(t)} moment_ij(t)."""
@@ -140,6 +148,8 @@ class _ConditionGrid:
         gain = self.abs_a * self.G[None, None, :]
         if alpha == 0.0:
             gain += mom * self.F[None, None, :]
+        elif alpha * self.tau_max > LOG_FLOAT_MAX:  # some e^{alpha tau} past the float range
+            gain += _rate_factor(alpha, self.sm.tau, mom) * mom * self.F[None, None, :]
         else:
             gain += np.exp(alpha * self.sm.tau) * mom * self.F[None, None, :]
         return gain, True
@@ -352,8 +362,7 @@ class DiscreteDelayForm:
 
     def lag(self, alpha: float) -> np.ndarray:
         """e^{alpha tau_sup}: inf past the float range where b_sup != 0, 0 where b_sup == 0."""
-        with np.errstate(over="ignore"):
-            return np.where(self.b_sup != 0.0, np.exp(alpha * self.tau_sup), 0.0)
+        return _rate_factor(alpha, self.tau_sup, self.b_sup)
 
 
 def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> DiscreteDelayForm:
@@ -387,8 +396,8 @@ def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
     """Sup criterion for weights theta, or for the best weights (one small LP) when None."""
     S = (form.a_sup * _lipschitz(model.g) + form.b_sup * _lipschitz(model.f) * form.lag(alpha)
          + np.diag(alpha - form.d_inf))
-    if theta is None:
-        theta = _max_margin_weights(S)
+    if theta is None:  # an inf row (an overflowing lag) cannot be met: unit weights, as checked
+        theta = _max_margin_weights(S) if np.isfinite(S).all() else None
         theta = np.ones(model.n) if theta is None else theta / theta.min()
     return _report("sup", S @ theta, {"theta": [float(v) for v in theta], "alpha": alpha})
 

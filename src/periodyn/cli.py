@@ -240,6 +240,7 @@ def cmd_find_period(args) -> int:
     except NoConvergenceError as exc:
         report.results["converged"] = False
         report.results["residual_history"] = exc.residual_history[-50:]
+        report.results["restarts"] = exc.restarts
         report.emit()
         return EXIT_NO_CONVERGENCE
     deviation = verify_periodicity(segment, model, args.h, xi=cert.xi)
@@ -247,6 +248,8 @@ def cmd_find_period(args) -> int:
         "converged": True,
         "residual": residual,
         "iterations": iterations,
+        "residual_history": list(segment.residual_history),
+        "restarts": segment.restarts,
         "periodicity_deviation": deviation,
         "seam_gap": segment.seam_gap,
     })
