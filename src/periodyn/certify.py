@@ -24,7 +24,6 @@ from .model import Activation, NetworkModel, SampledModel, eval_coefficients, sa
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
 SPLIT_SEED_GRID = 1024  # the split search seeds from the weights at min(grid, 1024)
-LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # exp overflows past this argument
 
 
 class ModelShapeError(ValueError):
@@ -138,7 +137,6 @@ class _ConditionGrid:
         self.G = _lipschitz(model.g)
         self.F = _lipschitz(model.f)
         self.abs_a = np.abs(self.sm.a)
-        self.tau_max = float(self.sm.tau.max())
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
         """Row gains: G_j |a_ij(t)| + F_j e^{alpha tau_ij(t)} moment_ij(t)."""
@@ -146,12 +144,7 @@ class _ConditionGrid:
         if not finite:
             return mom, False
         gain = self.abs_a * self.G[None, None, :]
-        if alpha == 0.0:
-            gain += mom * self.F[None, None, :]
-        elif alpha * self.tau_max > LOG_FLOAT_MAX:  # some e^{alpha tau} past the float range
-            gain += _rate_factor(alpha, self.sm.tau, mom) * mom * self.F[None, None, :]
-        else:
-            gain += np.exp(alpha * self.sm.tau) * mom * self.F[None, None, :]
+        gain += _rate_factor(alpha, self.sm.tau, mom) * mom * self.F[None, None, :]
         return gain, True
 
     def condition_rows(self, alpha: float) -> tuple[np.ndarray, bool]:

@@ -162,6 +162,8 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
                 return segment, res, it
             if len(residuals) >= 21 and residuals[-1] > 0.99 * residuals[-21]:
                 raise NoConvergenceError(residuals, restarts)
+            if it == max_iters:
+                break
             if len(residuals) > 1 and res > min(residuals[:-1]):
                 restarts += 1
                 mixed = []

@@ -41,16 +41,9 @@ def test_accelerated_orbit_matches_plain_iteration(builtin, builtin_cert, h):
     assert seg.residual_history[-1] == residual
 
 
-def test_non_contractive_map_raises_after_restarts():
-    m = scalar_model(1.0, kernel=DelayKernel((Atom(1.0, const(-4.0)),)),
-                     g=Activation.zero())
-    with pytest.raises(NoConvergenceError) as exc:
-        find_periodic_orbit(m, ConstantIC((1.0,)), 0.01, max_iters=100)
-    assert len(exc.value.residual_history) >= 2
-    assert exc.value.restarts >= 1
-
-
-def test_restart_takes_the_plain_step(monkeypatch):
+# max_iters 5 stops on the map count, 100 on the 20-map stagnation rule
+@pytest.mark.parametrize("max_iters, residuals", [(5, 4), (100, 21)])
+def test_restart_takes_the_plain_step(monkeypatch, max_iters, residuals):
     m = scalar_model(1.0, kernel=DelayKernel((Atom(1.0, const(-4.0)),)),
                      g=Activation.zero())
     maps = []  # (input, output window) of every period map
@@ -63,8 +56,9 @@ def test_restart_takes_the_plain_step(monkeypatch):
 
     monkeypatch.setattr(periodic, "_advance_one_period", recorded)
     with pytest.raises(NoConvergenceError) as exc:
-        find_periodic_orbit(m, ConstantIC((1.0,)), 0.01, max_iters=100)
+        find_periodic_orbit(m, ConstantIC((1.0,)), 0.01, max_iters=max_iters)
     history = exc.value.residual_history
+    assert len(history) == residuals and history[-1] > min(history[:-1])
     # the last residual ends the search, so only the earlier ones can lead to a step
     restarted = [k for k in range(1, len(history) - 1) if history[k] > min(history[:k])]
     assert exc.value.restarts == len(restarted) >= 1
