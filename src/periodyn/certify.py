@@ -59,17 +59,6 @@ class Certificate:
         if np.any(self.xi <= 0.0):
             raise ValueError("certificate weights must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "xi": [float(v) for v in self.xi],
-            "eta": self.eta,
-            "alpha": self.alpha,
-            "J": self.J,
-            "M": self.M,
-            "N": self.N,
-            "grid_points": self.grid_points,
-        }
-
 
 @dataclass(frozen=True)
 class CriterionReport:
@@ -77,14 +66,6 @@ class CriterionReport:
     satisfied: bool
     worst_row_residual: float
     witness: dict | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "satisfied": self.satisfied,
-            "worst_row_residual": self.worst_row_residual,
-            "witness": self.witness,
-        }
 
 
 def _report(criterion: str, rows, witness: dict | None = None) -> CriterionReport:
@@ -147,18 +128,14 @@ class _ConditionGrid:
         gain += _rate_factor(alpha, self.sm.tau, mom) * mom * self.F[None, None, :]
         return gain, True
 
-    def condition_rows(self, alpha: float) -> tuple[np.ndarray, bool]:
-        """Full row matrix R with R @ xi the residual; diagonal absorbs -d_i + alpha."""
-        gain, finite = self.gain_matrix(alpha)
+    def condition_rows(self, gain: np.ndarray, alpha: float) -> np.ndarray:
+        """Rows R with R @ xi the residual: ``gain`` plus alpha - d_i on its diagonal, in place."""
         idx = np.arange(self.n)
         gain[:, idx, idx] += alpha - self.sm.d
-        return gain, finite
+        return gain
 
     def residual_rows(self, xi: np.ndarray, alpha: float) -> np.ndarray:
-        rows, finite = self.condition_rows(alpha)
-        if not finite:
-            return np.full(self.sm.d.shape, math.inf)
-        return rows @ xi
+        return self.condition_rows(self.gain_matrix(alpha)[0], alpha) @ xi
 
 
 def row_residual(model: NetworkModel, xi, t: float, i: int) -> float:
@@ -194,36 +171,27 @@ def mmatrix_weights(model: NetworkModel, grid_points: int = 4096,
     feasible models can fail this check.
     """
     cg = _ConditionGrid(model, grid_points)
-    gain, finite = cg.gain_matrix(alpha)
-    if not finite:
-        return math.inf, None
+    return _comparison_weights(cg.gain_matrix(alpha)[0], cg.sm.d, alpha)
+
+
+def _comparison_weights(gain: np.ndarray, d: np.ndarray,
+                        alpha: float) -> tuple[float, np.ndarray | None]:
+    """:func:`mmatrix_weights` on the grid's gain tensor (*T, n, n) and self-inhibition (*T, n).
+
+    The radius is the largest eigenvalue modulus: a cyclic comparison matrix
+    has several eigenvalues of that modulus, where power iteration wanders.
+    """
     P = gain.max(axis=0)
-    delta = (cg.sm.d - alpha).min(axis=0)
-    if np.any(delta <= 0.0):
+    delta = (d - alpha).min(axis=0)
+    if np.any(delta <= 0.0) or not np.isfinite(P).all():
         return math.inf, None
     A = P / delta[:, None]
-    rho = _power_iteration_radius(A)
+    rho = float(np.abs(np.linalg.eigvals(A)).max())
     if rho >= 1.0:
         return rho, None
-    xi = np.linalg.solve(np.eye(model.n) - A, np.ones(model.n))
+    xi = np.linalg.solve(np.eye(A.shape[0]) - A, np.ones(A.shape[0]))
     xi /= xi.min()
     return rho, xi
-
-
-def _power_iteration_radius(A: np.ndarray, iters: int = 500, tol: float = 1e-12) -> float:
-    x = np.ones(A.shape[0])
-    rho = 0.0
-    for _ in range(iters):
-        y = A @ x
-        nrm = float(np.max(np.abs(y)))
-        if nrm == 0.0:
-            return 0.0
-        y = y / nrm
-        if float(np.max(np.abs(y - x))) <= tol:
-            return nrm
-        x = y
-        rho = nrm
-    return rho
 
 
 def _max_margin_weights(rows: np.ndarray) -> np.ndarray | None:
@@ -248,11 +216,12 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
     margin positive on the grid; that is not a proof of instability.
     """
     cg = _ConditionGrid(model, grid_points)
-    rows, finite = cg.condition_rows(alpha)
-    if not finite:
+    gain = cg.gain_matrix(alpha)[0]
+    _, xi_warm = _comparison_weights(gain, cg.sm.d, alpha)  # before the diagonal joins the gain
+    rows = cg.condition_rows(gain, alpha)
+    if not np.isfinite(rows).all():  # a diverging moment or an overflowing e^{alpha tau}
         return None
     n = model.n
-    _, xi_warm = mmatrix_weights(model, grid_points, alpha)
     xi_lp = _max_margin_weights(rows.reshape(-1, n))
     candidates = [xi for xi in (xi_warm, xi_lp) if xi is not None] + [np.ones(n)]
 

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -134,25 +134,17 @@ def write_line_plot(path, times: np.ndarray, states: np.ndarray,
 
 @dataclass
 class RunReport:
+    """One command's JSON report; ``results`` may hold the library's result dataclasses."""
+
     command: str
-    config_path: str
+    config: str
     config_hash: str
     parameters: dict = field(default_factory=dict)
     results: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config_path,
-            "config_hash": self.config_hash,
-            "parameters": self.parameters,
-            "results": self.results,
-            "outputs": self.outputs,
-        }
-
     def emit(self) -> None:
-        print(json.dumps(self.to_dict(), indent=2))
+        print(json.dumps(asdict(self), indent=2, default=lambda o: o.tolist()))
 
 
 def _parse_ic(spec: str | None, n: int) -> ConstantIC:
@@ -184,7 +176,7 @@ def cmd_certify(args) -> int:
     J, M, N = compute_bounds(model, cert)
     cert = replace(cert, alpha=alpha, J=J, M=M, N=N)
     report.results["certified"] = True
-    report.results["certificate"] = cert.to_dict()
+    report.results["certificate"] = cert
     report.emit()
     return EXIT_OK
 
@@ -203,7 +195,7 @@ def cmd_simulate(args) -> int:
             report.results["note"] = "model not certified; rerun with --force to simulate anyway"
             report.emit()
             return EXIT_INFEASIBLE
-        report.results["certificate"] = cert.to_dict()
+        report.results["certificate"] = cert
     try:
         traj = simulate(model, ic, args.t_end, args.h, tail_tol=args.tail_tol)
     except DivergenceError as exc:
@@ -232,7 +224,7 @@ def cmd_find_period(args) -> int:
         report.results["certified"] = False
         report.emit()
         return EXIT_INFEASIBLE
-    report.results["certificate"] = cert.to_dict()
+    report.results["certificate"] = cert
     ic = ConstantIC(tuple(0.0 for _ in range(model.n)))
     try:
         segment, residual, iterations = find_periodic_orbit(
@@ -258,7 +250,7 @@ def cmd_find_period(args) -> int:
         perturbed = ConstantIC(tuple(float(v) + 1.0 for v in segment.eval(0.0)))
         fit = estimate_decay_rate(model, segment, perturbed, args.h,
                                   args.rate_periods * model.omega, xi=cert.xi)
-        report.results["rate_fit"] = fit.to_dict()
+        report.results["rate_fit"] = fit
     if args.out:
         segment.write_csv(args.out)
         report.outputs.append(args.out)
@@ -311,8 +303,8 @@ def cmd_compare(args) -> int:
                        parameters={"grid": args.grid, "draws": args.draws, "seed": seed,
                                    "ensemble": args.ensemble, "workers": args.workers})
     pointwise, *rivals = compare_criteria(model, args.grid, args.draws, seed)
-    report.results["criteria"] = [pointwise.to_dict()] + [
-        {"criterion": label, "error": str(c)} if isinstance(c, ModelShapeError) else c.to_dict()
+    report.results["criteria"] = [pointwise] + [
+        {"criterion": label, "error": str(c)} if isinstance(c, ModelShapeError) else c
         for label, c in zip(("split-sup", "sup", "sup-period-scaled"), rivals)]
     if args.ensemble:
         report.results["ensemble"] = run_ensemble(

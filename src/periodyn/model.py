@@ -66,16 +66,14 @@ class Activation:
 
     def __call__(self, x):
         if self.kind == "tanh":
-            return np.tanh(x) if isinstance(x, np.ndarray) else math.tanh(x)
+            return np.tanh(x)
         if self.kind == "arctan":
-            return np.arctan(x) if isinstance(x, np.ndarray) else math.atan(x)
+            return np.arctan(x)
         if self.kind == "identity":
             return x
         if self.kind == "zero":
-            return np.zeros_like(x) if isinstance(x, np.ndarray) else 0.0
-        if isinstance(x, np.ndarray):
-            return np.clip(self.slope * x, -self.cap, self.cap)
-        return max(-self.cap, min(self.cap, self.slope * x))
+            return np.zeros_like(x)
+        return np.clip(self.slope * x, -self.cap, self.cap)
 
 
 ConstantVector = tuple[float, ...]
@@ -265,7 +263,11 @@ class NetworkModel:
 
     @functools.lru_cache(maxsize=8)
     def max_lag(self, tail_tol: float = 1e-8, grid_points: int = 4096) -> float:
-        """Longest lookback any delayed term can need (delay plus kernel lag)."""
+        """Longest delay plus kernel lag, with each delay's sup sampled on ``grid_points`` times.
+
+        A sampled bound, not what sizes a run's history: the integrator and the
+        period map's window take their reach from the read plan's samples.
+        """
         t = np.linspace(0.0, self.omega, grid_points, endpoint=False)
         lag = 0.0
         for i in range(self.n):

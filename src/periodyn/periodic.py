@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrate import Trajectory, simulate, write_states_csv
+from .integrate import Trajectory, _period_plan, simulate, write_states_csv
 from .model import HermiteNodes, InitialCondition, NetworkModel, SampledIC
 
 ANDERSON_DEPTH = 3  # the orbit search mixes the differences of the last 3 + 1 maps
@@ -94,19 +94,14 @@ class RateFit:
     n_points: int = 0
     degenerate: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha_emp": self.alpha_emp,
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-            "n_points": self.n_points,
-            "degenerate": self.degenerate,
-        }
-
 
 def lookback_steps(model: NetworkModel, h: float, tail_tol: float = 1e-8) -> int:
-    """History window length (in steps) the period map must carry."""
-    lag = model.max_lag(tail_tol)
+    """History window length (in steps) the period map must carry.
+
+    The lag is the reach of the read plan a run of at least one period uses,
+    so the window holds every node a delayed read interpolates between.
+    """
+    lag = _period_plan(model, h, tail_tol, 2 * round(model.omega / h)).max_lag
     return max(1, int(math.ceil(lag / h - 1e-9)))
 
 
