@@ -55,9 +55,15 @@ class Certificate:
     grid_points: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
-        if np.any(self.xi <= 0.0):
-            raise ValueError("certificate weights must be positive")
+        object.__setattr__(self, "xi", _positive_weights(self.xi, np.size(self.xi)))
+
+
+def _positive_weights(xi, n: int) -> np.ndarray:
+    """``xi`` as a float vector; ValueError unless it holds n positive, finite weights."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n,) or not np.all(np.isfinite(xi) & (xi > 0.0)):
+        raise ValueError(f"weights must be {n} positive, finite numbers, got {xi}")
+    return xi
 
 
 @dataclass(frozen=True)
@@ -79,27 +85,36 @@ def _lipschitz(acts) -> np.ndarray:
     return np.array([act.lipschitz for act in acts])
 
 
+def _part_mass(part, alpha: float) -> tuple[float, bool]:
+    """(mass, finite) of one kernel part at rate alpha.
+
+    An atom at lag s weighs e^{alpha s}, inf past the float range; a density
+    its exponential absolute moment, not finite where that diverges.
+    """
+    if not isinstance(part, Atom):
+        return part.shape.exp_abs_moment(alpha)
+    try:
+        return math.exp(alpha * part.s), True
+    except OverflowError:
+        return math.inf, True
+
+
 def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     """Exponentially weighted absolute gain of every kernel; ((*T, n, n), finite).
 
-    Kernel (i, j) sums its parts: an atom at lag s adds |w| e^{alpha s}, a
-    density |w| times its exponential absolute moment, with w the part's
-    weight at each sample.  At alpha = 0 this is the total variation.  When
-    a density's moment diverges every entry is inf and ``finite`` is False.
+    Kernel (i, j) sums |w| times each part's mass, with w the part's weight
+    at each sample (0 where w is 0).  At alpha = 0 this is the total
+    variation.  When a density's moment diverges every entry is inf and
+    ``finite`` is False.
     """
     gain = np.zeros(sm.a.shape)
     for k, (i, j, part) in enumerate(sm.kernel_parts):
-        if isinstance(part, Atom):
-            try:
-                mass = math.exp(alpha * part.s)
-            except OverflowError:  # e^{alpha s} past the float range: inf where w != 0
-                gain[..., i, j] += np.where(sm.kernel_weights[..., k] != 0.0, math.inf, 0.0)
-                continue
-        else:
-            mass, finite = part.shape.exp_abs_moment(alpha)
-            if not finite:
-                return np.full(sm.a.shape, math.inf), False
-        gain[..., i, j] += np.abs(sm.kernel_weights[..., k]) * mass
+        mass, finite = _part_mass(part, alpha)
+        if not finite:
+            return np.full(sm.a.shape, math.inf), False
+        w = np.abs(sm.kernel_weights[..., k])
+        with np.errstate(invalid="ignore"):  # 0 * inf where an overflowing atom has no weight
+            gain[..., i, j] += np.where(w != 0.0, w * mass, 0.0)
     return gain, True
 
 
@@ -156,7 +171,7 @@ def check_row_dominance(model: NetworkModel, xi, grid_points: int = 4096) -> tup
     uniform grid of ``grid_points`` times per period.
     """
     cg = _ConditionGrid(model, grid_points)
-    res = cg.residual_rows(np.asarray(xi, dtype=float), 0.0)
+    res = cg.residual_rows(_positive_weights(xi, model.n), 0.0)
     eta = -float(res.max())
     return eta, eta >= STRICT_TOL
 
@@ -194,14 +209,30 @@ def _comparison_weights(gain: np.ndarray, d: np.ndarray,
     return rho, xi
 
 
-def _max_margin_weights(rows: np.ndarray) -> np.ndarray | None:
-    """Weights in [1, XI_BOX_MAX] that minimize max(rows @ xi), by one LP; None if it fails."""
-    m, n = rows.shape
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    res = linprog(c, A_ub=np.hstack([rows, np.ones((m, 1))]), b_ub=np.zeros(m),
-                  bounds=[(1.0, XI_BOX_MAX)] * n + [(None, None)], method="highs")
-    return np.asarray(res.x[:n], dtype=float) if res.status == 0 else None
+def _max_margin_weights(blocks: np.ndarray) -> np.ndarray | None:
+    """Weights in [1, XI_BOX_MAX] that minimize the worst row of ``blocks`` (T, n, n) @ xi.
+
+    Cutting planes (Kelley 1960): the LP runs on each unit's worst row at unit
+    weights, then adds each unit's worst row above the LP's rows at its weights
+    until none is; those weights solve the LP over all rows.  None if an LP fails.
+    """
+    T, n, _ = blocks.shape
+    active = np.zeros((T, n), dtype=bool)
+    active[blocks.sum(axis=2).argmax(axis=0), np.arange(n)] = True
+    c = np.append(np.zeros(n), -1.0)
+    while True:
+        m = int(active.sum())
+        res = linprog(c, A_ub=np.hstack([blocks[active], np.ones((m, 1))]), b_ub=np.zeros(m),
+                      bounds=[(1.0, XI_BOX_MAX)] * n + [(None, None)], method="highs")
+        if res.status != 0:
+            return None
+        xi = res.x[:n]
+        rows = blocks @ xi
+        inactive = np.where(active, -np.inf, rows)
+        new = np.flatnonzero(inactive.max(axis=0) > rows[active].max())
+        if not new.size:
+            return xi
+        active[inactive.argmax(axis=0)[new], new] = True
 
 
 def find_weights(model: NetworkModel, grid_points: int = 4096,
@@ -209,11 +240,12 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
     """Search for positive weights certifying the pointwise condition.
 
     Stage 1 tries the conservative comparison-matrix route for a warm start;
-    stage 2 solves the grid feasibility program exactly (maximize the margin
-    subject to all row constraints, weights boxed to [1, 1e6]).  The returned
-    margin is re-verified on the grid.  ``alpha > 0`` certifies the
-    rate-extended condition instead.  Returns None when no weights make the
-    margin positive on the grid; that is not a proof of instability.
+    stage 2 solves the grid feasibility program exactly, by cutting planes
+    (maximize the margin subject to all row constraints, weights boxed to
+    [1, 1e6]).  The returned margin is re-verified on the grid.
+    ``alpha > 0`` certifies the rate-extended condition instead.  Returns
+    None when no weights make the margin positive on the grid; that is not a
+    proof of instability.
     """
     cg = _ConditionGrid(model, grid_points)
     gain = cg.gain_matrix(alpha)[0]
@@ -221,9 +253,8 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
     rows = cg.condition_rows(gain, alpha)
     if not np.isfinite(rows).all():  # a diverging moment or an overflowing e^{alpha tau}
         return None
-    n = model.n
-    xi_lp = _max_margin_weights(rows.reshape(-1, n))
-    candidates = [xi for xi in (xi_warm, xi_lp) if xi is not None] + [np.ones(n)]
+    xi_lp = _max_margin_weights(rows)
+    candidates = [xi for xi in (xi_warm, xi_lp) if xi is not None] + [np.ones(model.n)]
 
     best_xi, best_eta = None, -math.inf
     for xi in candidates:
@@ -245,34 +276,51 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     below any exponential density's decay constant, where the moment blows
     up.  Returns 0.0 when even the base condition fails.  The bisection
     stops at bracket width ``tol`` (> 0) or when the midpoint rounds onto
-    an end of the bracket.
+    an end of the bracket.  ``xi`` is contracted into the rows once, and an
+    infeasible rate drops the rows at or below 0 there: later rates are lower.
     """
     if not tol > 0.0:
         raise ValueError(f"bisection tolerance must be > 0, got {tol}")
     cg = _ConditionGrid(model, grid_points)
-    xi = np.asarray(xi, dtype=float)
+    sm, xi = cg.sm, _positive_weights(xi, model.n)
+    i, j = np.array([ij for *ij, _ in sm.kernel_parts], dtype=np.intp).reshape(-1, 2).T
 
-    def worst(alpha: float) -> float:
-        return float(cg.residual_rows(xi, alpha).max())
+    def masses(alpha: float) -> np.ndarray:
+        return np.array([_part_mass(p, alpha)[0] for *_, p in sm.kernel_parts], dtype=float)
 
-    if worst(0.0) > 0.0:
+    # row (t, i): base + alpha xi_i, plus coef * mass * e^{alpha lag} for each part of the
+    # row, coef = F_j xi_j |w(t)| and lag = tau_ij(t)
+    base = cg.abs_a @ (cg.G * xi) - sm.d * xi
+    row = np.arange(base.size).reshape(base.shape)[:, i].ravel()
+    part = np.tile(np.arange(i.size), len(base))
+    coef = (np.abs(sm.kernel_weights) * (cg.F * xi)[j]).ravel()
+    lag = sm.tau[:, i, j].ravel()
+    kept = coef * masses(0.0)[part] != 0.0  # terms 0 at every rate: no weight or no mass
+    row, part, coef, lag = (x[kept] for x in (row, part, coef, lag))
+
+    def residual(alpha: float) -> np.ndarray:  # a dropped row reads below its residual
+        with np.errstate(over="ignore"):
+            delayed = coef * masses(alpha)[part] * np.exp(alpha * lag)
+        return base + alpha * xi + np.bincount(row, delayed, base.size).reshape(base.shape)
+
+    if residual(0.0).max() > 0.0:
         return 0.0
-    cap = float(cg.sm.d.max()) + 1.0
-    for _, _, part in cg.sm.kernel_parts:
-        if isinstance(getattr(part, "shape", None), ExponentialDensity):
-            cap = min(cap, part.shape.lam * (1.0 - 1e-9))
-    if worst(cap) <= 0.0:
-        return cap
-    lo, hi = 0.0, cap
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            break
-        if worst(mid) <= 0.0:
-            lo = mid
+    cap = float(sm.d.max()) + 1.0
+    for *_, p in sm.kernel_parts:
+        if isinstance(getattr(p, "shape", None), ExponentialDensity):
+            cap = min(cap, p.shape.lam * (1.0 - 1e-9))
+    lo, hi, alpha = 0.0, cap, cap
+    while True:
+        res = residual(alpha)
+        if res.max() <= 0.0:
+            lo = alpha
         else:
-            hi = mid
-    return lo
+            hi = alpha
+            kept = (res > 0.0).ravel()[row]
+            row, part, coef, lag = (x[kept] for x in (row, part, coef, lag))
+        alpha = 0.5 * (lo + hi)
+        if hi - lo <= tol or alpha in (lo, hi):
+            return lo
 
 
 def compute_bounds(model: NetworkModel, certificate: Certificate,
@@ -359,7 +407,7 @@ def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
     S = (form.a_sup * _lipschitz(model.g) + form.b_sup * _lipschitz(model.f) * form.lag(alpha)
          + np.diag(alpha - form.d_inf))
     if theta is None:  # an inf row (an overflowing lag) cannot be met: unit weights, as checked
-        theta = _max_margin_weights(S) if np.isfinite(S).all() else None
+        theta = _max_margin_weights(S[None]) if np.isfinite(S).all() else None
         theta = np.ones(model.n) if theta is None else theta / theta.min()
     return _report("sup", S @ theta, {"theta": [float(v) for v in theta], "alpha": alpha})
 
