@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .expressions import PeriodicExpr, const, expr_sum, term_expr
+from .expressions import PeriodicExpr, TermTable, const, expr_sum, term_expr
 from .kernels import Atom, DelayKernel
 
 _E_INV = math.exp(-1.0)
@@ -261,6 +261,19 @@ class NetworkModel:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValueError(f"{name} must be an {n}x{n} matrix")
 
+    def __hash__(self) -> int:
+        # the dataclass hash of the fields, computed once: every lookup in a
+        # model-keyed cache would otherwise rehash every expression
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(tuple(getattr(self, f.name) for f in fields(self)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def __getstate__(self) -> dict:
+        # str hashes differ between processes, so a pickle leaves the hash out
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @functools.lru_cache(maxsize=8)
     def max_lag(self, tail_tol: float = 1e-8, grid_points: int = 4096) -> float:
         """Longest delay plus kernel lag, with each delay's sup sampled on ``grid_points`` times.
@@ -269,14 +282,38 @@ class NetworkModel:
         period map's window take their reach from the read plan's samples.
         """
         t = np.linspace(0.0, self.omega, grid_points, endpoint=False)
+        tau_sup = np.full(self.n * self.n, -math.inf)
+        for _, block in coefficient_table(self).blocks(t, ("tau",)):
+            np.maximum(tau_sup, block["tau"].max(axis=0), out=tau_sup)
         lag = 0.0
         for i in range(self.n):
             for j in range(self.n):
                 if self.kernels[i][j].is_zero:
                     continue
-                tau_sup = float(np.max(self.tau[i][j].eval(t)))
-                lag = max(lag, tau_sup + self.kernels[i][j].max_lag(tail_tol))
+                lag = max(lag, float(tau_sup[i * self.n + j]) + self.kernels[i][j].max_lag(tail_tol))
         return lag
+
+
+def _kernel_parts(model: NetworkModel) -> tuple:
+    """(i, j, part) of every atom and density: pairs row-major, each kernel's atoms first."""
+    return tuple((i, j, part) for i, row in enumerate(model.kernels) for j, kern in enumerate(row)
+                 for part in kern.atoms + (() if kern.density is None else (kern.density,)))
+
+
+@functools.lru_cache(maxsize=8)
+def coefficient_table(model: NetworkModel) -> TermTable:
+    """Every coefficient expression of ``model`` compiled into one :class:`TermTable`.
+
+    Its groups are ``d``, ``inputs``, ``a`` and ``tau`` (row-major) and
+    ``weights``, one per entry of :func:`_kernel_parts`.
+    """
+    return TermTable({
+        "d": model.d,
+        "inputs": model.inputs,
+        "a": tuple(e for row in model.a for e in row),
+        "tau": tuple(e for row in model.tau for e in row),
+        "weights": tuple(part.weight for _, _, part in _kernel_parts(model)),
+    })
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -287,33 +324,28 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class SampledModel:
     """Every coefficient of a model evaluated once on an array of times.
 
-    Time axes come first and the arrays are read-only: ``d`` and ``inputs``
-    are (*T, n), ``a`` and ``tau`` (*T, n, n).  ``kernel_parts`` lists every
-    atom and density as (i, j, part), in row-major order of the pairs and
-    each kernel's atoms before its density, and ``kernel_weights`` (*T, K)
-    holds their weights, one column per part.  Certification and integration
-    read the coefficients only from here.
+    Time axes come first and the arrays are C-contiguous and read-only:
+    ``d`` and ``inputs`` are (*T, n), ``a`` and ``tau`` (*T, n, n).
+    ``kernel_parts`` lists every atom and density as (i, j, part), in
+    row-major order of the pairs and each kernel's atoms before its density,
+    and ``kernel_weights`` (*T, K) holds their weights, one column per part.
+    All of them come from one evaluation of :func:`coefficient_table`, with
+    the bits of ``PeriodicExpr.eval``.  Certification and integration read
+    the coefficients only from here.
     """
 
     def __init__(self, model: NetworkModel, t):
         t = _read_only(np.array(t, dtype=float))
-
-        def vector(exprs) -> np.ndarray:
-            return _read_only(np.stack([expr.eval(t) for expr in exprs], axis=-1))
-
+        values = coefficient_table(model).eval(t)
+        square = t.shape + (model.n, model.n)
         self.model = model
         self.t = t
-        self.d = vector(model.d)
-        self.inputs = vector(model.inputs)
-        self.a = _read_only(np.stack([vector(row) for row in model.a], axis=-2))
-        self.tau = _read_only(np.stack([vector(row) for row in model.tau], axis=-2))
-        self.kernel_parts = tuple(
-            (i, j, part) for i, row in enumerate(model.kernels) for j, kern in enumerate(row)
-            for part in kern.atoms + (() if kern.density is None else (kern.density,)))
-        weights = np.empty(t.shape + (len(self.kernel_parts),))
-        for k, (_, _, part) in enumerate(self.kernel_parts):
-            weights[..., k] = part.weight.eval(t)
-        self.kernel_weights = _read_only(weights)
+        self.d = _read_only(values["d"])
+        self.inputs = _read_only(values["inputs"])
+        self.a = _read_only(values["a"].reshape(square))
+        self.tau = _read_only(values["tau"].reshape(square))
+        self.kernel_parts = _kernel_parts(model)
+        self.kernel_weights = _read_only(values["weights"])
 
 
 @functools.lru_cache(maxsize=8)
@@ -343,17 +375,23 @@ class ValidationReport:
         self.violations.append(message)
 
 
-def _check_periodic(report: ValidationReport, name: str, expr: PeriodicExpr,
-                    omega: float, t_check: np.ndarray) -> None:
-    if not expr.divides_period(omega):
-        report.add(f"{name}: period {expr.period()} does not divide omega={omega}")
-        return
-    v0 = expr.eval(t_check)
-    v1 = expr.eval(t_check + omega)
-    bad = np.abs(v1 - v0) > 1e-12 * (1.0 + np.abs(v0))
-    if bad.any():
-        k = int(np.argmax(bad))
-        report.add(f"{name}: not periodic with omega={omega} at t={t_check[k]:.6g}")
+def _coefficient_names(model: NetworkModel):
+    """(group, column, name) of every coefficient of :func:`coefficient_table`, in report order."""
+    n = model.n
+    part = 0
+    for i in range(n):
+        yield "d", i, f"d[{i}]"
+        yield "inputs", i, f"inputs[{i}]"
+        for j in range(n):
+            yield "a", i * n + j, f"a[{i}][{j}]"
+            yield "tau", i * n + j, f"tau[{i}][{j}]"
+            kern = model.kernels[i][j]
+            for k in range(len(kern.atoms)):
+                yield "weights", part, f"kernels[{i}][{j}].atoms[{k}].weight"
+                part += 1
+            if kern.density is not None:
+                yield "weights", part, f"kernels[{i}][{j}].density.weight"
+                part += 1
 
 
 def _activation_violations(act: Activation, rng: np.random.Generator) -> list[str]:
@@ -374,40 +412,58 @@ def _activation_violations(act: Activation, rng: np.random.Generator) -> list[st
 def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> ValidationReport:
     """Check admissibility; returns violations instead of raising.
 
-    Downstream operations (certification, simulation, orbit search) assume an
-    empty report.
+    Every coefficient must repeat with period ``omega``: its exact period
+    divides ``omega`` (decided once per distinct set of term periods) and
+    its values on 256 samples equal those one period later.  ``d`` must be
+    positive and ``tau`` nonnegative on ``grid_points`` times; the first
+    time of each least value is reported.  The values come from
+    :func:`coefficient_table` in blocks of bounded size.  Activations are
+    checked on dense and seeded random samples.  Downstream operations
+    (certification, simulation, orbit search) assume an empty report.
     """
     report = ValidationReport()
     n = model.n
-    t = np.linspace(0.0, model.omega, grid_points, endpoint=False)
-    t_check = np.linspace(0.0, model.omega, 257)[:-1]
+    omega = model.omega
+    table = coefficient_table(model)
+    t_check = np.linspace(0.0, omega, 257)[:-1]
     rng = np.random.default_rng(seed)
 
-    for i in range(n):
-        _check_periodic(report, f"d[{i}]", model.d[i], model.omega, t_check)
-        _check_periodic(report, f"inputs[{i}]", model.inputs[i], model.omega, t_check)
-        for j in range(n):
-            _check_periodic(report, f"a[{i}][{j}]", model.a[i][j], model.omega, t_check)
-            _check_periodic(report, f"tau[{i}][{j}]", model.tau[i][j], model.omega, t_check)
-            kern = model.kernels[i][j]
-            for k, atom in enumerate(kern.atoms):
-                _check_periodic(report, f"kernels[{i}][{j}].atoms[{k}].weight",
-                                atom.weight, model.omega, t_check)
-            if kern.density is not None:
-                _check_periodic(report, f"kernels[{i}][{j}].density.weight",
-                                kern.density.weight, model.omega, t_check)
+    # periodicity: the exact periods, then samples one period apart, in blocks;
+    # first_bad holds each coefficient's first mismatching sample, -1 if none
+    divides = table.divides_period(omega)
+    names = tuple(table.groups)
+    first_bad = {name: np.full(len(table.groups[name]), -1) for name in names}
+    for (start, v0), (_, v1) in zip(table.blocks(t_check, names),
+                                    table.blocks(t_check + omega, names)):
+        for name, seen in first_bad.items():
+            bad = np.abs(v1[name] - v0[name]) > 1e-12 * (1.0 + np.abs(v0[name]))
+            cols = np.flatnonzero((seen < 0) & bad.any(axis=0))
+            seen[cols] = start + bad[:, cols].argmax(axis=0)
+    if any((~divides[name] | (first_bad[name] >= 0)).any() for name in names):
+        for name, col, label in _coefficient_names(model):
+            k = first_bad[name][col]
+            if not divides[name][col]:
+                expr = table.groups[name][col]
+                report.add(f"{label}: period {expr.period()} does not divide omega={omega}")
+            elif k >= 0:
+                report.add(f"{label}: not periodic with omega={omega} at t={t_check[k]:.6g}")
 
-    for i in range(n):
-        vals = model.d[i].eval(t)
-        if vals.min() <= 0.0:
-            k = int(np.argmin(vals))
-            report.add(f"d_{i + 1} not positive at t={t[k]:.6g}")
-    for i in range(n):
-        for j in range(n):
-            vals = model.tau[i][j].eval(t)
-            if vals.min() < 0.0:
-                k = int(np.argmin(vals))
-                report.add(f"negative delay tau[{i}][{j}] at t={t[k]:.6g}")
+    # least d and tau on the grid and the first time they are reached, in blocks
+    t = np.linspace(0.0, omega, grid_points, endpoint=False)
+    least = {name: np.full(len(table.groups[name]), math.inf) for name in ("d", "tau")}
+    first = {name: np.zeros(low.size, dtype=np.intp) for name, low in least.items()}
+    for start, block in table.blocks(t, tuple(least)):
+        for name, values in block.items():
+            low = values.min(axis=0)
+            # only a coefficient that can be reported needs the time of its least value
+            cols = np.flatnonzero((low < least[name]) & (low <= 0.0))
+            first[name][cols] = start + values[:, cols].argmin(axis=0)
+            np.minimum(least[name], low, out=least[name])
+    for i in np.flatnonzero(least["d"] <= 0.0):
+        report.add(f"d_{i + 1} not positive at t={t[first['d'][i]]:.6g}")
+    for p in np.flatnonzero(least["tau"] < 0.0):
+        i, j = divmod(int(p), n)
+        report.add(f"negative delay tau[{i}][{j}] at t={t[first['tau'][p]]:.6g}")
 
     # each distinct activation is checked once and reported under every index
     checked: dict[Activation, list[str]] = {}
