@@ -11,6 +11,7 @@ suprema and are strictly more conservative.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,13 +89,13 @@ def _lipschitz(acts) -> np.ndarray:
 def _part_mass(part, alpha: float) -> tuple[float, bool]:
     """(mass, finite) of one kernel part at rate alpha.
 
-    An atom at lag s weighs e^{alpha s}, inf past the float range; a density
-    its exponential absolute moment, not finite where that diverges.
+    An atom at lag s weighs e^{alpha s}, a density its exponential absolute
+    moment, not finite where that diverges.  Either is inf past the float range.
     """
-    if not isinstance(part, Atom):
-        return part.shape.exp_abs_moment(alpha)
     try:
-        return math.exp(alpha * part.s), True
+        if isinstance(part, Atom):
+            return math.exp(alpha * part.s), True
+        return part.shape.exp_abs_moment(alpha)
     except OverflowError:
         return math.inf, True
 
@@ -276,32 +277,35 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     below any exponential density's decay constant, where the moment blows
     up.  Returns 0.0 when even the base condition fails.  The bisection
     stops at bracket width ``tol`` (> 0) or when the midpoint rounds onto
-    an end of the bracket.  ``xi`` is contracted into the rows once, and an
-    infeasible rate drops the rows at or below 0 there: later rates are lower.
+    an end of the bracket.  It reads the sampled model's layout: ``xi`` is
+    contracted once into a (T, n) base and (T, K) delayed coefficients and
+    lags of the T time samples and K kernel parts.  An infeasible rate drops
+    the time samples whose rows all lie at or below 0 there: later rates are
+    lower.
     """
     if not tol > 0.0:
         raise ValueError(f"bisection tolerance must be > 0, got {tol}")
     cg = _ConditionGrid(model, grid_points)
     sm, xi = cg.sm, _positive_weights(xi, model.n)
     i, j = np.array([ij for *ij, _ in sm.kernel_parts], dtype=np.intp).reshape(-1, 2).T
+    rows, first = np.unique(i, return_index=True)  # a row's parts are adjacent (row-major)
 
-    def masses(alpha: float) -> np.ndarray:
-        return np.array([_part_mass(p, alpha)[0] for *_, p in sm.kernel_parts], dtype=float)
-
-    # row (t, i): base + alpha xi_i, plus coef * mass * e^{alpha lag} for each part of the
-    # row, coef = F_j xi_j |w(t)| and lag = tau_ij(t)
+    # row (t, i): base + alpha xi_i, plus the sum of coef * mass * e^{alpha lag} over the
+    # parts of the row, coef = F_j xi_j |w(t)| and lag = tau_ij(t)
     base = cg.abs_a @ (cg.G * xi) - sm.d * xi
-    row = np.arange(base.size).reshape(base.shape)[:, i].ravel()
-    part = np.tile(np.arange(i.size), len(base))
-    coef = (np.abs(sm.kernel_weights) * (cg.F * xi)[j]).ravel()
-    lag = sm.tau[:, i, j].ravel()
-    kept = coef * masses(0.0)[part] != 0.0  # terms 0 at every rate: no weight or no mass
-    row, part, coef, lag = (x[kept] for x in (row, part, coef, lag))
+    coef = np.abs(sm.kernel_weights) * (cg.F * xi)[j]
+    lag = np.take(sm.tau.reshape(-1, model.n ** 2), i * model.n + j, axis=1)  # C order, like coef
 
-    def residual(alpha: float) -> np.ndarray:  # a dropped row reads below its residual
-        with np.errstate(over="ignore"):
-            delayed = coef * masses(alpha)[part] * np.exp(alpha * lag)
-        return base + alpha * xi + np.bincount(row, delayed, base.size).reshape(base.shape)
+    def residual(alpha: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = coef * np.array([_part_mass(p, alpha)[0] for *_, p in sm.kernel_parts])
+            term = np.multiply(alpha, lag)
+            np.exp(term, out=term)
+            term *= w
+        np.copyto(term, 0.0, where=~(w > 0.0))  # no weight or no mass (w 0 or 0 * inf): 0
+        delayed = np.zeros_like(base)
+        delayed[:, rows] = np.add.reduceat(term, first, axis=1)  # a fixed order, unlike BLAS
+        return base + alpha * xi + delayed
 
     if residual(0.0).max() > 0.0:
         return 0.0
@@ -316,8 +320,8 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
             lo = alpha
         else:
             hi = alpha
-            kept = (res > 0.0).ravel()[row]
-            row, part, coef, lag = (x[kept] for x in (row, part, coef, lag))
+            kept = (res > 0.0).any(axis=1)
+            base, coef, lag = base[kept], coef[kept], lag[kept]
         alpha = 0.5 * (lo + hi)
         if hi - lo <= tol or alpha in (lo, hi):
             return lo
@@ -332,29 +336,22 @@ def compute_bounds(model: NetworkModel, certificate: Certificate,
     ball.  With no inputs or offsets (J = 0) any positive M works; 1 is used.
     """
     gp = grid_points or certificate.grid_points or 4096
-    sm = sampled(model, gp, model.omega / gp)
-    xi = certificate.xi
-
-    def unit_major(x: np.ndarray) -> np.ndarray:
-        # time axis last and contiguous, so the row sums below run over j in order
-        return np.ascontiguousarray(np.moveaxis(x, 0, -1))
-
-    abs_a = unit_major(np.abs(sm.a))
-    tv = unit_major(_kernel_gain(sm, 0.0)[0])
-    abs_inputs = unit_major(np.abs(sm.inputs))
-    d_abs = unit_major(np.abs(sm.d))
+    cg = _ConditionGrid(model, gp)
+    sm, xi = cg.sm, certificate.xi
+    tv = _kernel_gain(sm, 0.0)[0]
+    abs_inputs = np.abs(sm.inputs)
     C = np.array([act.offset for act in model.g])
     D = np.array([act.offset for act in model.f])
-    G = _lipschitz(model.g)
-    F = _lipschitz(model.f)
 
-    per_row = (abs_a * C[None, :, None]).sum(axis=1) + (tv * D[None, :, None]).sum(axis=1)
-    J = float((per_row + abs_inputs).max())
+    def row_sums(x: np.ndarray) -> np.ndarray:  # over j in order, not numpy's pairwise order
+        return functools.reduce(np.add, np.moveaxis(x, -1, 0))
+
+    J = float((row_sums(cg.abs_a * C) + row_sums(tv * D) + abs_inputs).max())
     M = 1.01 * J / certificate.eta if J > 0.0 else 1.0
-    alpha_hat = float((d_abs.max(axis=1) / xi).max())
-    beta_hat = float(((abs_a.max(axis=2) * G[None, :]) / xi[:, None]).max())
-    gamma_hat = float(((tv.max(axis=2) * F[None, :]) / xi[:, None]).max())
-    c_hat = float((abs_inputs.max(axis=1) / xi).max())
+    alpha_hat = float((np.abs(sm.d).max(axis=0) / xi).max())
+    beta_hat = float(((cg.abs_a.max(axis=0) * cg.G) / xi[:, None]).max())
+    gamma_hat = float(((tv.max(axis=0) * cg.F) / xi[:, None]).max())
+    c_hat = float((abs_inputs.max(axis=0) / xi).max())
     N = (alpha_hat + beta_hat + gamma_hat) * M + c_hat
     return J, M, N
 
@@ -383,8 +380,8 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
     enter through their supremum, which is exact for constant delays and the
     conservative application otherwise (and irrelevant at rate zero).
     """
-    sm = sampled(model, grid_points, model.omega / grid_points)
-    tau_sup = sm.tau.max(axis=0)
+    cg = _ConditionGrid(model, grid_points)
+    tau_sup = cg.sm.tau.max(axis=0)
     for i, row in enumerate(model.kernels):
         for j, kern in enumerate(row):
             if kern.density is not None:
@@ -397,8 +394,8 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
                     "delay per pair")
             for atom in kern.atoms:
                 tau_sup[i, j] += atom.s
-    return DiscreteDelayForm(d_inf=sm.d.min(axis=0), a_sup=np.abs(sm.a).max(axis=0),
-                             b_sup=_kernel_gain(sm, 0.0)[0].max(axis=0), tau_sup=tau_sup)
+    return DiscreteDelayForm(d_inf=cg.sm.d.min(axis=0), a_sup=cg.abs_a.max(axis=0),
+                             b_sup=_kernel_gain(cg.sm, 0.0)[0].max(axis=0), tau_sup=tau_sup)
 
 
 def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,

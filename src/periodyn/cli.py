@@ -195,7 +195,8 @@ def cmd_simulate(args) -> int:
             report.results["note"] = "model not certified; rerun with --force to simulate anyway"
             report.emit()
             return EXIT_INFEASIBLE
-        report.results["certificate"] = cert
+        # the weight search sets no rate or bounds (NaN is not JSON): print what it found
+        report.results["certificate"] = {k: getattr(cert, k) for k in ("xi", "eta", "grid_points")}
     try:
         traj = simulate(model, ic, args.t_end, args.h, tail_tol=args.tail_tol)
     except DivergenceError as exc:

@@ -178,6 +178,17 @@ class TestSimulateCommand:
         assert paths[0][0].read_bytes() == paths[1][0].read_bytes()
         assert paths[0][1].read_bytes() == paths[1][1].read_bytes()
 
+    def test_report_is_strict_json(self, cfg_file, capsys):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+        assert main(["simulate", cfg_file, "--t-end", "0.5", "--h", "0.01",
+                     "--grid", "256"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        cert = report["results"]["certificate"]
+        assert list(cert) == ["xi", "eta", "grid_points"]
+        assert cert["eta"] > 0.0 and cert["grid_points"] == 256
+
     def test_uncertified_requires_force(self, tmp_path, capsys):
         doc = tiny_config(a=[[1.5]])
         path = tmp_path / "unstable.json"

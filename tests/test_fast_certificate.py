@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from periodyn.certify import (XI_BOX_MAX, _ConditionGrid, _max_margin_weights,
                               find_weights, random_discrete_delay_model, search_sup_criterion)
 from periodyn.config import parse_config
 from periodyn.kernels import ExponentialDensity
-from periodyn.model import builtin_example
+from periodyn.model import builtin_example, sampled
 
 from test_overflow_rows import lag_one_overflow_model
 
@@ -185,3 +186,18 @@ def test_pruned_bisection_matches_full_bisection_within_tol(seed, tol, unit):
     xi = np.ones(model.n) if cert is None else cert.xi
     alpha = find_decay_rate(model, xi, 128, tol=tol)
     assert abs(alpha - full_bisection(model, xi, 128, tol=tol)) <= tol
+
+
+# --- the bisection holds the (T, K) layout, not flat index tables -------------
+
+@pytest.mark.parametrize("grid", [512, 4096])
+def test_decay_rate_memory_stays_within_a_few_time_by_part_arrays(grid):
+    model = wide(0)
+    sm = sampled(model, grid, model.omega / grid)  # the sampled grid is not the rate's memory
+    tracemalloc.start()
+    try:
+        find_decay_rate(model, np.ones(model.n), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7 * sm.kernel_weights.size * 8

@@ -1,11 +1,17 @@
 """Rate factors e^{alpha tau} past the float range in the grid and sup conditions."""
 
+import json
 import math
 
 import numpy as np
+import pytest
+from scipy.optimize import brentq
 
-from periodyn.certify import (_ConditionGrid, _kernel_gain, check_sup_criterion,
-                              find_decay_rate, search_sup_criterion)
+from periodyn.certify import (_ConditionGrid, _kernel_gain, _part_mass, check_sup_criterion,
+                              find_decay_rate, find_weights, mmatrix_weights,
+                              search_sup_criterion)
+from periodyn.cli import main
+from periodyn.config import parse_config
 from periodyn.expressions import const, expr_sum, term_expr
 from periodyn.kernels import Atom, DelayKernel
 
@@ -44,3 +50,38 @@ def test_sup_search_on_an_overflowing_lag_reports_unsatisfied():
     assert not rep.satisfied and rep.worst_row_residual == math.inf
     assert rep.witness == {"theta": [1.0], "alpha": 800.0}
     assert rep == check_sup_criterion(model, (1.0,), alpha=800.0, grid_points=64)
+
+
+# --- density moments past the float range: inf mass, as for atoms ------------
+
+DENSITIES = {"uniform": {"shape": "uniform", "width": 1.0},
+             "table": {"shape": "table", "s": [0.0, 1.0], "values": [1.0, 1.0]}}
+
+
+def density_overflow_config(shape: str) -> dict:
+    # the rate cap max(d) + 1 = 801 puts the density's e^{alpha s} past the float range
+    return {"meta": {"n": 1, "omega": 1.0}, "d": [800.0], "a": [[0.0]],
+            "kernels": [[{"density": dict(DENSITIES[shape], weight=0.1)}]],
+            "tau": [[0.0]], "inputs": [0.0], "activations": {"g": ["tanh"], "f": ["tanh"]}}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", sorted(DENSITIES))
+def test_density_moment_past_the_float_range_certifies(shape, tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(density_overflow_config(shape)))
+    assert main(["certify", str(path), "--grid", "64"]) == 0
+    alpha = json.loads(capsys.readouterr().out)["results"]["certificate"]["alpha"]
+    # the row -800 + alpha + 0.1 (e^alpha - 1) / alpha crosses 0 once
+    root = brentq(lambda a: -800.0 + a + 0.1 * math.expm1(a) / a, 1.0, 20.0, xtol=1e-13)
+    assert 0.0 <= root - alpha <= 1e-6
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", sorted(DENSITIES))
+def test_weight_searches_past_the_float_range_find_no_weights(shape):
+    model = parse_config(json.dumps(density_overflow_config(shape)))
+    part = model.kernels[0][0].density
+    assert _part_mass(part, 800.0) == (math.inf, True)
+    assert find_weights(model, 64, alpha=800.0) is None
+    assert mmatrix_weights(model, 64, 800.0) == (math.inf, None)
