@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
-from .kernels import Atom, DelayKernel, ExponentialDensity, total_variation
+from .kernels import (Atom, DelayKernel, ExponentialDensity, part_gain,
+                      part_mass as _part_mass, total_variation)
 from .model import Activation, NetworkModel, SampledModel, eval_coefficients, sampled
 
 STRICT_TOL = 1e-12
@@ -86,36 +87,19 @@ def _lipschitz(acts) -> np.ndarray:
     return np.array([act.lipschitz for act in acts])
 
 
-def _part_mass(part, alpha: float) -> tuple[float, bool]:
-    """(mass, finite) of one kernel part at rate alpha.
-
-    An atom at lag s weighs e^{alpha s}, a density its exponential absolute
-    moment, not finite where that diverges.  Either is inf past the float range.
-    """
-    try:
-        if isinstance(part, Atom):
-            return math.exp(alpha * part.s), True
-        return part.shape.exp_abs_moment(alpha)
-    except OverflowError:
-        return math.inf, True
-
-
 def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     """Exponentially weighted absolute gain of every kernel; ((*T, n, n), finite).
 
-    Kernel (i, j) sums |w| times each part's mass, with w the part's weight
-    at each sample (0 where w is 0).  At alpha = 0 this is the total
-    variation.  When a density's moment diverges every entry is inf and
-    ``finite`` is False.
+    Kernel (i, j) sums the :func:`part_gain` of its parts' sampled weights and
+    masses, the total variation at alpha = 0.  When a density's moment
+    diverges every entry is inf and ``finite`` is False.
     """
     gain = np.zeros(sm.a.shape)
     for k, (i, j, part) in enumerate(sm.kernel_parts):
         mass, finite = _part_mass(part, alpha)
         if not finite:
             return np.full(sm.a.shape, math.inf), False
-        w = np.abs(sm.kernel_weights[..., k])
-        with np.errstate(invalid="ignore"):  # 0 * inf where an overflowing atom has no weight
-            gain[..., i, j] += np.where(w != 0.0, w * mass, 0.0)
+        gain[..., i, j] += part_gain(sm.kernel_weights[..., k], mass)
     return gain, True
 
 
@@ -240,22 +224,22 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
                  alpha: float = 0.0) -> Certificate | None:
     """Search for positive weights certifying the pointwise condition.
 
-    Stage 1 tries the conservative comparison-matrix route for a warm start;
-    stage 2 solves the grid feasibility program exactly, by cutting planes
-    (maximize the margin subject to all row constraints, weights boxed to
-    [1, 1e6]).  The returned margin is re-verified on the grid.
+    Three candidates, scaled to least weight 1, compete on the grid margin:
+    the conservative comparison-matrix witness (if any), the max-margin
+    solution of the grid program by cutting planes (weights boxed to
+    [1, 1e6]), and unit weights.
     ``alpha > 0`` certifies the rate-extended condition instead.  Returns
     None when no weights make the margin positive on the grid; that is not a
     proof of instability.
     """
     cg = _ConditionGrid(model, grid_points)
     gain = cg.gain_matrix(alpha)[0]
-    _, xi_warm = _comparison_weights(gain, cg.sm.d, alpha)  # before the diagonal joins the gain
+    _, xi_mm = _comparison_weights(gain, cg.sm.d, alpha)  # before the diagonal joins the gain
     rows = cg.condition_rows(gain, alpha)
     if not np.isfinite(rows).all():  # a diverging moment or an overflowing e^{alpha tau}
         return None
     xi_lp = _max_margin_weights(rows)
-    candidates = [xi for xi in (xi_warm, xi_lp) if xi is not None] + [np.ones(model.n)]
+    candidates = [xi for xi in (xi_mm, xi_lp) if xi is not None] + [np.ones(model.n)]
 
     best_xi, best_eta = None, -math.inf
     for xi in candidates:

@@ -275,6 +275,7 @@ def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
                  workers: int = 1) -> dict:
     """Seeded criterion comparison over random constant-delay instances."""
     tasks = [(seed + idx, grid, draws) for idx in range(count)]
+    workers = min(workers, count)  # a fork pool starts all its workers at the first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(ensemble_instance, tasks))

@@ -13,7 +13,7 @@ import json
 import math
 import os
 
-from .expressions import PeriodicExpr, Term, TERM_KINDS
+from .expressions import PeriodicExpr, Term, TERM_KINDS, const
 from .kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
                       TableDensity, UniformDensity)
 from .model import Activation, NetworkModel, validate
@@ -66,8 +66,7 @@ def _parse_term(obj, where: str) -> Term:
 
 def _parse_expr(obj, where: str) -> PeriodicExpr:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        value = _number(obj, where)
-        return PeriodicExpr((Term("const", value),)) if value != 0.0 else PeriodicExpr(())
+        return const(_number(obj, where))
     if isinstance(obj, dict):
         obj = [obj]
     if not isinstance(obj, list):
@@ -265,7 +264,8 @@ def serialize_config(doc: dict) -> str:
 
 
 def config_hash(model: NetworkModel) -> str:
-    return hashlib.sha256(serialize_config(model_to_config(model)).encode()).hexdigest()
+    """SHA-256 of the canonical document's compact JSON (no indent: the C encoder runs)."""
+    return hashlib.sha256(json.dumps(model_to_config(model)).encode()).hexdigest()
 
 
 def builtin_config_path() -> str:

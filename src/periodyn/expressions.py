@@ -19,28 +19,18 @@ from fractions import Fraction
 
 import numpy as np
 
-TERM_KINDS = ("const", "sin", "cos", "sin2", "cos2", "abs_sin", "abs_cos")
-
-# period of fn(k*pi*t) in multiples of 1/k
-_KIND_PERIOD_NUM = {
-    "sin": 2,
-    "cos": 2,
-    "sin2": 1,
-    "cos2": 1,
-    "abs_sin": 1,
-    "abs_cos": 1,
+# per kind but const: fn(x) = post(wave(x)), the one formula that Term.eval and
+# TermTable share, and the period of fn(k*pi*t) in multiples of 1/k
+_KINDS = {
+    "sin": (np.sin, None, 2),
+    "cos": (np.cos, None, 2),
+    "sin2": (np.sin, np.square, 1),
+    "cos2": (np.cos, np.square, 1),
+    "abs_sin": (np.sin, np.abs, 1),
+    "abs_cos": (np.cos, np.abs, 1),
 }
 
-# fn(x) = post(wave(x)) of every kind but const: the one formula that Term.eval
-# and TermTable share
-_KIND_FN = {
-    "sin": (np.sin, None),
-    "cos": (np.cos, None),
-    "sin2": (np.sin, np.square),
-    "cos2": (np.cos, np.square),
-    "abs_sin": (np.sin, np.abs),
-    "abs_cos": (np.cos, np.abs),
-}
+TERM_KINDS = ("const", *_KINDS)
 
 # values per block of TermTable.blocks (512 KB): bounds the memory of a long grid
 _BLOCK_VALUES = 1 << 16
@@ -65,7 +55,7 @@ class Term:
     def eval(self, t):
         if self.kind == "const":
             return self.c * np.ones_like(t) if isinstance(t, np.ndarray) else self.c
-        wave, post = _KIND_FN[self.kind]
+        wave, post, _ = _KINDS[self.kind]
         value = wave((self.k * np.pi) * t)
         return self.c * (value if post is None else post(value))
 
@@ -73,7 +63,7 @@ class Term:
         """Exact period of this term, or None for constants (any period)."""
         if self.kind == "const":
             return None
-        return Fraction(_KIND_PERIOD_NUM[self.kind], self.k)
+        return Fraction(_KINDS[self.kind][2], self.k)
 
 
 @dataclass(frozen=True)
@@ -87,12 +77,7 @@ class PeriodicExpr:
 
     def eval(self, t):
         """Evaluate at scalar or ndarray ``t``; scalar in, float out."""
-        if isinstance(t, np.ndarray):
-            out = np.zeros_like(t, dtype=float)
-            for term in self.terms:
-                out += term.eval(t)
-            return out
-        acc = 0.0
+        acc = np.zeros_like(t, dtype=float) if isinstance(t, np.ndarray) else 0.0
         for term in self.terms:
             acc += term.eval(t)
         return acc
@@ -186,11 +171,11 @@ class TermTable:
                 for cols, base, amp in slots]
         self._width = len(bases)
         self._kinds = []  # per kind: its basis columns, wave, post and frequencies k*pi
-        for kind in TERM_KINDS[1:]:
+        for kind, (wave, post, _) in _KINDS.items():
             found = [(b, k) for (other, k), b in bases.items() if other == kind]
             if found:
                 cols, ks = zip(*found)
-                self._kinds.append((np.array(cols), *_KIND_FN[kind],
+                self._kinds.append((np.array(cols), wave, post,
                                     np.array([k * np.pi for k in ks])))
         self._plans: dict[tuple[str, ...], list] = {}
 

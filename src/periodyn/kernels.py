@@ -179,22 +179,46 @@ class DelayKernel:
             lag = max(lag, self.density.shape.cutoff(tail_tol))
         return lag
 
+    @property
+    def parts(self) -> tuple:
+        """The atoms, then the density part if there is one: the one part order."""
+        return self.atoms if self.density is None else self.atoms + (self.density,)
+
     def total_variation_values(self, t) -> np.ndarray:
         """Vectorized total variation over an array of times: the moment at alpha = 0."""
         return self.exp_moment_values(t, 0.0)[0]
 
     def exp_moment_values(self, t, alpha: float) -> tuple[np.ndarray, bool]:
-        """Vectorized exponential moment; flag False when it diverges."""
+        """Vectorized exponential moment (sum of :func:`part_gain`); flag False when it diverges."""
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
-        for atom in self.atoms:
-            out += np.abs(atom.weight.eval(t)) * math.exp(alpha * atom.s)
-        if self.density is not None:
-            mass, finite = self.density.shape.exp_abs_moment(alpha)
+        for part in self.parts:
+            mass, finite = part_mass(part, alpha)
             if not finite:
                 return np.full_like(t, math.inf), False
-            out += np.abs(self.density.weight.eval(t)) * mass
+            out += part_gain(part.weight.eval(t), mass)
         return out, True
+
+
+def part_mass(part: Atom | DistributedPart, alpha: float) -> tuple[float, bool]:
+    """(mass, finite) of one kernel part at rate alpha.
+
+    An atom at lag s weighs e^{alpha s}, a density its exponential absolute
+    moment, not finite where that diverges.  Either is inf past the float range.
+    """
+    try:
+        if isinstance(part, Atom):
+            return math.exp(alpha * part.s), True
+        return part.shape.exp_abs_moment(alpha)
+    except OverflowError:
+        return math.inf, True
+
+
+def part_gain(weight, mass: float) -> np.ndarray:
+    """|weight| * mass, and 0 where the weight is 0, also when the mass is inf."""
+    w = np.abs(weight)
+    with np.errstate(invalid="ignore"):  # the 0 * inf that np.where then drops
+        return np.where(w != 0.0, w * mass, 0.0)
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .expressions import PeriodicExpr, TermTable, const, expr_sum, term_expr
-from .kernels import Atom, DelayKernel
-
-_E_INV = math.exp(-1.0)
+from .expressions import PeriodicExpr, TermTable
+from .kernels import DelayKernel
 
 
 @dataclass(frozen=True)
@@ -297,7 +295,7 @@ class NetworkModel:
 def _kernel_parts(model: NetworkModel) -> tuple:
     """(i, j, part) of every atom and density: pairs row-major, each kernel's atoms first."""
     return tuple((i, j, part) for i, row in enumerate(model.kernels) for j, kern in enumerate(row)
-                 for part in kern.atoms + (() if kern.density is None else (kern.density,)))
+                 for part in kern.parts)
 
 
 @functools.lru_cache(maxsize=8)
@@ -476,47 +474,13 @@ def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> Val
     return report
 
 
-def _atom_kernel(weight: PeriodicExpr, s: float = 0.0) -> DelayKernel:
-    return DelayKernel(atoms=(Atom(s, weight),))
-
-
 def builtin_example() -> NetworkModel:
-    """The bundled three-unit benchmark network (period 2).
+    """The bundled three-unit benchmark network (period 2), parsed from its config file.
 
     Instantaneous couplings are squared trigonometric waves through tanh;
     delayed couplings go through arctan with the three time-varying delays
     |sin(2*pi*t)|, (pi/2)|cos(2*pi*t)| and the constant 1.
     """
-    d = (
-        expr_sum(const(2.51), term_expr("sin2", 0.5, 1)),
-        expr_sum(const(0.91), term_expr("sin2", 0.1, 1), term_expr("sin2", 0.5, 4)),
-        expr_sum(const(0.51), term_expr("cos2", 0.2, 1), term_expr("sin2", 0.2, 2),
-                 term_expr("sin2", 0.1, 4)),
-    )
-    a = (
-        (term_expr("sin2", 1.0, 2), term_expr("cos2", 1.0, 2), term_expr("sin2", 1.0, 1)),
-        (term_expr("sin2", -0.5, 2), term_expr("cos2", 0.2, 4), term_expr("sin2", 0.3, 1)),
-        (term_expr("cos2", -0.4, 1), term_expr("sin2", 0.3, 2), term_expr("cos2", 0.2, 4)),
-    )
-    kernels = (
-        (_atom_kernel(term_expr("sin2", _E_INV, 4)),
-         _atom_kernel(term_expr("cos2", _E_INV, 4)),
-         _atom_kernel(term_expr("cos2", -0.5 * _E_INV, 1))),
-        (_atom_kernel(term_expr("sin2", -0.7 * _E_INV, 4)),
-         _atom_kernel(term_expr("cos2", 0.5 * _E_INV, 2)),
-         _atom_kernel(term_expr("cos2", 0.2 * _E_INV, 1))),
-        (_atom_kernel(term_expr("sin2", 0.2 * _E_INV, 1)),
-         _atom_kernel(term_expr("cos2", 0.1 * _E_INV, 2)),
-         _atom_kernel(term_expr("sin2", 0.3 * _E_INV, 4))),
-    )
-    tau_row = (term_expr("abs_sin", 1.0, 2), term_expr("abs_cos", math.pi / 2, 2), const(1.0))
-    tau = (tau_row, tau_row, tau_row)
-    inputs = (
-        term_expr("sin", 1.0, 2),
-        term_expr("cos", 2.0, 1),
-        term_expr("sin", 2.0, 2),
-    )
-    acts_g = tuple(Activation.tanh() for _ in range(3))
-    acts_f = tuple(Activation.arctan() for _ in range(3))
-    return NetworkModel(n=3, omega=2.0, d=d, a=a, kernels=kernels, tau=tau,
-                        inputs=inputs, g=acts_g, f=acts_f)
+    from .config import builtin_config_path, parse_config  # here, as config imports this module
+    with open(builtin_config_path(), encoding="utf-8") as fh:
+        return parse_config(fh.read())
