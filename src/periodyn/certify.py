@@ -21,7 +21,8 @@ from scipy.optimize import linprog
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
 from .kernels import (Atom, DelayKernel, ExponentialDensity, part_gain,
                       part_mass as _part_mass, total_variation)
-from .model import Activation, NetworkModel, SampledModel, eval_coefficients, sampled
+from .model import (Activation, NetworkModel, SampledModel, _positive_weights, eval_coefficients,
+                    sampled)
 
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
@@ -44,28 +45,20 @@ class Certificate:
     """Weights, margin and rate certifying a periodic orbit.
 
     xi is normalized to min xi_i = 1; eta is the verified grid margin; alpha
-    the certified decay rate; J, M, N the input bound, trajectory bound and
-    derivative bound used by the invariance arguments.
+    the certified decay rate; J, M, N the input, trajectory and derivative
+    bounds of the invariance arguments, None (JSON null) until computed.
     """
 
     xi: np.ndarray
     eta: float
     alpha: float = 0.0
-    J: float = math.nan
-    M: float = math.nan
-    N: float = math.nan
+    J: float | None = None
+    M: float | None = None
+    N: float | None = None
     grid_points: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "xi", _positive_weights(self.xi, np.size(self.xi)))
-
-
-def _positive_weights(xi, n: int) -> np.ndarray:
-    """``xi`` as a float vector; ValueError unless it holds n positive, finite weights."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (n,) or not np.all(np.isfinite(xi) & (xi > 0.0)):
-        raise ValueError(f"weights must be {n} positive, finite numbers, got {xi}")
-    return xi
 
 
 @dataclass(frozen=True)
@@ -124,8 +117,9 @@ class _ConditionGrid:
         mom, finite = _kernel_gain(self.sm, alpha)
         if not finite:
             return mom, False
+        delayed = mom * self.F[None, None, :]  # the weight side first: F_j = 0 stays 0
         gain = self.abs_a * self.G[None, None, :]
-        gain += _rate_factor(alpha, self.sm.tau, mom) * mom * self.F[None, None, :]
+        gain += _rate_factor(alpha, self.sm.tau, delayed) * delayed
         return gain, True
 
     def condition_rows(self, gain: np.ndarray, alpha: float) -> np.ndarray:
@@ -385,7 +379,8 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
 def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
                 theta: np.ndarray | None = None) -> CriterionReport:
     """Sup criterion for weights theta, or for the best weights (one small LP) when None."""
-    S = (form.a_sup * _lipschitz(model.g) + form.b_sup * _lipschitz(model.f) * form.lag(alpha)
+    delayed = form.b_sup * _lipschitz(model.f)  # the weight side first: F_j = 0 stays 0
+    S = (form.a_sup * _lipschitz(model.g) + delayed * _rate_factor(alpha, form.tau_sup, delayed)
          + np.diag(alpha - form.d_inf))
     if theta is None:  # an inf row (an overflowing lag) cannot be met: unit weights, as checked
         theta = _max_margin_weights(S[None]) if np.isfinite(S).all() else None

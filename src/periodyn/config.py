@@ -16,7 +16,7 @@ import os
 from .expressions import PeriodicExpr, Term, TERM_KINDS, const
 from .kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
                       TableDensity, UniformDensity)
-from .model import Activation, NetworkModel, validate
+from .model import ACTIVATIONS, Activation, NetworkModel, validate
 
 
 class ConfigError(ValueError):
@@ -132,29 +132,18 @@ def _parse_kernel(obj, where: str) -> DelayKernel:
     return _construct(DelayKernel, where, tuple(atoms), part)
 
 
-_BUILTIN_ACTS = {
-    "tanh": Activation.tanh,
-    "arctan": Activation.arctan,
-    "identity": Activation.identity,
-    "zero": Activation.zero,
-}
-
-
 def _parse_activation(obj, where: str) -> Activation:
-    if isinstance(obj, str):
-        if obj not in _BUILTIN_ACTS:
-            raise ConfigError(f"unknown activation {obj!r}", where)
-        return _BUILTIN_ACTS[obj]()
-    obj = _require_mapping(obj, where)
-    kind = obj.get("kind")
-    if kind == "satlin":
+    kind = obj if isinstance(obj, str) else _require_mapping(obj, where).get("kind")
+    if isinstance(kind, str) and kind in ACTIVATIONS:
+        if isinstance(obj, dict):
+            _reject_unknown(obj, {"kind"}, where)
+        return Activation(kind, ACTIVATIONS[kind][1])
+    if kind == "satlin" and isinstance(obj, dict):
         _reject_unknown(obj, {"kind", "slope", "cap"}, where)
-        return Activation.saturating(_number(obj.get("slope", 1.0), f"{where}.slope"),
-                                     _number(obj.get("cap", 1.0), f"{where}.cap"))
-    if kind in _BUILTIN_ACTS:
-        _reject_unknown(obj, {"kind"}, where)
-        return _BUILTIN_ACTS[kind]()
-    raise ConfigError(f"unknown activation kind {kind!r}", where)
+        return _construct(Activation.saturating, where,
+                          _number(obj.get("slope", 1.0), f"{where}.slope"),
+                          _number(obj.get("cap", 1.0), f"{where}.cap"))
+    raise ConfigError(f"unknown activation {kind!r}", where)
 
 
 def _matrix(obj, n: int, name: str, parse_one) -> tuple[tuple, ...]:
@@ -241,7 +230,7 @@ def _kernel_to_config(kernel: DelayKernel):
 
 def _activation_to_config(act: Activation):
     if act.kind == "satlin":
-        return {"kind": "satlin", "slope": act.slope, "cap": act.cap}
+        return {"kind": "satlin", "slope": act.lipschitz, "cap": act.cap}
     return act.kind
 
 

@@ -95,12 +95,19 @@ class PeriodicExpr:
         return Fraction(num, den)
 
     def divides_period(self, omega: float, rel_tol: float = 1e-9) -> bool:
-        """True if this expression repeats with period ``omega``."""
-        p = self.period()
-        if p is None:
-            return True
-        ratio = omega / float(p)
-        return abs(ratio - round(ratio)) <= rel_tol * max(1.0, abs(ratio)) and round(ratio) >= 1
+        """True if this expression repeats with period ``omega`` (see :func:`_divides`)."""
+        return _divides(omega, self.period(), rel_tol)
+
+
+def _divides(omega: float, period: Fraction | None, rel_tol: float = 1e-9) -> bool:
+    """True if ``omega`` is a multiple >= 1 of ``period`` (None: any) to relative ``rel_tol``.
+
+    The ratio is that of ``Fraction(omega)``: ``rel_tol = 0`` asks for an exact multiple.
+    """
+    if period is None:
+        return True
+    ratio = Fraction(omega) / period
+    return round(ratio) >= 1 and abs(ratio - round(ratio)) <= rel_tol * max(1, ratio)
 
 
 ZERO = PeriodicExpr(())
@@ -126,50 +133,36 @@ def expr_sum(*parts: PeriodicExpr) -> PeriodicExpr:
 class TermTable:
     """Named groups of expressions compiled for evaluation on whole time arrays.
 
-    Each distinct basis ``fn(k*pi*t)`` that the evaluated groups read, and
-    the constant 1, is evaluated once per time array.  Term slot ``s`` of a
-    group holds the ``s``-th term of every expression that has one, as a
-    basis index and an amplitude.  The slots are added to zeros in each
-    expression's own term order, so every value has the bits
-    ``PeriodicExpr.eval`` gives at the same time.
+    Each distinct basis ``fn(k*pi*t)`` of the table, and the constant 1, is
+    evaluated once per block of times.  Term slot ``s`` of a group holds the
+    ``s``-th term of every expression that has one, as a basis index and an
+    amplitude.  The slots are added to zeros in each expression's own term
+    order, so every value has the bits ``PeriodicExpr.eval`` gives at the
+    same time.
     """
 
     def __init__(self, groups: dict[str, tuple[PeriodicExpr, ...]]):
         self.groups = {name: tuple(exprs) for name, exprs in groups.items()}
         bases: dict[tuple[str, int], int] = {("const", 0): 0}
-        base_period: list[Fraction | None] = [None]
-        period_sets: dict[frozenset, int] = {}  # index of each distinct set of term periods
-        self._period_reps: list[PeriodicExpr] = []  # an expression of each set
-        self._period_set: dict[str, np.ndarray] = {}  # per group, the set of each expression
         self._slots: dict[str, list] = {}
         for name, exprs in self.groups.items():
             slots: list = []  # per slot: columns, bases and amplitudes
-            sets = []
             for e, expr in enumerate(exprs):
-                periods = set()
                 for p, term in enumerate(expr.terms):
-                    key = ("const", 0) if term.kind == "const" else (term.kind, term.k)
-                    b = bases.setdefault(key, len(bases))
-                    if b == len(base_period):
-                        base_period.append(term.period())
-                    periods.add(base_period[b])
+                    b = bases.setdefault(("const", 0) if term.kind == "const"
+                                         else (term.kind, term.k), len(bases))
                     if p == len(slots):
                         slots.append(([], [], []))
                     cols, base, amp = slots[p]
                     cols.append(e)
                     base.append(b)
                     amp.append(term.c)
-                periods = frozenset(periods - {None})
-                if periods not in period_sets:
-                    period_sets[periods] = len(self._period_reps)
-                    self._period_reps.append(expr)
-                sets.append(period_sets[periods])
-            self._period_set[name] = np.array(sets, dtype=np.intp)
             self._slots[name] = [
                 (None if len(cols) == len(exprs) else np.array(cols, dtype=np.intp),
                  np.array(base, dtype=np.intp), np.array(amp, dtype=float))
                 for cols, base, amp in slots]
         self._width = len(bases)
+        self._periods = [Term(kind, 1.0, k).period() for kind, k in bases]  # exact, per basis
         self._kinds = []  # per kind: its basis columns, wave, post and frequencies k*pi
         for kind, (wave, post, _) in _KINDS.items():
             found = [(b, k) for (other, k), b in bases.items() if other == kind]
@@ -177,27 +170,12 @@ class TermTable:
                 cols, ks = zip(*found)
                 self._kinds.append((np.array(cols), wave, post,
                                     np.array([k * np.pi for k in ks])))
-        self._plans: dict[tuple[str, ...], list] = {}
 
-    def _plan(self, names: tuple[str, ...]) -> list:
-        """The :attr:`_kinds` entries cut down to the bases the named groups read."""
-        if names not in self._plans:
-            used = np.zeros(self._width, dtype=bool)
-            for name in names:
-                for _, base, _ in self._slots[name]:
-                    used[base] = True
-            self._plans[names] = [(cols[used[cols]], wave, post, freq[used[cols]])
-                                  for cols, wave, post, freq in self._kinds if used[cols].any()]
-        return self._plans[names]
-
-    def _basis(self, t: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-        """(T, bases) values at the times of 1-d ``t`` of the bases the named groups read.
-
-        The columns of the other bases are left unset.
-        """
+    def _basis(self, t: np.ndarray) -> np.ndarray:
+        """(T, bases) values of every basis at the times of 1-d ``t``."""
         out = np.empty((t.size, self._width))
         out[:, 0] = 1.0
-        for cols, wave, post, freq in self._plan(names):
+        for cols, wave, post, freq in self._kinds:
             value = wave(t[:, None] * freq)
             out[:, cols] = value if post is None else post(value)
         return out
@@ -216,7 +194,7 @@ class TermTable:
         widest = max((len(self.groups[name]) for name in names), default=0)
         rows = max(1, _BLOCK_VALUES // max(widest, 1))
         for start in range(0, flat.size, rows):
-            basis = self._basis(flat[start:start + rows], names)
+            basis = self._basis(flat[start:start + rows])
             for name in names:
                 _fill(out[name][start:start + rows], basis, self._slots[name])
         return {name: values.reshape(t.shape + values.shape[1:]) for name, values in out.items()}
@@ -235,13 +213,19 @@ class TermTable:
         for start in range(0, t.size, rows):
             yield start, self.eval(t[start:start + rows], names)
 
-    def divides_period(self, omega: float) -> dict[str, np.ndarray]:
-        """``PeriodicExpr.divides_period(omega)`` of every expression, per group.
+    def divides_period(self, omega: float, rel_tol: float = 1e-9) -> dict[str, np.ndarray]:
+        """``PeriodicExpr.divides_period(omega, rel_tol)`` of every expression, per group.
 
-        It is computed once for each distinct set of term periods.
+        An expression repeats with period ``omega`` when every basis it reads
+        does, so the answers of the bases are ANDed over its term slots.
         """
-        ok = np.array([expr.divides_period(omega) for expr in self._period_reps], dtype=bool)
-        return {name: ok[sets] for name, sets in self._period_set.items()}
+        ok = np.array([_divides(omega, p, rel_tol) for p in self._periods])
+        out = {}
+        for name, exprs in self.groups.items():
+            out[name] = every = np.ones(len(exprs), dtype=bool)
+            for cols, base, _ in self._slots[name]:
+                every[slice(None) if cols is None else cols] &= ok[base]
+        return out
 
 
 def _fill(values: np.ndarray, basis: np.ndarray, slots: list) -> None:

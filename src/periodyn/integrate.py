@@ -250,7 +250,7 @@ class _DelayedReads(NamedTuple):
     scale: np.ndarray
 
 
-def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float | None) -> _DelayedReads:
+def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _DelayedReads:
     dst, src, col, lag, scale = [], [], [], [], []
     for k, (i, j, part) in enumerate(sm.kernel_parts):
         if isinstance(part, Atom):
@@ -414,11 +414,12 @@ def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
     """Right side at time ``t`` with delayed lookups: one stage of :func:`simulate`.
 
     The stage is anchored at the newest node of ``history`` on a plan of one sample.
+    Density nodes are ``quad_step`` apart, by default ``history.h`` as in :func:`simulate`.
     """
     sm = SampledModel(model, [t])
     h = history.h
     node = max(history.count - 1, 0)
-    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, quad_step), h,
+    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h if quad_step is None else quad_step), h,
                      [(t - history.start_time) / h - node])
     history._check_horizon(history.start_time + (node + float(plan.latest[0])) * h)
     stage, delayed = _stage_function(plan, history)

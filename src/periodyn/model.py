@@ -22,56 +22,67 @@ from .expressions import PeriodicExpr, TermTable
 from .kernels import DelayKernel
 
 
+# the activations a config names: name -> (function, Lipschitz constant)
+ACTIVATIONS = {
+    "tanh": (np.tanh, 1.0),
+    "arctan": (np.arctan, 1.0),
+    "identity": (lambda x: x, 1.0),
+    "zero": (np.zeros_like, 0.0),
+}
+
+
 @dataclass(frozen=True)
 class Activation:
-    """Scalar activation with declared growth bound |f(s)| <= lip*|s| + off."""
+    """Activation ``kind`` of :data:`ACTIVATIONS`, or ``satlin``: clip(lip*s, -cap, cap).
+
+    Its declared growth bound is |f(s)| <= lip*|s| + off.
+    """
 
     kind: str
     lipschitz: float
     offset: float = 0.0
-    slope: float = 1.0
     cap: float = 1.0
 
-    _KINDS = ("tanh", "arctan", "identity", "satlin", "zero")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in ACTIVATIONS and self.kind != "satlin":
             raise ValueError(f"unknown activation kind {self.kind!r}")
         if self.lipschitz < 0.0 or self.offset < 0.0:
             raise ValueError("activation constants must be nonnegative")
 
     @classmethod
     def tanh(cls) -> "Activation":
-        return cls("tanh", 1.0, 0.0)
+        return cls("tanh", ACTIVATIONS["tanh"][1])
 
     @classmethod
     def arctan(cls) -> "Activation":
-        return cls("arctan", 1.0, 0.0)
+        return cls("arctan", ACTIVATIONS["arctan"][1])
 
     @classmethod
     def identity(cls) -> "Activation":
-        return cls("identity", 1.0, 0.0)
+        return cls("identity", ACTIVATIONS["identity"][1])
 
     @classmethod
     def zero(cls) -> "Activation":
-        return cls("zero", 0.0, 0.0)
+        return cls("zero", ACTIVATIONS["zero"][1])
 
     @classmethod
     def saturating(cls, slope: float, cap: float) -> "Activation":
         if slope < 0.0 or cap <= 0.0:
             raise ValueError("saturating activation needs slope >= 0 and cap > 0")
-        return cls("satlin", slope, 0.0, slope=slope, cap=cap)
+        return cls("satlin", slope, cap=cap)
 
     def __call__(self, x):
-        if self.kind == "tanh":
-            return np.tanh(x)
-        if self.kind == "arctan":
-            return np.arctan(x)
-        if self.kind == "identity":
-            return x
-        if self.kind == "zero":
-            return np.zeros_like(x)
-        return np.clip(self.slope * x, -self.cap, self.cap)
+        if self.kind == "satlin":
+            return np.clip(self.lipschitz * x, -self.cap, self.cap)
+        return ACTIVATIONS[self.kind][0](x)
+
+
+def _positive_weights(xi, n: int) -> np.ndarray:
+    """``xi`` as a float vector; ValueError unless it holds n positive, finite weights."""
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (n,) or not np.all(np.isfinite(xi) & (xi > 0.0)):
+        raise ValueError(f"weights must be {n} positive, finite numbers, got {xi}")
+    return xi
 
 
 ConstantVector = tuple[float, ...]
@@ -410,9 +421,10 @@ def _activation_violations(act: Activation, rng: np.random.Generator) -> list[st
 def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> ValidationReport:
     """Check admissibility; returns violations instead of raising.
 
-    Every coefficient must repeat with period ``omega``: its exact period
-    divides ``omega`` (decided once per distinct set of term periods) and
-    its values on 256 samples equal those one period later.  ``d`` must be
+    Every coefficient must repeat with period ``omega``: a multiple of the
+    exact period of every basis it reads.  Where it is one only within the
+    tolerance of ``divides_period``, its values on 256 samples must also equal
+    those one period later.  ``d`` must be
     positive and ``tau`` nonnegative on ``grid_points`` times; the first
     time of each least value is reported.  The values come from
     :func:`coefficient_table` in blocks of bounded size.  Activations are
@@ -426,18 +438,19 @@ def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> Val
     t_check = np.linspace(0.0, omega, 257)[:-1]
     rng = np.random.default_rng(seed)
 
-    # periodicity: the exact periods, then samples one period apart, in blocks;
-    # first_bad holds each coefficient's first mismatching sample, -1 if none
+    # periodicity: the exact periods, then, in blocks, samples one period apart of the
+    # inexact multiples; first_bad holds the first mismatching sample, -1 if none
     divides = table.divides_period(omega)
-    names = tuple(table.groups)
-    first_bad = {name: np.full(len(table.groups[name]), -1) for name in names}
+    inexact = {name: ~ok for name, ok in table.divides_period(omega, rel_tol=0.0).items()}
+    first_bad = {name: np.full(len(exprs), -1) for name, exprs in table.groups.items()}
+    names = tuple(name for name in table.groups if inexact[name].any())
     for (start, v0), (_, v1) in zip(table.blocks(t_check, names),
                                     table.blocks(t_check + omega, names)):
-        for name, seen in first_bad.items():
+        for name in names:
             bad = np.abs(v1[name] - v0[name]) > 1e-12 * (1.0 + np.abs(v0[name]))
-            cols = np.flatnonzero((seen < 0) & bad.any(axis=0))
-            seen[cols] = start + bad[:, cols].argmax(axis=0)
-    if any((~divides[name] | (first_bad[name] >= 0)).any() for name in names):
+            cols = np.flatnonzero((first_bad[name] < 0) & inexact[name] & bad.any(axis=0))
+            first_bad[name][cols] = start + bad[:, cols].argmax(axis=0)
+    if any((~divides[name] | (first_bad[name] >= 0)).any() for name in table.groups):
         for name, col, label in _coefficient_names(model):
             k = first_bad[name][col]
             if not divides[name][col]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import Trajectory, _period_plan, simulate, write_states_csv
-from .model import HermiteNodes, InitialCondition, NetworkModel, SampledIC
+from .model import HermiteNodes, InitialCondition, NetworkModel, SampledIC, _positive_weights
 
 ANDERSON_DEPTH = 3  # the orbit search mixes the differences of the last 3 + 1 maps
 
@@ -135,7 +135,7 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
     20 consecutive maps or max_iters maps are spent.  The segment is the
     last map's trajectory and records the residual history and restarts.
     """
-    xi = np.ones(model.n) if xi is None else np.asarray(xi, dtype=float)
+    xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
     current: InitialCondition = ic0
     residuals: list[float] = []
     restarts = 0
@@ -179,7 +179,7 @@ def verify_periodicity(segment: PeriodSegment, model: NetworkModel, h: float,
 
     Returns max over nodes of the weighted norm of u(t + omega) - u(t).
     """
-    xi = np.ones(model.n) if xi is None else np.asarray(xi, dtype=float)
+    xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
     ic = segment.as_history(lookback_steps(model, h, tail_tol))
     traj = simulate(model, ic, k_periods * segment.omega, h, tail_tol)
     k = int(round(segment.omega / h))
@@ -196,7 +196,7 @@ def estimate_decay_rate(model: NetworkModel, segment: PeriodSegment,
     below 1e-12.  A fit with fewer than two usable nodes is reported as
     degenerate (convergence faster than measurable), not as a failure.
     """
-    xi = np.ones(model.n) if xi is None else np.asarray(xi, dtype=float)
+    xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
     traj = simulate(model, ic_perturbed, t_end, h, tail_tol)
     idx, theta = segment._locate(traj.times)
     orbit = segment._value(idx, theta[:, None])

@@ -93,3 +93,16 @@ def test_no_convergence_report_keeps_restarts(capsys):
     res = json.loads(out)["results"]
     assert res["converged"] is False
     assert len(res["residual_history"]) == 2 and res["restarts"] == 0
+
+
+@pytest.mark.parametrize("xi", [[0.0, 1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, 1.0]])
+def test_orbit_maps_refuse_weights_as_certify_does(builtin, xi):
+    ic = ConstantIC((0.0, 0.0, 0.0))
+    segment = periodic.PeriodSegment(omega=2.0, h=0.5, values=np.zeros((5, 3)),
+                                     derivs=np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="positive, finite"):
+        find_periodic_orbit(builtin, ic, 0.5, max_iters=3, xi=xi)
+    with pytest.raises(ValueError, match="positive, finite"):
+        periodic.verify_periodicity(segment, builtin, 0.5, k_periods=1, xi=xi)
+    with pytest.raises(ValueError, match="positive, finite"):
+        periodic.estimate_decay_rate(builtin, segment, ic, 0.5, 2.0, xi=xi)

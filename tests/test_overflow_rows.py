@@ -14,6 +14,7 @@ from periodyn.cli import main
 from periodyn.config import parse_config
 from periodyn.expressions import const, expr_sum, term_expr
 from periodyn.kernels import Atom, DelayKernel
+from periodyn.model import Activation
 
 from helpers import scalar_model
 
@@ -50,6 +51,22 @@ def test_sup_search_on_an_overflowing_lag_reports_unsatisfied():
     assert not rep.satisfied and rep.worst_row_residual == math.inf
     assert rep.witness == {"theta": [1.0], "alpha": 800.0}
     assert rep == check_sup_criterion(model, (1.0,), alpha=800.0, grid_points=64)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_delayed_gain_stays_zero_past_the_float_range():
+    # e^{750 tau} overflows, but f = 0 gives the delayed term no weight at all
+    zero = Activation.zero()
+    model = scalar_model(800.0, kernel=DelayKernel((Atom(0.0, const(0.1)),)), tau=const(1.0),
+                         g=zero, f=zero)
+    cert = find_weights(model, 64, alpha=750.0)
+    assert cert.xi.tolist() == [1.0] and cert.eta == 50.0
+    rho, xi = mmatrix_weights(model, 64, 750.0)
+    assert rho == 0.0 and xi.tolist() == [1.0]
+    rep = search_sup_criterion(model, alpha=750.0, grid_points=64)
+    assert rep.satisfied and rep.worst_row_residual == -50.0
+    assert rep == check_sup_criterion(model, (1.0,), alpha=750.0, grid_points=64)
+    assert 750.0 < find_decay_rate(model, (1.0,), 64) < 800.0
 
 
 # --- density moments past the float range: inf mass, as for atoms ------------

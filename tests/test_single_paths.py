@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from periodyn.expressions import const
 from periodyn.integrate import HistoryBuffer, rhs, simulate
-from periodyn.model import ConstantIC, SampledIC, eval_coefficients
+from periodyn.kernels import DelayKernel, DistributedPart, ExponentialDensity
+from periodyn.model import Activation, ConstantIC, SampledIC, eval_coefficients
 from periodyn.periodic import PeriodSegment
+
+from helpers import scalar_model
 
 
 def test_rhs_reproduces_node_slopes(builtin):
@@ -22,6 +26,17 @@ def test_rhs_reproduces_node_slopes(builtin):
         np.testing.assert_allclose(du, traj.history.derivs[k], rtol=0.0, atol=1e-12)
         checked += 1
     assert checked > 50
+
+
+def test_rhs_integrates_densities_at_the_history_step():
+    h = 1e-2
+    density = DistributedPart(ExponentialDensity(12.0), const(0.7))
+    model = scalar_model(1.5, tau=const(0.07), f=Activation.tanh(),
+                         kernel=DelayKernel(density=density))
+    traj = simulate(model, ConstantIC((0.3,)), 1.0, h)
+    for k in (3, 40, traj.times.size - 2):
+        du = rhs(model, float(traj.times[k]), traj.states[k], traj.history)
+        np.testing.assert_allclose(du, traj.history.derivs[k], rtol=0.0, atol=1e-12)
 
 
 @pytest.fixture(scope="module")

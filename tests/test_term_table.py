@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pickle
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from periodyn import expressions
-from periodyn.config import parse_config
+from periodyn.config import load_model, model_to_config, parse_config, serialize_config
 from periodyn.expressions import TERM_KINDS, PeriodicExpr, Term, TermTable, const, expr_sum, term_expr
 from periodyn.kernels import Atom, DelayKernel, DistributedPart, ExponentialDensity
 from periodyn.model import (Activation, NetworkModel, SampledModel, builtin_example,
@@ -61,6 +62,27 @@ def test_empty_groups_evaluate_to_empty_arrays():
     table = TermTable({"none": (), "zero": (Z, Z)})
     assert table.eval(np.arange(3.0), ("none",))["none"].shape == (3, 0)
     assert not table.eval(0.5)["zero"].any()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.builds(Term, kind=st.sampled_from(TERM_KINDS), c=st.just(1.0),
+                                   k=st.integers(1, 12)), max_size=4).map(PeriodicExpr),
+                min_size=1, max_size=6),
+       st.data())
+def test_table_divides_period_matches_each_expression(group, data):
+    # omega at, near (within 1e-9) and off (past 1e-9) a multiple of a term period or
+    # of an expression's period; 0.9e-9 and 1.1e-9 keep clear of the rule's edge,
+    # where float rounding of omega would decide
+    periods = sorted({p for expr in group for p in (expr.period(), *map(Term.period, expr.terms))
+                      if p is not None} or {Fraction(1)})
+    multiple = data.draw(st.sampled_from(periods)) * data.draw(st.integers(1, 50))
+    rel = data.draw(st.just(0.0) | st.floats(-0.9e-9, 0.9e-9)
+                    | st.floats(1.1e-9, 1e-6) | st.floats(-1e-6, -1.1e-9))
+    omega = float(multiple) * (1.0 + rel)
+    table = TermTable({"g": group})
+    for rel_tol in (1e-9, 0.0):
+        assert (table.divides_period(omega, rel_tol)["g"].tolist()
+                == [expr.divides_period(omega, rel_tol) for expr in group])
 
 
 def test_divides_period_per_expression():
@@ -229,6 +251,17 @@ PINNED = {
 def test_validate_violations_are_pinned(case):
     make, kwargs, want = PINNED[case]
     assert validate(make(), **kwargs).violations == want
+
+
+@pytest.mark.parametrize("amp, k", [(100.0, 20), (1.0, 1000), (1000.0, 50)])
+def test_exact_multiple_of_every_period_loads(amp, k, tmp_path):
+    # k pi (t + omega) rounds apart from k pi t by more than the sampled check's
+    # 1e-12 (1 + |v|), but omega = 2 is an exact multiple of the period 2/k
+    model = two_unit(inputs_=(term_expr("sin", amp, k), Z))
+    path = tmp_path / "model.json"
+    path.write_text(serialize_config(model_to_config(model)))
+    assert validate(model).ok
+    assert load_model(str(path)) == model
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
