@@ -102,6 +102,14 @@ def _rate_factor(alpha: float, tau, gain) -> np.ndarray:
         return np.where(gain != 0.0, np.exp(alpha * tau), 0.0)
 
 
+def _row_gains(abs_a, G, moment, F, tau, alpha: float) -> np.ndarray:
+    """G_j |a_ij| + F_j moment_ij e^{alpha tau_ij}, the weight side first: F_j = 0 stays 0."""
+    delayed = moment * F
+    gain = abs_a * G
+    gain += _rate_factor(alpha, tau, delayed) * delayed
+    return gain
+
+
 class _ConditionGrid:
     """Coefficient magnitudes on the grid, shaped for fast residual evaluation."""
 
@@ -113,14 +121,11 @@ class _ConditionGrid:
         self.abs_a = np.abs(self.sm.a)
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
-        """Row gains: G_j |a_ij(t)| + F_j e^{alpha tau_ij(t)} moment_ij(t)."""
+        """Row gains :func:`_row_gains` at every grid time."""
         mom, finite = _kernel_gain(self.sm, alpha)
         if not finite:
             return mom, False
-        delayed = mom * self.F[None, None, :]  # the weight side first: F_j = 0 stays 0
-        gain = self.abs_a * self.G[None, None, :]
-        gain += _rate_factor(alpha, self.sm.tau, delayed) * delayed
-        return gain, True
+        return _row_gains(self.abs_a, self.G, mom, self.F, self.sm.tau, alpha), True
 
     def condition_rows(self, gain: np.ndarray, alpha: float) -> np.ndarray:
         """Rows R with R @ xi the residual: ``gain`` plus alpha - d_i on its diagonal, in place."""
@@ -379,9 +384,8 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
 def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
                 theta: np.ndarray | None = None) -> CriterionReport:
     """Sup criterion for weights theta, or for the best weights (one small LP) when None."""
-    delayed = form.b_sup * _lipschitz(model.f)  # the weight side first: F_j = 0 stays 0
-    S = (form.a_sup * _lipschitz(model.g) + delayed * _rate_factor(alpha, form.tau_sup, delayed)
-         + np.diag(alpha - form.d_inf))
+    S = (_row_gains(form.a_sup, _lipschitz(model.g), form.b_sup, _lipschitz(model.f),
+                    form.tau_sup, alpha) + np.diag(alpha - form.d_inf))
     if theta is None:  # an inf row (an overflowing lag) cannot be met: unit weights, as checked
         theta = _max_margin_weights(S[None]) if np.isfinite(S).all() else None
         theta = np.ones(model.n) if theta is None else theta / theta.min()
@@ -407,13 +411,14 @@ def _split_sup_rows(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
 
     float_power is the scalar C pow (numpy's SIMD power rounds some powers
     differently), so up to 7 units, where numpy sums in order, the rows equal the
-    scalar per-row sums bit for bit.  A row meeting 0 * inf (an underflowed gain
-    against an overflowing lag) counts as violated.
+    scalar per-row sums bit for bit.  The lag e^{alpha tau_sup} is 0 where the
+    weight side ``b_sup F_j`` is 0, as in :func:`_row_gains`; a row still meeting
+    0 * inf (an underflowed gain power against an overflowing lag) counts as violated.
     """
     G = _lipschitz(model.g)
     F = _lipschitz(model.f)
     off = 1.0 - np.eye(model.n)
-    lag = form.lag(alpha)
+    lag = _rate_factor(alpha, form.tau_sup, form.b_sup * F)
     xi_j = xi[:, :, None]  # xi_j against the gains [c, j, i] into row i
     with np.errstate(over="ignore", invalid="ignore"):
         a_in = (xi_j * np.float_power(form.a_sup, 2.0 * a_exp) * off).sum(axis=1)

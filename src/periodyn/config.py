@@ -12,10 +12,10 @@ import hashlib
 import json
 import math
 import os
+from dataclasses import asdict, fields
 
 from .expressions import PeriodicExpr, Term, TERM_KINDS, const
-from .kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
-                      TableDensity, UniformDensity)
+from .kernels import DENSITIES, Atom, DelayKernel, DistributedPart
 from .model import ACTIVATIONS, Activation, NetworkModel, validate
 
 
@@ -88,26 +88,20 @@ def _parse_density(obj, where: str) -> DistributedPart:
     if "shape" not in obj:
         raise ConfigError("density needs 'shape'", where)
     shape = obj["shape"]
-    if shape == "exponential":
-        _reject_unknown(obj, {"shape", "lam", "weight"}, where)
-        dens = _construct(ExponentialDensity, where,
-                          _number(obj.get("lam", 0.0), f"{where}.lam"))
-    elif shape == "uniform":
-        _reject_unknown(obj, {"shape", "width", "weight"}, where)
-        dens = _construct(UniformDensity, where,
-                          _number(obj.get("width", 0.0), f"{where}.width"))
-    elif shape == "table":
-        _reject_unknown(obj, {"shape", "s", "values", "weight"}, where)
-        s = obj.get("s")
-        values = obj.get("values")
-        if not isinstance(s, list) or not isinstance(values, list):
-            raise ConfigError("table density needs 's' and 'values' lists", where)
-        dens = _construct(TableDensity, where,
-                          tuple(_number(x, f"{where}.s[{k}]") for k, x in enumerate(s)),
-                          tuple(_number(v, f"{where}.values[{k}]")
-                                for k, v in enumerate(values)))
-    else:
+    if not (isinstance(shape, str) and shape in DENSITIES):
         raise ConfigError(f"unknown density shape {shape!r}", f"{where}.shape")
+    cls = DENSITIES[shape]
+    _reject_unknown(obj, {"shape", "weight", *(f.name for f in fields(cls))}, where)
+    args = []
+    for f in fields(cls):  # a field declared as a tuple takes a list of numbers
+        at, value = f"{where}.{f.name}", obj.get(f.name, 0.0)
+        if not str(f.type).startswith("tuple"):
+            args.append(_number(value, at))
+        elif isinstance(value, list):
+            args.append(tuple(_number(x, f"{at}[{k}]") for k, x in enumerate(value)))
+        else:
+            raise ConfigError("expected a list of numbers", at)
+    dens = _construct(cls, where, *args)
     if "weight" not in obj:
         raise ConfigError("density needs 'weight'", where)
     return DistributedPart(shape=dens, weight=_parse_expr(obj["weight"], f"{where}.weight"))
@@ -217,14 +211,10 @@ def _kernel_to_config(kernel: DelayKernel):
                         for atom in kernel.atoms]
     if kernel.density is not None:
         shape = kernel.density.shape
-        if isinstance(shape, ExponentialDensity):
-            spec = {"shape": "exponential", "lam": shape.lam}
-        elif isinstance(shape, UniformDensity):
-            spec = {"shape": "uniform", "width": shape.width}
-        else:
-            spec = {"shape": "table", "s": list(shape.s), "values": list(shape.values)}
-        spec["weight"] = _expr_to_config(kernel.density.weight)
-        out["density"] = spec
+        out["density"] = {"shape": next(k for k, cls in DENSITIES.items() if type(shape) is cls),
+                          **{k: list(v) if isinstance(v, tuple) else v
+                             for k, v in asdict(shape).items()},
+                          "weight": _expr_to_config(kernel.density.weight)}
     return out
 
 

@@ -32,7 +32,7 @@ _KINDS = {
 
 TERM_KINDS = ("const", *_KINDS)
 
-# values per block of TermTable.blocks (512 KB): bounds the memory of a long grid
+# values per block of TermTable.eval and .bounds (512 KB): bounds the memory of a long grid
 _BLOCK_VALUES = 1 << 16
 
 
@@ -138,7 +138,7 @@ class TermTable:
     ``s``-th term of every expression that has one, as a basis index and an
     amplitude.  The slots are added to zeros in each expression's own term
     order, so every value has the bits ``PeriodicExpr.eval`` gives at the
-    same time.
+    same time.  :meth:`bounds` is the one sampled "for all t" query.
     """
 
     def __init__(self, groups: dict[str, tuple[PeriodicExpr, ...]]):
@@ -199,19 +199,23 @@ class TermTable:
                 _fill(out[name][start:start + rows], basis, self._slots[name])
         return {name: values.reshape(t.shape + values.shape[1:]) for name, values in out.items()}
 
-    def blocks(self, t: np.ndarray, names):
-        """Yield ``(start, values)``: :meth:`eval` of the named groups at ``t[start:stop]``.
+    def bounds(self, t: np.ndarray, names) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """``(least, greatest)`` of every expression of the named groups on the 1-d grid ``t``.
 
-        Consecutive blocks of the 1-d ``t`` hold at most ``_BLOCK_VALUES``
-        values in all (one time at least), so a long grid needs bounded memory.
-        An empty ``t`` raises ValueError: no block would reduce to anything.
+        It reduces :meth:`eval` of blocks of at most ``_BLOCK_VALUES`` values in
+        all (one time at least), so a long grid needs bounded memory.  An empty
+        ``t`` raises ValueError: it has no least value.
         """
         if t.size == 0:
             raise ValueError("a grid needs at least one time")
-        width = sum(len(self.groups[name]) for name in names)
-        rows = max(1, _BLOCK_VALUES // max(width, 1))
+        out = {name: (np.full(len(self.groups[name]), math.inf),
+                      np.full(len(self.groups[name]), -math.inf)) for name in names}
+        rows = max(1, _BLOCK_VALUES // max(sum(len(self.groups[name]) for name in names), 1))
         for start in range(0, t.size, rows):
-            yield start, self.eval(t[start:start + rows], names)
+            for name, values in self.eval(t[start:start + rows], names).items():
+                np.minimum(out[name][0], values.min(axis=0), out=out[name][0])
+                np.maximum(out[name][1], values.max(axis=0), out=out[name][1])
+        return out
 
     def divides_period(self, omega: float, rel_tol: float = 1e-9) -> dict[str, np.ndarray]:
         """``PeriodicExpr.divides_period(omega, rel_tol)`` of every expression, per group.

@@ -136,6 +136,9 @@ def _exp_linear_integral(alpha: float, s0: float, s1: float, v0: float, v1: floa
 
 Density = ExponentialDensity | UniformDensity | TableDensity
 
+# the density shapes a config names: name -> class, whose dataclass fields are its config fields
+DENSITIES = {"exponential": ExponentialDensity, "uniform": UniformDensity, "table": TableDensity}
+
 
 @dataclass(frozen=True)
 class Atom:

@@ -13,7 +13,6 @@ verifies by dense sampling.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -285,22 +284,16 @@ class NetworkModel:
 
     @functools.lru_cache(maxsize=8)
     def max_lag(self, tail_tol: float = 1e-8, grid_points: int = 4096) -> float:
-        """Longest delay plus kernel lag, with each delay's sup sampled on ``grid_points`` times.
+        """Longest delay plus kernel lag, each delay's sup from ``TermTable.bounds`` on a grid.
 
         A sampled bound, not what sizes a run's history: the integrator and the
         period map's window take their reach from the read plan's samples.
         """
         t = np.linspace(0.0, self.omega, grid_points, endpoint=False)
-        tau_sup = np.full(self.n * self.n, -math.inf)
-        for _, block in coefficient_table(self).blocks(t, ("tau",)):
-            np.maximum(tau_sup, block["tau"].max(axis=0), out=tau_sup)
-        lag = 0.0
-        for i in range(self.n):
-            for j in range(self.n):
-                if self.kernels[i][j].is_zero:
-                    continue
-                lag = max(lag, float(tau_sup[i * self.n + j]) + self.kernels[i][j].max_lag(tail_tol))
-        return lag
+        tau_sup = coefficient_table(self).bounds(t, ("tau",))["tau"][1].reshape(self.n, self.n)
+        return max([0.0] + [float(tau_sup[i, j]) + kern.max_lag(tail_tol)
+                            for i, row in enumerate(self.kernels) for j, kern in enumerate(row)
+                            if not kern.is_zero])
 
 
 def _kernel_parts(model: NetworkModel) -> tuple:
@@ -424,57 +417,47 @@ def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> Val
     Every coefficient must repeat with period ``omega``: a multiple of the
     exact period of every basis it reads.  Where it is one only within the
     tolerance of ``divides_period``, its values on 256 samples must also equal
-    those one period later.  ``d`` must be
-    positive and ``tau`` nonnegative on ``grid_points`` times; the first
-    time of each least value is reported.  The values come from
-    :func:`coefficient_table` in blocks of bounded size.  Activations are
-    checked on dense and seeded random samples.  Downstream operations
-    (certification, simulation, orbit search) assume an empty report.
+    those one period later.  ``d`` must be positive and ``tau`` nonnegative on
+    ``grid_points`` times: their least values come from one
+    ``TermTable.bounds`` of :func:`coefficient_table`, and a violation is
+    reported at the first time its expression takes its least value there.
+    Activations are checked on dense and seeded random samples.  Downstream
+    operations (certification, simulation, orbit search) assume an empty report.
     """
     report = ValidationReport()
     n = model.n
     omega = model.omega
     table = coefficient_table(model)
-    t_check = np.linspace(0.0, omega, 257)[:-1]
     rng = np.random.default_rng(seed)
 
-    # periodicity: the exact periods, then, in blocks, samples one period apart of the
-    # inexact multiples; first_bad holds the first mismatching sample, -1 if none
+    # periodicity: the exact periods, then samples one period apart of the inexact multiples
     divides = table.divides_period(omega)
-    inexact = {name: ~ok for name, ok in table.divides_period(omega, rel_tol=0.0).items()}
-    first_bad = {name: np.full(len(exprs), -1) for name, exprs in table.groups.items()}
-    names = tuple(name for name in table.groups if inexact[name].any())
-    for (start, v0), (_, v1) in zip(table.blocks(t_check, names),
-                                    table.blocks(t_check + omega, names)):
-        for name in names:
-            bad = np.abs(v1[name] - v0[name]) > 1e-12 * (1.0 + np.abs(v0[name]))
-            cols = np.flatnonzero((first_bad[name] < 0) & inexact[name] & bad.any(axis=0))
-            first_bad[name][cols] = start + bad[:, cols].argmax(axis=0)
-    if any((~divides[name] | (first_bad[name] >= 0)).any() for name in table.groups):
+    exact = table.divides_period(omega, rel_tol=0.0)
+    if not all(ok.all() for ok in exact.values()):
+        t_check = np.linspace(0.0, omega, 257)[:-1]
         for name, col, label in _coefficient_names(model):
-            k = first_bad[name][col]
+            expr = table.groups[name][col]
             if not divides[name][col]:
-                expr = table.groups[name][col]
                 report.add(f"{label}: period {expr.period()} does not divide omega={omega}")
-            elif k >= 0:
-                report.add(f"{label}: not periodic with omega={omega} at t={t_check[k]:.6g}")
+            elif not exact[name][col]:
+                v0, v1 = expr.eval(np.stack([t_check, t_check + omega]))
+                bad = np.abs(v1 - v0) > 1e-12 * (1.0 + np.abs(v0))
+                if bad.any():
+                    report.add(f"{label}: not periodic with omega={omega} "
+                               f"at t={t_check[bad.argmax()]:.6g}")
 
-    # least d and tau on the grid and the first time they are reached, in blocks
+    # least d and tau on the grid, each violation at the first time of its least value
     t = np.linspace(0.0, omega, grid_points, endpoint=False)
-    least = {name: np.full(len(table.groups[name]), math.inf) for name in ("d", "tau")}
-    first = {name: np.zeros(low.size, dtype=np.intp) for name, low in least.items()}
-    for start, block in table.blocks(t, tuple(least)):
-        for name, values in block.items():
-            low = values.min(axis=0)
-            # only a coefficient that can be reported needs the time of its least value
-            cols = np.flatnonzero((low < least[name]) & (low <= 0.0))
-            first[name][cols] = start + values[:, cols].argmin(axis=0)
-            np.minimum(least[name], low, out=least[name])
-    for i in np.flatnonzero(least["d"] <= 0.0):
-        report.add(f"d_{i + 1} not positive at t={t[first['d'][i]]:.6g}")
-    for p in np.flatnonzero(least["tau"] < 0.0):
+    bounds = table.bounds(t, ("d", "tau"))
+
+    def first_least(name: str, col) -> float:
+        return t[np.argmin(table.groups[name][col].eval(t))]
+
+    for i in np.flatnonzero(bounds["d"][0] <= 0.0):
+        report.add(f"d_{i + 1} not positive at t={first_least('d', i):.6g}")
+    for p in np.flatnonzero(bounds["tau"][0] < 0.0):
         i, j = divmod(int(p), n)
-        report.add(f"negative delay tau[{i}][{j}] at t={t[first['tau'][p]]:.6g}")
+        report.add(f"negative delay tau[{i}][{j}] at t={first_least('tau', p):.6g}")
 
     # each distinct activation is checked once and reported under every index
     checked: dict[Activation, list[str]] = {}

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -380,6 +381,49 @@ class TestConfigBoundaries:
         assert main(["certify", str(path)]) == 1
         assert capsys.readouterr().err == f"error: {path}{where}: {message}\n"
 
+
+    @pytest.mark.parametrize("density, where", [
+        ({"shape": "exponential", "lam": [12.0]}, ".lam"),
+        ({"shape": "table", "s": 0.5, "values": [1.0, 1.0]}, ".s"),
+        ({"shape": "uniform", "width": 1.0, "lam": 2.0}, ""),
+        ({"shape": ["uniform"]}, ".shape"),
+        ({"shape": "uniform"}, ""),
+    ])
+    def test_density_field_error_keeps_path(self, tmp_path, capsys, density, where):
+        # a density's fields and their types are its class's fields in kernels.DENSITIES
+        path = tmp_path / "bad_density.json"
+        path.write_text(json.dumps(tiny_config(kernels=[[{"density": dict(density, weight=0.1)}]])))
+        assert main(["certify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}.kernels[0][0].density{where}: ")
+        assert "Traceback" not in err
+
+    def test_every_density_shape_writes_as_before(self):
+        # recorded from the writer with one explicit branch per shape
+        shapes = {"exponential": {"shape": "exponential", "lam": 12.5,
+                                  "weight": [{"amp": 0.1, "fn": "cos2", "k": 2}]},
+                  "uniform": {"shape": "uniform", "width": 0.75, "weight": 0.2},
+                  "table": {"shape": "table", "s": [0.0, 0.25, 1], "values": [1.0, -0.5, 0.25],
+                            "weight": 0.05}}
+        doc = tiny_config(
+            meta={"n": 3, "omega": 1.0}, d=[4.0] * 3, a=[[0.0] * 3] * 3, tau=[[0.5] * 3] * 3,
+            inputs=[0.0] * 3, activations={"g": ["tanh"] * 3, "f": ["tanh"] * 3},
+            kernels=[[{"density": shapes["exponential"]}, None, None],
+                     [None, {"atoms": [{"s": 0.5, "weight": 0.1}], "density": shapes["uniform"]},
+                      None],
+                     [None, {"density": shapes["table"]}, None]])
+        model = parse_config(json.dumps(doc))
+        written = model_to_config(model)
+        assert [json.dumps(written["kernels"][i][j]["density"])
+                for i, j in ((0, 0), (1, 1), (2, 1))] == [
+            '{"shape": "exponential", "lam": 12.5, "weight": [{"amp": 0.1, "fn": "cos2", "k": 2}]}',
+            '{"shape": "uniform", "width": 0.75, "weight": [{"const": 0.2}]}',
+            '{"shape": "table", "s": [0.0, 0.25, 1.0], "values": [1.0, -0.5, 0.25], '
+            '"weight": [{"const": 0.05}]}']
+        text = serialize_config(written)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d241eb3652a205f6fe3ec0128120a098262551c18d33ead00b8ee99467972c21")
+        assert parse_config(text) == model
 
     def test_saturating_activation_error_keeps_path(self, tmp_path, capsys):
         path = tmp_path / "bad_activation.json"

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from periodyn.certify import (_ConditionGrid, _kernel_gain, _part_mass, check_sup_criterion,
-                              find_decay_rate, find_weights, mmatrix_weights,
+from periodyn.certify import (_ConditionGrid, _kernel_gain, _part_mass,
+                              check_split_sup_criterion, check_sup_criterion, find_decay_rate,
+                              find_weights, mmatrix_weights, search_split_sup_criterion,
                               search_sup_criterion)
 from periodyn.cli import main
 from periodyn.config import parse_config
@@ -67,6 +68,19 @@ def test_zero_delayed_gain_stays_zero_past_the_float_range():
     assert rep.satisfied and rep.worst_row_residual == -50.0
     assert rep == check_sup_criterion(model, (1.0,), alpha=750.0, grid_points=64)
     assert 750.0 < find_decay_rate(model, (1.0,), 64) < 800.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_zero_delayed_gain_stays_zero_in_the_split_sup_rows():
+    # the split rows take the same weight side first: b_sup F = 0 gives a zero lag, not inf
+    zero = Activation.zero()
+    model = scalar_model(800.0, kernel=DelayKernel((Atom(0.0, const(0.1)),)), tau=const(1.0),
+                         g=zero, f=zero)
+    half = [[0.5]]
+    rep = check_split_sup_criterion(model, (1.0,), 750.0, half, half, grid_points=64)
+    assert rep.satisfied and rep.worst_row_residual == -50.0
+    rep = search_split_sup_criterion(model, alpha=750.0, grid_points=64)
+    assert rep.satisfied and rep.worst_row_residual == -50.0
 
 
 # --- density moments past the float range: inf mass, as for atoms ------------

@@ -51,6 +51,26 @@ def test_table_matches_eval_bit_for_bit(first, second, t):
             assert same_bits(values[name][..., col], np.asarray(expr.eval(t), dtype=float))
 
 
+@pytest.mark.parametrize("block", [1, 3, 64, expressions._BLOCK_VALUES])
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exprs, min_size=1, max_size=6), st.lists(exprs, max_size=3),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=40).map(np.array))
+def test_bounds_are_the_least_and_greatest_of_eval_bit_for_bit(block, first, second, t):
+    table = TermTable({"first": first, "second": second})
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(expressions, "_BLOCK_VALUES", block)
+        bounds = table.bounds(t, ("first", "second"))
+    for name, group in (("first", first), ("second", second)):
+        least, greatest = bounds[name]
+        assert same_bits(least, np.array([expr.eval(t).min() for expr in group], dtype=float))
+        assert same_bits(greatest, np.array([expr.eval(t).max() for expr in group], dtype=float))
+
+
+def test_bounds_of_an_empty_grid_are_refused():
+    with pytest.raises(ValueError):
+        TermTable({"g": (const(1.0),)}).bounds(np.array([]), ("g",))
+
+
 @given(exprs, times)
 def test_scalar_and_array_eval_agree(expr, t):
     arr = expr.eval(np.atleast_1d(np.asarray(t, dtype=float)))
