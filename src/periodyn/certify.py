@@ -547,13 +547,13 @@ def compare_criteria(model: NetworkModel, grid_points: int = 4096, draws: int = 
             _sup_report(model, form, 0.0), _period_scaled_report(model, form)]
 
 
-def random_discrete_delay_model(rng: np.random.Generator, n_max: int = 3) -> NetworkModel:
+def random_discrete_delay_model(rng: np.random.Generator) -> NetworkModel:
     """Seeded random constant-delay instance for ensemble comparisons.
 
     Mixes strongly dominated, marginal and unstable regimes so comparison
     ensembles contain instances on both sides of each criterion.
     """
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(1, 4))
     regime = int(rng.integers(0, 3))
     scale = (0.05, 0.4, 1.1)[regime]
 

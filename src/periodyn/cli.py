@@ -40,11 +40,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 _MAX_POINTS_PER_LINE = 4000
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     span = hi - lo
     if span <= 0.0:
         return [lo]
-    raw = span / target
+    raw = span / 5  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mag * mult
@@ -195,7 +195,7 @@ def cmd_simulate(args) -> int:
             report.results["note"] = "model not certified; rerun with --force to simulate anyway"
             report.emit()
             return EXIT_INFEASIBLE
-        # the weight search sets no rate or bounds (NaN is not JSON): print what it found
+        # the weight search computes no rate or bounds: print the fields it sets
         report.results["certificate"] = {k: getattr(cert, k) for k in ("xi", "eta", "grid_points")}
     try:
         traj = simulate(model, ic, args.t_end, args.h, tail_tol=args.tail_tol)
@@ -230,28 +230,33 @@ def cmd_find_period(args) -> int:
     try:
         segment, residual, iterations = find_periodic_orbit(
             model, ic, args.h, fp_tol=args.fp_tol, max_iters=args.max_iters, xi=cert.xi)
+        deviation = verify_periodicity(segment, model, args.h, xi=cert.xi)
+        report.results.update({
+            "converged": True,
+            "residual": residual,
+            "iterations": iterations,
+            "residual_history": list(segment.residual_history),
+            "restarts": segment.restarts,
+            "periodicity_deviation": deviation,
+            "seam_gap": segment.seam_gap,
+        })
+        if args.rate_periods > 0:
+            # decay fit from a deterministic off-orbit start: x(0) shifted by one
+            perturbed = ConstantIC(tuple(float(v) + 1.0 for v in segment.eval(0.0)))
+            fit = estimate_decay_rate(model, segment, perturbed, args.h,
+                                      args.rate_periods * model.omega, xi=cert.xi)
+            # a degenerate fit's rate is inf, which JSON cannot print
+            report.results["rate_fit"] = replace(fit, alpha_emp=None) if fit.degenerate else fit
     except NoConvergenceError as exc:
         report.results["converged"] = False
         report.results["residual_history"] = exc.residual_history[-50:]
         report.results["restarts"] = exc.restarts
         report.emit()
         return EXIT_NO_CONVERGENCE
-    deviation = verify_periodicity(segment, model, args.h, xi=cert.xi)
-    report.results.update({
-        "converged": True,
-        "residual": residual,
-        "iterations": iterations,
-        "residual_history": list(segment.residual_history),
-        "restarts": segment.restarts,
-        "periodicity_deviation": deviation,
-        "seam_gap": segment.seam_gap,
-    })
-    if args.rate_periods > 0:
-        # decay fit from a deterministic off-orbit start: x(0) shifted by one
-        perturbed = ConstantIC(tuple(float(v) + 1.0 for v in segment.eval(0.0)))
-        fit = estimate_decay_rate(model, segment, perturbed, args.h,
-                                  args.rate_periods * model.omega, xi=cert.xi)
-        report.results["rate_fit"] = fit
+    except DivergenceError as exc:
+        report.results["diverged_at"] = exc.t
+        report.emit()
+        return EXIT_INFEASIBLE
     if args.out:
         segment.write_csv(args.out)
         report.outputs.append(args.out)
@@ -414,10 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

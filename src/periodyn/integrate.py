@@ -93,7 +93,6 @@ class HistoryBuffer(HermiteNodes):
 
     def __init__(self, ic: InitialCondition, start_time: float, h: float, n: int,
                  capacity: int = 64, lag: float = 0.0):
-        self.ic = ic
         self.start_time = float(start_time)
         self.h = self.step = float(h)  # the Hermite base reads ``step``
         self.n = int(n)
@@ -157,29 +156,25 @@ class HistoryBuffer(HermiteNodes):
         # the run's node 0 sits one row after the initial block's node at the start
         return k.astype(np.intp) + (self.base - (x <= 0.0)), x - k
 
-    def _lookup(self, t, flat):
-        """History at ``t`` for the unit offsets ``flat`` (``unit * capacity``)."""
-        row, theta = self._locate(t)
-        out = self._value(row + flat, theta)
-        if self.count <= 1:  # one node: a first-order Taylor step after the start
-            node = self.base + flat
-            v, m = self._flat
-            out = np.where(t > self.start_time, v[node] + (t - self.start_time) * m[node], out)
-        return out
-
     def lookup_batch(self, times: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Unit ``cols[k]`` of the history at ``times[k]`` for every k, in one gather."""
         if times.size:
             self._check_horizon(times.max())
-        return self._lookup(times, cols * self._cap)
+        flat = cols * self._cap  # each unit's offset in the unit-major storage
+        row, theta = self._locate(times)
+        out = self._value(row + flat, theta)
+        if self.count <= 1:  # one node: a first-order Taylor step after the start
+            node = self.base + flat
+            v, m = self._flat
+            out = np.where(times > self.start_time,
+                           v[node] + (times - self.start_time) * m[node], out)
+        return out
 
     def lookup_scalar(self, t: float, j: int) -> float:
-        self._check_horizon(t)
-        return float(self._lookup(t, j * self._cap))
+        return float(self.lookup_batch(np.array([t]), np.array([j]))[0])
 
     def lookup(self, t: float) -> np.ndarray:
-        self._check_horizon(t)
-        return self._lookup(t, self._units * self._cap)
+        return self.lookup_batch(np.full(self.n, t), self._units)
 
     def derivative(self, t: float) -> np.ndarray:
         """Slope at ``t``; zero before the first node, the node slope while there is one node."""

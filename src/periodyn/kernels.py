@@ -31,9 +31,6 @@ class ExponentialDensity:
         if not (self.lam > 0.0):
             raise ValueError("exponential density requires lam > 0")
 
-    def abs_mass(self) -> float:
-        return 1.0
-
     def exp_abs_moment(self, alpha: float) -> tuple[float, bool]:
         if alpha >= self.lam:
             return math.inf, False
@@ -55,9 +52,6 @@ class UniformDensity:
     def __post_init__(self):
         if not (self.width > 0.0):
             raise ValueError("uniform density requires width > 0")
-
-    def abs_mass(self) -> float:
-        return 1.0
 
     def exp_abs_moment(self, alpha: float) -> tuple[float, bool]:
         if alpha == 0.0:
@@ -99,10 +93,7 @@ class TableDensity:
                 yield s0, s1, v0, v1
 
     def abs_mass(self) -> float:
-        total = 0.0
-        for s0, s1, v0, v1 in self._segments():
-            total += 0.5 * (abs(v0) + abs(v1)) * (s1 - s0)
-        return total
+        return self.exp_abs_moment(0.0)[0]
 
     def exp_abs_moment(self, alpha: float) -> tuple[float, bool]:
         total = 0.0

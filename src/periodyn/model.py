@@ -126,8 +126,8 @@ class ExprIC:
     def eval_component(self, t: float, j: int) -> float:
         return float(self.exprs[j].eval(t))
 
-    def derivative_component(self, t: float, j: int, dt: float = 1e-6) -> float:
-        e = self.exprs[j]
+    def derivative_component(self, t: float, j: int) -> float:
+        e, dt = self.exprs[j], 1e-6  # central difference
         return (e.eval(t + dt) - e.eval(t - dt)) / (2.0 * dt)
 
 
@@ -215,14 +215,14 @@ class SampledIC(HermiteNodes):
     def end(self) -> float:
         return self.start + (self.values.shape[0] - 1) * self.step
 
+    def _locate(self, t):
+        """Times at or before ``start`` read the first node: the history is constant there."""
+        return super()._locate(np.maximum(t, self.start))
+
     def eval(self, t: float) -> np.ndarray:
-        if t <= self.start:
-            return self.values[0].copy()
         return self._value(*self._locate(t))
 
     def eval_component(self, t: float, j: int) -> float:
-        if t <= self.start:
-            return float(self.values[0, j])
         return float(self._value(*self._locate(t), j))
 
     def derivative_component(self, t: float, j: int) -> float:
@@ -388,11 +388,9 @@ def _coefficient_names(model: NetworkModel):
             yield "a", i * n + j, f"a[{i}][{j}]"
             yield "tau", i * n + j, f"tau[{i}][{j}]"
             kern = model.kernels[i][j]
-            for k in range(len(kern.atoms)):
-                yield "weights", part, f"kernels[{i}][{j}].atoms[{k}].weight"
-                part += 1
-            if kern.density is not None:
-                yield "weights", part, f"kernels[{i}][{j}].density.weight"
+            for k, p in enumerate(kern.parts):
+                where = "density" if p is kern.density else f"atoms[{k}]"
+                yield "weights", part, f"kernels[{i}][{j}].{where}.weight"
                 part += 1
 
 
@@ -411,7 +409,7 @@ def _activation_violations(act: Activation, rng: np.random.Generator) -> list[st
     return out
 
 
-def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> ValidationReport:
+def validate(model: NetworkModel, grid_points: int = 4096) -> ValidationReport:
     """Check admissibility; returns violations instead of raising.
 
     Every coefficient must repeat with period ``omega``: a multiple of the
@@ -428,7 +426,7 @@ def validate(model: NetworkModel, grid_points: int = 4096, seed: int = 0) -> Val
     n = model.n
     omega = model.omega
     table = coefficient_table(model)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
 
     # periodicity: the exact periods, then samples one period apart of the inexact multiples
     divides = table.divides_period(omega)

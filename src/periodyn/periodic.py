@@ -66,8 +66,10 @@ class PeriodSegment(HermiteNodes):
     def _locate(self, t):
         return super()._locate(t - self.omega * np.floor(t / self.omega))
 
-    def eval(self, t: float) -> np.ndarray:
-        return self._value(*self._locate(t))
+    def eval(self, t) -> np.ndarray:
+        """State at time ``t``; an array of times gives ``(*t.shape, n)``."""
+        idx, theta = self._locate(t)
+        return self._value(idx, np.asarray(theta)[..., None])
 
     def eval_component(self, t: float, j: int) -> float:
         return float(self._value(*self._locate(t), j))
@@ -198,9 +200,7 @@ def estimate_decay_rate(model: NetworkModel, segment: PeriodSegment,
     """
     xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
     traj = simulate(model, ic_perturbed, t_end, h, tail_tol)
-    idx, theta = segment._locate(traj.times)
-    orbit = segment._value(idx, theta[:, None])
-    err = np.max(np.abs(traj.states - orbit) / xi[None, :], axis=1)
+    err = np.max(np.abs(traj.states - segment.eval(traj.times)) / xi[None, :], axis=1)
     lo = t_end / 4.0
     mask = (traj.times >= lo) & (err >= 1e-12)
     n_points = int(mask.sum())

@@ -509,3 +509,35 @@ class TestFlagBounds:
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: PERIODYN_SEED: {what}" in err and "Traceback" not in err
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} is not RFC 8259 JSON")
+
+
+class TestFindPeriodReports:
+    def test_divergence_exits_two_with_strict_json(self, tmp_path, builtin_cfg_text, capsys):
+        # d = 60 certifies, but RK4 at h = 0.1 is unstable for it (h d = 6 > 2.79)
+        doc = json.loads(builtin_cfg_text)
+        doc["d"] = [60.0] * len(doc["d"])
+        path = tmp_path / "stiff.json"
+        path.write_text(json.dumps(doc))
+        assert main(["certify", str(path), "--grid", "256"]) == 0
+        capsys.readouterr()
+        assert main(["find-period", str(path), "--h", "0.1", "--grid", "256"]) == 2
+        out = capsys.readouterr()
+        report = json.loads(out.out, parse_constant=_refuse)
+        assert report["results"]["diverged_at"] == pytest.approx(0.7)
+        assert "converged" not in report["results"]
+        assert "Traceback" not in out.err
+
+    def test_degenerate_rate_fit_prints_null(self, tmp_path, capsys):
+        # one uncoupled unit with d = 10 is within 1e-12 of its orbit before
+        # the fit window opens at a quarter of 8 periods of length 2
+        doc = tiny_config(meta={"n": 1, "omega": 2.0}, d=[10.0], a=[[0.0]], tau=[[0.0]],
+                          inputs=[0.0])
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps(doc))
+        assert main(["find-period", str(path), "--h", "1e-2", "--grid", "256"]) == 0
+        fit = json.loads(capsys.readouterr().out, parse_constant=_refuse)["results"]["rate_fit"]
+        assert fit["degenerate"] is True and fit["alpha_emp"] is None

@@ -59,3 +59,23 @@ def test_dense_outputs_agree_inside_nodes(nodes):
         for j in range(2):
             assert hist.lookup_scalar(t, j) == ic.eval_component(t, j) == seg.eval_component(t, j)
             assert hist.derivative(t)[j] == ic.derivative_component(t, j)
+
+
+def test_segment_reads_a_time_array_as_each_time(nodes):
+    h, values, derivs = nodes
+    seg = PeriodSegment(omega=h * (values.shape[0] - 1), h=h, values=values, derivs=derivs)
+    t = np.linspace(-0.3, 2.5 * seg.omega, 180)  # before 0 and past omega, wrapped
+    batch = seg.eval(t)
+    assert batch.shape == (180, 2)
+    assert np.array_equal(batch, np.array([seg.eval(float(x)) for x in t]))
+    assert np.array_equal(seg.eval(t.reshape(12, 15)), batch.reshape(12, 15, 2))
+
+
+@pytest.mark.parametrize("t", [-1.0, np.nextafter(-1.0, -2.0), -3.5, -1e300])
+def test_sampled_history_is_its_first_node_at_and_before_start(nodes, t):
+    h, values, derivs = nodes
+    ic = SampledIC(start=-1.0, step=h, values=values, derivs=derivs)
+    assert np.array_equal(ic.eval(t), values[0])
+    for j in range(2):
+        assert ic.eval_component(t, j) == values[0, j]
+        assert ic.derivative_component(t, j) == 0.0
