@@ -96,17 +96,25 @@ def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     return gain, True
 
 
-def _rate_factor(alpha: float, tau, gain) -> np.ndarray:
-    """e^{alpha tau} where ``gain`` is nonzero (inf past the float range), 0 where it is zero."""
-    with np.errstate(over="ignore"):
-        return np.where(gain != 0.0, np.exp(alpha * tau), 0.0)
+def _delayed_term(coef, mass, lag, alpha: float) -> np.ndarray:
+    """coef * mass * e^{alpha lag} (inf past the float range); coef * mass has the shape of ``lag``.
+
+    The one rule for a delayed gain: 0 wherever coef * mass is not positive (0, or 0 * inf).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        term = coef * mass
+        zero = ~(term > 0.0)
+        factor = np.multiply(alpha, lag)
+        np.exp(factor, out=factor)
+        term *= factor
+    term[zero] = 0.0
+    return term
 
 
 def _row_gains(abs_a, G, moment, F, tau, alpha: float) -> np.ndarray:
-    """G_j |a_ij| + F_j moment_ij e^{alpha tau_ij}, the weight side first: F_j = 0 stays 0."""
-    delayed = moment * F
+    """G_j |a_ij| + :func:`_delayed_term` of F_j, moment_ij and tau_ij."""
     gain = abs_a * G
-    gain += _rate_factor(alpha, tau, delayed) * delayed
+    gain += _delayed_term(F, moment, tau, alpha)
     return gain
 
 
@@ -280,12 +288,8 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     lag = np.take(sm.tau.reshape(-1, model.n ** 2), i * model.n + j, axis=1)  # C order, like coef
 
     def residual(alpha: float) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            w = coef * np.array([_part_mass(p, alpha)[0] for *_, p in sm.kernel_parts])
-            term = np.multiply(alpha, lag)
-            np.exp(term, out=term)
-            term *= w
-        np.copyto(term, 0.0, where=~(w > 0.0))  # no weight or no mass (w 0 or 0 * inf): 0
+        term = _delayed_term(coef, [_part_mass(p, alpha)[0] for *_, p in sm.kernel_parts],
+                             lag, alpha)
         delayed = np.zeros_like(base)
         delayed[:, rows] = np.add.reduceat(term, first, axis=1)  # a fixed order, unlike BLAS
         return base + alpha * xi + delayed
@@ -352,7 +356,7 @@ class DiscreteDelayForm:
 
     def lag(self, alpha: float) -> np.ndarray:
         """e^{alpha tau_sup}: inf past the float range where b_sup != 0, 0 where b_sup == 0."""
-        return _rate_factor(alpha, self.tau_sup, self.b_sup)
+        return _delayed_term(self.b_sup > 0.0, 1.0, self.tau_sup, alpha)
 
 
 def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> DiscreteDelayForm:
@@ -412,13 +416,13 @@ def _split_sup_rows(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
     float_power is the scalar C pow (numpy's SIMD power rounds some powers
     differently), so up to 7 units, where numpy sums in order, the rows equal the
     scalar per-row sums bit for bit.  The lag e^{alpha tau_sup} is 0 where the
-    weight side ``b_sup F_j`` is 0, as in :func:`_row_gains`; a row still meeting
+    weight side ``b_sup F_j`` is 0, by :func:`_delayed_term`; a row still meeting
     0 * inf (an underflowed gain power against an overflowing lag) counts as violated.
     """
     G = _lipschitz(model.g)
     F = _lipschitz(model.f)
     off = 1.0 - np.eye(model.n)
-    lag = _rate_factor(alpha, form.tau_sup, form.b_sup * F)
+    lag = _delayed_term(form.b_sup * F > 0.0, 1.0, form.tau_sup, alpha)
     xi_j = xi[:, :, None]  # xi_j against the gains [c, j, i] into row i
     with np.errstate(over="ignore", invalid="ignore"):
         a_in = (xi_j * np.float_power(form.a_sup, 2.0 * a_exp) * off).sum(axis=1)

@@ -24,7 +24,8 @@ from .config import (ConfigError, builtin_config_path, config_hash, load_model,
 from .model import ConstantIC, validate
 from .certify import (ModelShapeError, check_row_dominance, compare_criteria, compute_bounds,
                       find_decay_rate, find_weights, random_discrete_delay_model)
-from .integrate import DivergenceError, simulate
+from .integrate import DivergenceError, StepTooSmallError, simulate
+from .kernels import TAIL_TOL
 from .periodic import (NoConvergenceError, estimate_decay_rate, find_periodic_orbit,
                        verify_periodicity)
 
@@ -389,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ic", default=None, help="comma-separated constant history")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--plot", default=None, help="SVG output path")
-    p.add_argument("--tail-tol", type=_fraction, default=1e-8, dest="tail_tol")
+    p.add_argument("--tail-tol", type=_fraction, default=TAIL_TOL, dest="tail_tol")
     p.add_argument("--force", action="store_true",
                    help="simulate even when certification fails")
     p.set_defaults(handler=cmd_simulate)
@@ -419,6 +420,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except StepTooSmallError as exc:
+        print(f"error: --h: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ValueError as exc:  # a ConfigError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -5,7 +5,7 @@ exact on nodes.  Node values and derivatives feed a cubic Hermite continuous
 extension used for all delayed lookups.  The initial history is a leading
 block of nodes in the same storage: a constant history is one node, a
 sampled history on the same step keeps its own nodes, and any other history
-is sampled onto the step grid back to the model's largest lag.  One locate
+is sampled onto the step grid back to the read plan's reach.  One locate
 rule then serves every time from before the start up to the horizon.
 
 Each stage reads all its delayed terms -- every atom and every Simpson node
@@ -41,13 +41,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import Atom, simpson_rule
+from .kernels import TAIL_TOL, Atom, simpson_rule
 from .model import (ConstantIC, HermiteNodes, InitialCondition, NetworkModel, SampledIC,
                     SampledModel, _read_only, sampled)
 
 
 class HistoryUnderrunError(RuntimeError):
     """A delayed lookup needed times beyond the represented history."""
+
+
+class StepTooSmallError(ValueError):
+    """One period of half steps is too many samples to hold in memory."""
 
 
 class DivergenceError(RuntimeError):
@@ -83,9 +87,11 @@ class HistoryBuffer(HermiteNodes):
     follows at the same time with the run's slope.  Times at or before
     ``start_time`` therefore read the initial block and later times the run,
     through one locate rule: the history is constant before its first node,
-    the newest cubic serves times up to ``horizon`` just past the last node,
-    and anything later raises.  ``lag`` is how far before ``start_time`` an
-    initial history that is not already on the grid gets sampled.
+    and a lookup past the last node (past ``horizon``, which is ``start_time``,
+    while the run has no node) raises.  Run stages read past the newest node
+    through the clamp in ``read`` of :func:`_stage_function`, which
+    extrapolates the newest cubic.  ``lag`` is how far before ``start_time``
+    an initial history that is not already on the grid gets sampled.
 
     ``values`` and ``derivs`` are (rows, n) views from the run's node 0.  The
     storage is unit-major, so one flat gather reads any mix of units.
@@ -323,7 +329,12 @@ def _period_plan(model: NetworkModel, h: float, tail_tol: float, samples: int) -
     Sample r belongs to half step r and is anchored at node ``r // 2``; the
     period map runs every iteration on the same plan of a whole period.
     """
-    sm = sampled(model, 2 * _exact_steps(model.omega, h, "period"), 0.5 * h)
+    period = _exact_steps(model.omega, h, "period")
+    try:
+        sm = sampled(model, 2 * period, 0.5 * h)
+    except (MemoryError, ValueError):  # numpy refuses a count past its largest array
+        raise StepTooSmallError(f"step h={h} is too small: one period is {period:.3g} steps, "
+                                "too many to sample in memory") from None
     half = np.arange(samples) % 2
     plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h), h, half * 0.5)
     # the history reaches the midpoint's step end, and the node at the other stages
@@ -405,7 +416,7 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
 
 
 def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
-        tail_tol: float = 1e-8, quad_step: float | None = None) -> np.ndarray:
+        quad_step: float | None = None) -> np.ndarray:
     """Right side at time ``t`` with delayed lookups: one stage of :func:`simulate`.
 
     The stage is anchored at the newest node of ``history`` on a plan of one sample.
@@ -414,7 +425,7 @@ def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
     sm = SampledModel(model, [t])
     h = history.h
     node = max(history.count - 1, 0)
-    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h if quad_step is None else quad_step), h,
+    plan = _ReadPlan(sm, _delayed_reads(sm, TAIL_TOL, h if quad_step is None else quad_step), h,
                      [(t - history.start_time) / h - node])
     history._check_horizon(history.start_time + (node + float(plan.latest[0])) * h)
     stage, delayed = _stage_function(plan, history)
@@ -430,7 +441,7 @@ def _exact_steps(total: float, h: float, what: str) -> int:
 
 
 def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
-             tail_tol: float = 1e-8) -> Trajectory:
+             tail_tol: float = TAIL_TOL) -> Trajectory:
     """Classical RK4 from time 0 with the dense history driving delays.
 
     ``h`` must divide the period exactly and ``t_end`` must be a multiple of
@@ -479,15 +490,13 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
 
 
 def convergence_order(model: NetworkModel, ic: InitialCondition, t_end: float,
-                      k0: int = 32, window: tuple[float, float] | None = None,
-                      tail_tol: float = 1e-8) -> float:
+                      k0: int = 32, window: tuple[float, float] | None = None) -> float:
     """Richardson order estimate from runs at h, h/2, h/4.
 
     Compares states at shared nodes (optionally restricted to a window away
     from the initial breaking point) and returns log2 of the error ratio.
     """
-    runs = [simulate(model, ic, t_end, model.omega / (k0 * 2 ** lev), tail_tol)
-            for lev in range(3)]
+    runs = [simulate(model, ic, t_end, model.omega / (k0 * 2 ** lev)) for lev in range(3)]
 
     def sup_diff(coarse: Trajectory, fine: Trajectory) -> float:
         diff = np.abs(coarse.states - fine.states[::2]).max(axis=1)

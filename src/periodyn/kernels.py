@@ -19,6 +19,7 @@ import numpy as np
 from .expressions import PeriodicExpr
 
 _DEFAULT_QUAD_INTERVALS = 4096
+TAIL_TOL = 1e-8  # densities of infinite support are cut where their tail mass falls below this
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,6 @@ class DelayKernel:
     def is_zero(self) -> bool:
         return not self.atoms and self.density is None
 
-    def max_lag(self, tail_tol: float = 1e-8) -> float:
-        """Largest lag the kernel can reach back to (densities truncated)."""
-        lag = max((a.s for a in self.atoms), default=0.0)
-        if self.density is not None:
-            lag = max(lag, self.density.shape.cutoff(tail_tol))
-        return lag
-
     @property
     def parts(self) -> tuple:
         """The atoms, then the density part if there is one: the one part order."""
@@ -235,7 +229,7 @@ def exp_moment(kernel: DelayKernel, t: float, alpha: float) -> KernelMoment:
     return KernelMoment(alpha=alpha, value=float(values), finite=finite)
 
 
-def simpson_rule(shape: Density, tail_tol: float = 1e-8,
+def simpson_rule(shape: Density, tail_tol: float = TAIL_TOL,
                  step: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of composite Simpson for ``density(s) * lookup(s)`` on [0, cutoff].
 
@@ -260,7 +254,7 @@ def simpson_rule(shape: Density, tail_tol: float = 1e-8,
 
 
 def density_quadrature(shape: Density, lookup: Callable[[float], float],
-                       tail_tol: float = 1e-8, step: float | None = None) -> float:
+                       tail_tol: float = TAIL_TOL, step: float | None = None) -> float:
     """Integral of ``density(s) * lookup(s)`` by :func:`simpson_rule`, one lookup per node."""
     nodes, weights = simpson_rule(shape, tail_tol, step)
     return float(weights @ np.array([lookup(float(s)) for s in nodes]))
@@ -270,7 +264,7 @@ def convolve(
     kernel: DelayKernel,
     t: float,
     lookup: Callable[[float], float],
-    tail_tol: float = 1e-8,
+    tail_tol: float = TAIL_TOL,
     step: float | None = None,
 ) -> float:
     """Integrate ``lookup`` against the kernel measure at time ``t``.

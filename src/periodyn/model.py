@@ -282,19 +282,6 @@ class NetworkModel:
         # str hashes differ between processes, so a pickle leaves the hash out
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @functools.lru_cache(maxsize=8)
-    def max_lag(self, tail_tol: float = 1e-8, grid_points: int = 4096) -> float:
-        """Longest delay plus kernel lag, each delay's sup from ``TermTable.bounds`` on a grid.
-
-        A sampled bound, not what sizes a run's history: the integrator and the
-        period map's window take their reach from the read plan's samples.
-        """
-        t = np.linspace(0.0, self.omega, grid_points, endpoint=False)
-        tau_sup = coefficient_table(self).bounds(t, ("tau",))["tau"][1].reshape(self.n, self.n)
-        return max([0.0] + [float(tau_sup[i, j]) + kern.max_lag(tail_tol)
-                            for i, row in enumerate(self.kernels) for j, kern in enumerate(row)
-                            if not kern.is_zero])
-
 
 def _kernel_parts(model: NetworkModel) -> tuple:
     """(i, j, part) of every atom and density: pairs row-major, each kernel's atoms first."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import Trajectory, _period_plan, simulate, write_states_csv
+from .kernels import TAIL_TOL
 from .model import HermiteNodes, InitialCondition, NetworkModel, SampledIC, _positive_weights
 
 ANDERSON_DEPTH = 3  # the orbit search mixes the differences of the last 3 + 1 maps
@@ -97,32 +98,30 @@ class RateFit:
     degenerate: bool = False
 
 
-def lookback_steps(model: NetworkModel, h: float, tail_tol: float = 1e-8) -> int:
+def lookback_steps(model: NetworkModel, h: float) -> int:
     """History window length (in steps) the period map must carry.
 
     The lag is the reach of the read plan a run of at least one period uses,
     so the window holds every node a delayed read interpolates between.
     """
-    lag = _period_plan(model, h, tail_tol, 2 * round(model.omega / h)).max_lag
+    lag = _period_plan(model, h, TAIL_TOL, 2 * round(model.omega / h)).max_lag
     return max(1, int(math.ceil(lag / h - 1e-9)))
 
 
-def _advance_one_period(model: NetworkModel, ic: InitialCondition, h: float,
-                        tail_tol: float) -> tuple[SampledIC, Trajectory]:
-    traj = simulate(model, ic, model.omega, h, tail_tol)
-    return traj.history.window(lookback_steps(model, h, tail_tol)), traj
+def _advance_one_period(model: NetworkModel, ic: InitialCondition,
+                        h: float) -> tuple[SampledIC, Trajectory]:
+    traj = simulate(model, ic, model.omega, h)
+    return traj.history.window(lookback_steps(model, h)), traj
 
 
-def period_map(model: NetworkModel, ic: InitialCondition, h: float,
-               tail_tol: float = 1e-8) -> SampledIC:
+def period_map(model: NetworkModel, ic: InitialCondition, h: float) -> SampledIC:
     """Advance the history one period and re-base it to end at time 0."""
-    sampled, _ = _advance_one_period(model, ic, h, tail_tol)
+    sampled, _ = _advance_one_period(model, ic, h)
     return sampled
 
 
 def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
                         fp_tol: float = 1e-10, max_iters: int = 1000,
-                        tail_tol: float = 1e-8,
                         xi=None) -> tuple[PeriodSegment, float, int]:
     """Anderson-accelerated iteration of the period map G to its fixed point.
 
@@ -143,7 +142,7 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
     restarts = 0
     mixed: list[np.ndarray] = []  # (G(x), G(x) - x) of each map being mixed
     for it in range(1, max_iters + 1):
-        window, traj = _advance_one_period(model, current, h, tail_tol)
+        window, traj = _advance_one_period(model, current, h)
         g = np.concatenate((window.values, window.derivs))
         if it > 1:
             f = g - x
@@ -176,14 +175,14 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
 
 
 def verify_periodicity(segment: PeriodSegment, model: NetworkModel, h: float,
-                       k_periods: int = 5, tail_tol: float = 1e-8, xi=None) -> float:
+                       k_periods: int = 5, xi=None) -> float:
     """Simulate several periods from the segment and measure the repeat defect.
 
     Returns max over nodes of the weighted norm of u(t + omega) - u(t).
     """
     xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
-    ic = segment.as_history(lookback_steps(model, h, tail_tol))
-    traj = simulate(model, ic, k_periods * segment.omega, h, tail_tol)
+    ic = segment.as_history(lookback_steps(model, h))
+    traj = simulate(model, ic, k_periods * segment.omega, h)
     k = int(round(segment.omega / h))
     diff = traj.states[k:] - traj.states[:-k]
     return float(np.max(np.abs(diff) / xi[None, :]))
@@ -191,7 +190,7 @@ def verify_periodicity(segment: PeriodSegment, model: NetworkModel, h: float,
 
 def estimate_decay_rate(model: NetworkModel, segment: PeriodSegment,
                         ic_perturbed: InitialCondition, h: float, t_end: float,
-                        tail_tol: float = 1e-8, xi=None) -> RateFit:
+                        xi=None) -> RateFit:
     """Fit the exponential approach of a perturbed run toward the orbit.
 
     Fits log of the weighted distance over [t_end/4, t_end], skipping nodes
@@ -199,7 +198,7 @@ def estimate_decay_rate(model: NetworkModel, segment: PeriodSegment,
     degenerate (convergence faster than measurable), not as a failure.
     """
     xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
-    traj = simulate(model, ic_perturbed, t_end, h, tail_tol)
+    traj = simulate(model, ic_perturbed, t_end, h)
     err = np.max(np.abs(traj.states - segment.eval(traj.times)) / xi[None, :], axis=1)
     lo = t_end / 4.0
     mask = (traj.times >= lo) & (err >= 1e-12)

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -541,3 +546,28 @@ class TestFindPeriodReports:
         assert main(["find-period", str(path), "--h", "1e-2", "--grid", "256"]) == 0
         fit = json.loads(capsys.readouterr().out, parse_constant=_refuse)["results"]["rate_fit"]
         assert fit["degenerate"] is True and fit["alpha_emp"] is None
+
+
+# 4 GB of address space: an allocation the size of a tiny step's period fails at once
+_ADDRESS_SPACE = 4 * 2 ** 30
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_ADDRESS_SPACE, _ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--h", "1e-12", "--t-end", "0", "--force"],
+    ["simulate", "--h", "1e-300", "--t-end", "0", "--force"],
+    ["find-period", "--h", "1e-12", "--grid", "256"],
+])
+def test_tiny_step_is_an_input_error_naming_h(cfg_file, argv):
+    # one period of 2 / h half steps cannot be sampled; the address-space limit
+    # of a separate process keeps a code path that tries from really allocating
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "periodyn.cli", argv[0], cfg_file, *argv[1:]],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: --h: step h={float(argv[2])} is too small: ")
+    assert "Traceback" not in proc.stderr

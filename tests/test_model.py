@@ -152,9 +152,6 @@ class TestNetworkModel:
         assert np.array_equal(a.d, b.d) and np.array_equal(a.a, b.a)
         assert np.array_equal(a.tau, b.tau) and np.array_equal(a.inputs, b.inputs)
 
-    def test_max_lag_builtin(self, builtin):
-        assert builtin.max_lag() == pytest.approx(math.pi / 2, abs=1e-5)
-
 
 class TestValidate:
     def test_builtin_is_admissible(self, builtin):

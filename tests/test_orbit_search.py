@@ -49,8 +49,8 @@ def test_restart_takes_the_plain_step(monkeypatch, max_iters, residuals):
     maps = []  # (input, output window) of every period map
     advance = periodic._advance_one_period
 
-    def recorded(model, ic, h, tail_tol):
-        window, traj = advance(model, ic, h, tail_tol)
+    def recorded(model, ic, h):
+        window, traj = advance(model, ic, h)
         maps.append((ic, window))
         return window, traj
 

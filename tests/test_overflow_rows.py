@@ -83,6 +83,20 @@ def test_zero_delayed_gain_stays_zero_in_the_split_sup_rows():
     assert rep.satisfied and rep.worst_row_residual == -50.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_lag_certifies_alike_as_tau_and_as_an_atom():
+    # the lag 1 as an atom puts e^{750} into the mass, as tau into the factor;
+    # either way f = 0 gives the delayed term no weight
+    zero = Activation.zero()
+    as_tau = scalar_model(800.0, kernel=DelayKernel((Atom(0.0, const(0.1)),)), tau=const(1.0),
+                          g=zero, f=zero)
+    as_atom = scalar_model(800.0, kernel=DelayKernel((Atom(1.0, const(0.1)),)), g=zero, f=zero)
+    certs = [find_weights(model, 64, alpha=750.0) for model in (as_tau, as_atom)]
+    assert [(c.xi.tolist(), c.eta) for c in certs] == [([1.0], 50.0)] * 2
+    radii = [mmatrix_weights(model, 64, 750.0) for model in (as_tau, as_atom)]
+    assert [(rho, xi.tolist()) for rho, xi in radii] == [(0.0, [1.0])] * 2
+
+
 # --- density moments past the float range: inf mass, as for atoms ------------
 
 DENSITIES = {"uniform": {"shape": "uniform", "width": 1.0},

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from periodyn.expressions import const, term_expr
-from periodyn.kernels import Atom, DelayKernel
+from periodyn.integrate import _period_plan
+from periodyn.kernels import TAIL_TOL, Atom, DelayKernel
 from periodyn.model import Activation, ConstantIC
 from periodyn.certify import find_decay_rate
 from periodyn.periodic import (NoConvergenceError, estimate_decay_rate,
@@ -46,7 +47,8 @@ class TestPeriodMap:
     def test_window_ends_at_zero_and_covers_lookback(self, builtin):
         out = period_map(builtin, ConstantIC((0.0, 0.0, 0.0)), 0.002)
         assert out.end == 0.0
-        assert -out.start >= builtin.max_lag() - 1e-9
+        plan = _period_plan(builtin, 0.002, TAIL_TOL, 2 * round(builtin.omega / 0.002))
+        assert -out.start >= plan.max_lag - 1e-9
 
     def test_builtin_regression_snapshot(self, builtin):
         out = period_map(builtin, ConstantIC((0.0, 0.0, 0.0)), 0.002)

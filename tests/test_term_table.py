@@ -158,17 +158,6 @@ def test_sampled_model_is_the_per_expression_stack(name):
             assert got.flags.c_contiguous and not got.flags.writeable
 
 
-@pytest.mark.parametrize("name", ["builtin", "distributed", "wide0"])
-def test_max_lag_takes_the_table_sups(name, monkeypatch):
-    model = MODELS[name]()
-    t = np.linspace(0.0, model.omega, 4096, endpoint=False)
-    want = max(float(np.max(model.tau[i][j].eval(t))) + model.kernels[i][j].max_lag()
-               for i in range(model.n) for j in range(model.n) if not model.kernels[i][j].is_zero)
-    assert model.max_lag() == want
-    monkeypatch.setattr(expressions, "_BLOCK_VALUES", 7)
-    assert NetworkModel.max_lag.__wrapped__(model) == want
-
-
 # --- the model's hash is computed once -------------------------------------------
 
 def test_model_hash_is_the_field_hash_and_survives_pickle():
@@ -305,4 +294,4 @@ def test_an_empty_grid_is_refused(builtin):
     with pytest.raises(ValueError):
         validate(builtin, grid_points=0)
     with pytest.raises(ValueError):
-        NetworkModel.max_lag.__wrapped__(builtin, 1e-8, 0)
+        coefficient_table(builtin).bounds(np.array([]), ("tau",))
