@@ -21,10 +21,10 @@ import numpy as np
 # validate are re-exported: callers reach them as periodyn.cli.*
 from .config import (ConfigError, builtin_config_path, config_hash, load_model,
                      model_to_config, parse_config, serialize_config)
-from .model import ConstantIC, validate
+from .model import ConstantIC, GridTooLargeError, validate
 from .certify import (ModelShapeError, check_row_dominance, compare_criteria, compute_bounds,
                       find_decay_rate, find_weights, random_discrete_delay_model)
-from .integrate import DivergenceError, StepTooSmallError, simulate
+from .integrate import DivergenceError, RunTooLongError, StepTooSmallError, simulate
 from .kernels import TAIL_TOL
 from .periodic import (NoConvergenceError, estimate_decay_rate, find_periodic_orbit,
                        verify_periodicity)
@@ -33,6 +33,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
+# the flag that sets the size of an array too large to hold in memory
+_SIZE_FLAGS = ((StepTooSmallError, "--h"), (GridTooLargeError, "--grid"),
+               (RunTooLongError, "--t-end"))
 
 
 # --- SVG line plots ----------------------------------------------------------
@@ -420,11 +423,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except StepTooSmallError as exc:
-        print(f"error: --h: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:  # a ConfigError too
-        print(f"error: {exc}", file=sys.stderr)
+        flag = next((f"{flag}: " for kind, flag in _SIZE_FLAGS if isinstance(exc, kind)), "")
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

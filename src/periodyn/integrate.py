@@ -14,21 +14,23 @@ every coefficient has the period, so each read lies at the same place
 relative to its stage's node in every period.  The plan, built once per
 model, step and tail tolerance, holds per half-step sample where each
 kernel part's first read lies and each part's weight; the other Simpson
-nodes of a density trail its first read by fixed lags, so the plan grows
-with the samples times the parts.  A stage then places its reads with one
-subtract and one ceil, gathers their interval ends, forms the Hermite blend
-(the history's own), calls each distinct activation once and sums with
-``np.bincount``.  Reads at or before the start shift into the initial
-block, reads before its first node return it unchanged, and while the run
-has one node reads past it take its Taylor step.  The delayed terms read
-only the history, never the current state, so the two midpoint stages of a
-step share one sum, and the next step's first stage reuses the last stage's
-sum unless one of its reads lies in the step just taken.  Stage reads that
-land inside the current step (delays shorter than the step) evaluate the
-newest Hermite cubic beyond its interval instead of solving implicit stage
-equations.  Coefficient expressions are cached over one period at half-step
-resolution, which also makes the periodicity of the flow exact in floating
-point.
+nodes of a density trail its first read by fixed lags.  The delayed terms
+read only the history, never the current state, so by the method of steps
+(Bellen & Zennaro, *Numerical Methods for Delay Differential Equations*,
+2003, ch. 3) the steps from a node whose reads all lie in stored nodes
+share one read, and so do a step's own stages otherwise.  A read places
+the reads of its samples with one subtract and one ceil, gathers their
+interval ends, forms the Hermite blend (the history's own), calls each
+distinct activation once and sums per sample with ``np.bincount``.  Reads
+at or before the start shift into the initial block, reads before its
+first node return it unchanged, and while the run has one node reads past
+it take its Taylor step.  The next step's first stage reuses the last
+stage's sum unless one of its reads lies in the step just taken.  Stage
+reads that land inside the current step (delays shorter than the step)
+evaluate the newest Hermite cubic beyond its interval instead of solving
+implicit stage equations.  Coefficient expressions are cached over one
+period at half-step resolution, which also makes the periodicity of the
+flow exact in floating point.
 """
 
 from __future__ import annotations
@@ -41,17 +43,22 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .expressions import _BLOCK_VALUES
 from .kernels import TAIL_TOL, Atom, simpson_rule
-from .model import (ConstantIC, HermiteNodes, InitialCondition, NetworkModel, SampledIC,
-                    SampledModel, _read_only, sampled)
+from .model import (ConstantIC, GridTooLargeError, HermiteNodes, InitialCondition, NetworkModel,
+                    SampledIC, SampledModel, _read_only, sampled)
 
 
 class HistoryUnderrunError(RuntimeError):
     """A delayed lookup needed times beyond the represented history."""
 
 
-class StepTooSmallError(ValueError):
+class StepTooSmallError(GridTooLargeError):
     """One period of half steps is too many samples to hold in memory."""
+
+
+class RunTooLongError(ValueError):
+    """A run of more nodes than memory holds."""
 
 
 class DivergenceError(RuntimeError):
@@ -269,7 +276,7 @@ def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _Dela
 
 
 def _elementwise(acts, units):
-    """Apply ``acts[units[k]]`` to entry k of an array, one call per distinct activation."""
+    """Apply ``acts[units[k]]`` to entry k of an array's last axis, one call per activation."""
     groups: dict = {}
     for k, q in enumerate(units):
         groups.setdefault(acts[q], []).append(k)
@@ -280,7 +287,7 @@ def _elementwise(acts, units):
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
         for act, pos in index:
-            out[pos] = act(x[pos])
+            out[..., pos] = act(x[..., pos])
         return out
 
     return apply
@@ -294,10 +301,11 @@ class _ReadPlan:
     at a node, and read k of part p lies ``anchor[r, p] - steps[k]`` steps
     after that node: ``anchor`` places the part's first read and ``steps``
     holds each read's fixed lag behind it, in steps (0 for an atom).  A
-    stage locates its reads from these with one subtract and one ceil, so
-    the tables grow with the samples times the parts, not with the Simpson
-    nodes.  ``latest[r]`` is the position of sample r's latest read and
-    ``low[r]`` bounds the interval of its earliest.
+    read locates the reads of a block of samples from these with one
+    subtract and one ceil, so the tables grow with the samples times the
+    parts, not with the Simpson nodes.  ``latest[r]`` is the position of
+    sample r's latest read, which bounds a block, and ``low[r]`` bounds the
+    interval of its earliest.
     """
 
     def __init__(self, sm: SampledModel, reads: _DelayedReads, h: float, offsets):
@@ -315,11 +323,28 @@ class _ReadPlan:
         self.f_act = _elementwise(model.f, reads.src)
         self.latest = self.anchor.max(axis=1, initial=-math.inf)
         earliest = (self.anchor - self.steps[last]).min(axis=1, initial=math.inf)
-        self.low = np.minimum(np.ceil(earliest) - 1.0, -2.0).astype(int).tolist()
+        self.low = np.minimum(np.ceil(earliest) - 1.0, -2.0).astype(np.intp)
         lags = sm.tau.min(axis=0).reshape(-1)[reads.pair] + reads.lag
         self.min_lag = float(lags.min(initial=math.inf))
         self.max_lag = float((sm.tau.max(axis=0).reshape(-1)[reads.pair]
                               + reads.lag).max(initial=0.0))
+
+
+def _block_steps(latest: np.ndarray, width: int) -> list[int]:
+    """Per node m of a period's plan, how many steps from m read only nodes up to m.
+
+    Sample j reads up to node ``j // 2 + ceil(latest[j % latest.size])``.  A
+    block of samples ``width`` values wide holds at most ``_BLOCK_VALUES``.
+    """
+    cap = max(1, _BLOCK_VALUES // (2 * width))
+    nodes = (latest.size + 1) // 2
+    j = np.arange(1, 2 * (nodes + cap) + 1)
+    # sample j is out of reach from the nodes m before its own (2m < j) up to last[j]
+    last = np.minimum(j // 2 + np.ceil(latest[j % latest.size]) - 1.0, (j - 1) // 2)
+    first = np.full(nodes + cap, j[-1] + 1)  # the first sample out of reach at node m
+    np.minimum.at(first, last[last >= 0.0].astype(np.intp), j[last >= 0.0])
+    first = np.minimum.accumulate(first[::-1])[::-1]
+    return np.minimum((first[:nodes] - 2 * np.arange(nodes) - 1) // 2, cap).tolist()
 
 
 @functools.lru_cache(maxsize=4)
@@ -332,7 +357,7 @@ def _period_plan(model: NetworkModel, h: float, tail_tol: float, samples: int) -
     period = _exact_steps(model.omega, h, "period")
     try:
         sm = sampled(model, 2 * period, 0.5 * h)
-    except (MemoryError, ValueError):  # numpy refuses a count past its largest array
+    except GridTooLargeError:
         raise StepTooSmallError(f"step h={h} is too small: one period is {period:.3g} steps, "
                                 "too many to sample in memory") from None
     half = np.arange(samples) % 2
@@ -344,6 +369,7 @@ def _period_plan(model: NetworkModel, h: float, tail_tol: float, samples: int) -
         read = (r // 2 + float(plan.latest[r])) * h
         raise HistoryUnderrunError(
             f"the stage at t={float(sm.t[r])!r} reads t={read!r}, past the history")
+    plan.blocks = _block_steps(plan.latest, max(plan.col.size, model.n))  # reads or sums
     return plan
 
 
@@ -355,7 +381,9 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
     at node ``jh // 2``.  ``delayed`` sums the delayed terms from ``hist``
     in one gather and one blend, per kernel part and then per unit; they
     depend on the time and the history but not on ``u``, so stages at one
-    time and one history can share them.
+    time and one history can share them.  An array ``jh`` reads a block of
+    samples in that one gather and returns one row of sums per sample, each
+    with the bits of its own ``delayed(jh)``.
     """
     sm = plan.sm
     n = sm.model.n
@@ -366,31 +394,33 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
     anchor, steps, low, h = plan.anchor, plan.steps, plan.low, plan.h
     base = hist.base
     units = {}  # storage capacity -> each read's flat index of the run's node 0
+    spread = (0, None, None)  # samples, then the bincount bins of samples 0, 1, ... of a block
 
-    def read(r: int, node: int) -> np.ndarray:
+    def read(r: np.ndarray, node: np.ndarray) -> np.ndarray:  # node: a column, one per sample
         count = hist.count
         unit = units.get(hist._cap)
         if unit is None:
             unit = units[hist._cap] = plan.src * hist._cap + base
-        pos = anchor[r][col]
+        pos = anchor[r[:, None], col]
         pos -= steps
         # the interval each read lies in at an offset in (0, 1], clamped to the
         # newest one so that later reads extrapolate the newest cubic; RK4's
         # last stage reads before its node is appended, so there that is -2
         rel = np.ceil(pos)
         rel -= 1.0
-        np.minimum(rel, -2.0 if 1 < count <= node else -1.0, out=rel)
+        np.minimum(rel, -1.0 - ((node >= count) & (count > 1)), out=rel)
         basis = hist._basis(pos - rel)
         rr = rel.astype(np.intp)
         rr += node  # interval rows counted from the run's node 0
         rows = rr + unit
         before = None
-        if node + low[r] < 0:
+        reach = int((node[:, 0] + low[r]).min())
+        if reach < 0:
             # at or before the start: the initial block, whose last node is the start
             rows -= rr < 0
-            if node + low[r] < 1 - base:  # before its first node: constant
+            if reach < 1 - base:  # before its first node: constant
                 before = rr < 1 - base
-                rows[before] = unit[before] - base
+                rows[before] = np.broadcast_to(unit - base, rows.shape)[before]
         ends = hist._ends(rows)
         out = hist._blend(ends, basis)
         if before is not None:
@@ -398,15 +428,23 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
         if count == 1:  # one node: a first-order Taylor step past the start
             x = pos + node
             ahead = x > 0.0
-            flat = unit[ahead]
+            flat = np.broadcast_to(unit, x.shape)[ahead]
             v, m = hist._flat
             out[ahead] = v[flat] + (x[ahead] * h) * m[flat]
         return out
 
-    def delayed(jh: int) -> np.ndarray:
-        r = jh % mod
-        terms = np.bincount(col, weights=scale * f_act(read(r, jh // 2)), minlength=parts)
-        return np.bincount(part_dst, weights=terms * weights[r], minlength=n)
+    def delayed(jh) -> np.ndarray:
+        nonlocal spread
+        jhs = np.atleast_1d(jh)
+        r, size = jhs % mod, jhs.size
+        if spread[0] < size:
+            s = np.arange(size)[:, None]
+            spread = (size, (s * parts + col).ravel(), (s * n + part_dst).ravel())
+        terms = np.bincount(spread[1][:size * col.size], minlength=size * parts,
+                            weights=(scale * f_act(read(r, jhs[:, None] // 2))).ravel())
+        sums = np.bincount(spread[2][:size * parts], minlength=size * n,
+                           weights=(terms.reshape(size, parts) * weights[r]).ravel())
+        return sums.reshape(size, n) if np.ndim(jh) else sums
 
     def stage(jh: int, u: np.ndarray, du_delayed: np.ndarray) -> np.ndarray:
         idx = jh % mod
@@ -464,27 +502,33 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
         # sub-step lookups will run on the extrapolant every step
         warnings.warn(f"step h={h} is not below the smallest delay {plan.min_lag:.6g}; "
                       "intra-step lookups fall back to the Hermite extrapolant")
-    hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1, lag=plan.max_lag)
+    try:
+        hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1, lag=plan.max_lag)
+    except (MemoryError, ValueError):  # numpy refuses a count past its largest array
+        raise RunTooLongError(f"t_end={t_end} is {steps:.3g} steps of h={h}, too many nodes "
+                              "to hold in memory") from None
     stage, delayed = _stage_function(plan, hist)
     near = (plan.latest > -1.0).tolist()  # some read lies less than a step before the node
+    m = 0
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = stage(0, u, delayed(0))
         hist.append(u, k1)
-        for m in range(steps):
-            jh = 2 * m
-            mid = delayed(jh + 1)  # k2 and k3 read the same history
-            k2 = stage(jh + 1, u + (0.5 * h) * k1, mid)
-            k3 = stage(jh + 1, u + (0.5 * h) * k2, mid)
-            end = delayed(jh + 2)
-            k4 = stage(jh + 2, u + h * k3, end)
-            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(u).all():
-                raise DivergenceError((m + 1) * h)
-            hist.append(u, k4)  # provisional slope until the node is committed
-            if near[(jh + 2) % len(near)]:  # some reads lie in the step just taken
-                end = delayed(jh + 2)
-            k1 = stage(jh + 2, u, end)
-            hist.set_last_derivative(k1)
+        while m < steps:  # a block of steps whose reads all lie in stored nodes, or one step
+            size = max(min(plan.blocks[m % len(plan.blocks)], steps - m), 1)
+            for mid, end in delayed(np.arange(2 * m + 1, 2 * (m + size) + 1)).reshape(size, 2, n):
+                jh = 2 * m
+                k2 = stage(jh + 1, u + (0.5 * h) * k1, mid)  # k2 and k3 read the same history
+                k3 = stage(jh + 1, u + (0.5 * h) * k2, mid)
+                k4 = stage(jh + 2, u + h * k3, end)
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                m += 1
+                if not np.isfinite(u).all():
+                    raise DivergenceError(m * h)
+                hist.append(u, k4)  # provisional slope until the node is committed
+                if near[(jh + 2) % len(near)]:  # some reads lie in the step just taken
+                    end = delayed(jh + 2)
+                k1 = stage(jh + 2, u, end)
+                hist.set_last_derivative(k1)
     times = np.arange(steps + 1) * h
     return Trajectory(times=times, states=hist.values[: steps + 1].copy(), history=hist)
 

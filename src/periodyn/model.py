@@ -337,6 +337,10 @@ class SampledModel:
         self.kernel_weights = _read_only(values["weights"])
 
 
+class GridTooLargeError(ValueError):
+    """A grid of more samples than memory holds."""
+
+
 @functools.lru_cache(maxsize=8)
 def sampled(model: NetworkModel, count: int, step: float) -> SampledModel:
     """The model sampled at ``arange(count) * step``, remembered per grid.
@@ -344,7 +348,10 @@ def sampled(model: NetworkModel, count: int, step: float) -> SampledModel:
     Certification samples one period at its grid, integration one period at
     half steps; each command then reads one sampling in all its stages.
     """
-    return SampledModel(model, np.arange(count) * step)
+    try:
+        return SampledModel(model, np.arange(count) * step)
+    except (MemoryError, ValueError):  # numpy refuses a count past its largest array
+        raise GridTooLargeError(f"{count} samples are too many to hold in memory") from None
 
 
 def eval_coefficients(model: NetworkModel, t: float) -> SampledModel:

@@ -571,3 +571,20 @@ def test_tiny_step_is_an_input_error_naming_h(cfg_file, argv):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: --h: step h={float(argv[2])} is too small: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--h", "1e-2", "--t-end", "1e12", "--force"], "--t-end"),
+    (["simulate", "--h", "1e-2", "--t-end", "1e300", "--force"], "--t-end"),
+    (["certify", "--grid", "1000000000000"], "--grid"),
+    (["find-period", "--h", "1e-2", "--grid", "1000000000000"], "--grid"),
+])
+def test_huge_run_or_grid_is_an_input_error_naming_its_flag(cfg_file, argv, flag):
+    # a history of 1e14 nodes or a grid of 1e12 samples cannot be held in memory
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "periodyn.cli", argv[0], cfg_file, *argv[1:]],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {flag}: ") and "in memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
