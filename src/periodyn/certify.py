@@ -21,12 +21,15 @@ from scipy.optimize import linprog
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
 from .kernels import (Atom, DelayKernel, ExponentialDensity, part_gain,
                       part_mass as _part_mass, total_variation)
-from .model import (Activation, NetworkModel, SampledModel, _positive_weights, eval_coefficients,
-                    sampled)
+from .model import (Activation, GridTooLargeError, NetworkModel, SampledModel, _positive_weights,
+                    eval_coefficients, sampled)
 
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
 SPLIT_SEED_GRID = 1024  # the split search seeds from the weights at min(grid, 1024)
+# relative slack of the rate's chord test: over the rounding of 3 rows, each up to 2.2e-7
+# of its magnitude (an exponential density's moment near the rate cap)
+CHORD_TOL = 2.0 ** -20
 
 
 class ModelShapeError(ValueError):
@@ -96,17 +99,19 @@ def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     return gain, True
 
 
-def _delayed_term(coef, mass, lag, alpha: float) -> np.ndarray:
-    """coef * mass * e^{alpha lag} (inf past the float range); coef * mass has the shape of ``lag``.
+def _delayed_term(coef, mass, lag, alpha: float, out=(None, None)) -> np.ndarray:
+    """coef * mass * e^{alpha lag} (inf past the float range), in ``out`` (two buffers) if given.
 
-    The one rule for a delayed gain: 0 wherever coef * mass is not positive (0, or 0 * inf).
+    coef * mass has the shape of ``lag``.  The one rule for a delayed gain: 0 wherever
+    coef * mass is not positive (0, or 0 * inf).
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        term = coef * mass
+        term = np.multiply(coef, mass, out=out[0])
         zero = ~(term > 0.0)
-        factor = np.multiply(alpha, lag)
-        np.exp(factor, out=factor)
-        term *= factor
+        if alpha != 0.0:  # else every factor is e^0 = 1
+            factor = np.multiply(alpha, lag, out=out[1])
+            np.exp(factor, out=factor)
+            term *= factor
     term[zero] = 0.0
     return term
 
@@ -118,22 +123,38 @@ def _row_gains(abs_a, G, moment, F, tau, alpha: float) -> np.ndarray:
     return gain
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, in its order, not numpy's pairwise order."""
+    return functools.reduce(np.add, np.moveaxis(x, -1, 0))
+
+
+@functools.lru_cache(maxsize=8)
 class _ConditionGrid:
-    """Coefficient magnitudes on the grid, shaped for fast residual evaluation."""
+    """Coefficient magnitudes on the grid, one per (model, grid), keeping no (T, n, n) array."""
 
     def __init__(self, model: NetworkModel, grid_points: int):
         self.sm = sampled(model, grid_points, model.omega / grid_points)
         self.n = model.n
         self.G = _lipschitz(model.g)
         self.F = _lipschitz(model.f)
-        self.abs_a = np.abs(self.sm.a)
+        self._zero_rate_gain = None
+
+    def zero_rate_gain(self, gain: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Row sums of D_j times the alpha = 0 kernel gain (T, n) and its sup (n, n), made once."""
+        if self._zero_rate_gain is None:
+            tv = _kernel_gain(self.sm, 0.0)[0] if gain is None else gain
+            D = np.array([act.offset for act in self.sm.model.f])
+            self._zero_rate_gain = (_row_sums(tv * D), tv.max(axis=0))
+        return self._zero_rate_gain
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
         """Row gains :func:`_row_gains` at every grid time."""
         mom, finite = _kernel_gain(self.sm, alpha)
         if not finite:
             return mom, False
-        return _row_gains(self.abs_a, self.G, mom, self.F, self.sm.tau, alpha), True
+        if alpha == 0.0:
+            self.zero_rate_gain(mom)
+        return _row_gains(np.abs(self.sm.a), self.G, mom, self.F, self.sm.tau, alpha), True
 
     def condition_rows(self, gain: np.ndarray, alpha: float) -> np.ndarray:
         """Rows R with R @ xi the residual: ``gain`` plus alpha - d_i on its diagonal, in place."""
@@ -143,6 +164,17 @@ class _ConditionGrid:
 
     def residual_rows(self, xi: np.ndarray, alpha: float) -> np.ndarray:
         return self.condition_rows(self.gain_matrix(alpha)[0], alpha) @ xi
+
+
+def _grid_sized(fn):
+    """``fn`` with a failed allocation of its grid's arrays raised as :class:`GridTooLargeError`."""
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except MemoryError:
+            raise GridTooLargeError("the grid's arrays are too large to hold in memory") from None
+    return call
 
 
 def row_residual(model: NetworkModel, xi, t: float, i: int) -> float:
@@ -227,6 +259,7 @@ def _max_margin_weights(blocks: np.ndarray) -> np.ndarray | None:
         active[inactive.argmax(axis=0)[new], new] = True
 
 
+@_grid_sized
 def find_weights(model: NetworkModel, grid_points: int = 4096,
                  alpha: float = 0.0) -> Certificate | None:
     """Search for positive weights certifying the pointwise condition.
@@ -259,6 +292,7 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
     return Certificate(xi=best_xi, eta=best_eta, alpha=alpha, grid_points=grid_points)
 
 
+@_grid_sized
 def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
                     tol: float = 1e-6) -> float:
     """Largest certifiable decay rate for fixed weights, by bisection.
@@ -270,9 +304,14 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     stops at bracket width ``tol`` (> 0) or when the midpoint rounds onto
     an end of the bracket.  It reads the sampled model's layout: ``xi`` is
     contracted once into a (T, n) base and (T, K) delayed coefficients and
-    lags of the T time samples and K kernel parts.  An infeasible rate drops
-    the time samples whose rows all lie at or below 0 there: later rates are
-    lower.
+    lags of the T time samples and K kernel parts, on the grid all phases
+    share.  A rate takes one mass per distinct part.  An infeasible rate
+    drops the time samples whose rows all lie at or below 0 there: later
+    rates are lower.  Rows are convex in alpha, so the chord of a sample's
+    largest row between the bracket's ends bounds its rows; a sample whose
+    chord lies below 0 by more than rounding (``CHORD_TOL``) is not
+    evaluated, and the others are gathered into two (T, K) buffers, made
+    once, where their delayed terms are computed.
     """
     if not tol > 0.0:
         raise ValueError(f"bisection tolerance must be > 0, got {tol}")
@@ -280,40 +319,57 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     sm, xi = cg.sm, _positive_weights(xi, model.n)
     i, j = np.array([ij for *ij, _ in sm.kernel_parts], dtype=np.intp).reshape(-1, 2).T
     rows, first = np.unique(i, return_index=True)  # a row's parts are adjacent (row-major)
+    parts = {}  # (slot, part) per distinct mass: an atom's lag or a density's shape
+    slot = [parts.setdefault(p.s if isinstance(p, Atom) else p.shape, (len(parts), p))[0]
+            for *_, p in sm.kernel_parts]
 
     # row (t, i): base + alpha xi_i, plus the sum of coef * mass * e^{alpha lag} over the
     # parts of the row, coef = F_j xi_j |w(t)| and lag = tau_ij(t)
-    base = cg.abs_a @ (cg.G * xi) - sm.d * xi
+    base = np.abs(sm.a) @ (cg.G * xi) - sm.d * xi
     coef = np.abs(sm.kernel_weights) * (cg.F * xi)[j]
     lag = np.take(sm.tau.reshape(-1, model.n ** 2), i * model.n + j, axis=1)  # C order, like coef
+    spare = [np.empty_like(coef), np.empty_like(coef)]
 
-    def residual(alpha: float) -> np.ndarray:
-        term = _delayed_term(coef, [_part_mass(p, alpha)[0] for *_, p in sm.kernel_parts],
-                             lag, alpha)
-        delayed = np.zeros_like(base)
+    def residual(alpha: float, idx: np.ndarray) -> np.ndarray:
+        """Largest row of each time sample ``idx``; delayed terms are made in the spare buffers."""
+        mass = np.array([_part_mass(p, alpha)[0] for _, p in parts.values()])[slot]
+        out = [b[:len(idx)] for b in spare]
+        c, l = (coef, lag) if len(idx) == len(coef) else (  # else gathered, then made in place
+            np.take(a, idx, axis=0, out=b, mode="clip") for a, b in zip((coef, lag), out))
+        term = _delayed_term(c, mass, l, alpha, out=out)
+        delayed = np.zeros((len(idx), model.n))
         delayed[:, rows] = np.add.reduceat(term, first, axis=1)  # a fixed order, unlike BLAS
-        return base + alpha * xi + delayed
+        return (base[idx] + alpha * xi + delayed).max(axis=1)
 
-    if residual(0.0).max() > 0.0:
+    kept = np.arange(len(base))
+    res_lo = residual(0.0, kept)
+    if res_lo.max() > 0.0:
         return 0.0
     cap = float(sm.d.max()) + 1.0
-    for *_, p in sm.kernel_parts:
+    for _, p in parts.values():
         if isinstance(getattr(p, "shape", None), ExponentialDensity):
             cap = min(cap, p.shape.lam * (1.0 - 1e-9))
-    lo, hi, alpha = 0.0, cap, cap
-    while True:
-        res = residual(alpha)
+    lo, hi, alpha, res_hi = 0.0, cap, cap, np.full_like(res_lo, math.inf)  # no chord to cap
+    # CHORD_TOL of 2 |base| + res_hi, a bound on a row's |base| + alpha xi + delayed up to hi
+    slack = CHORD_TOL * 2.0 * np.abs(base).max(axis=1)
+    while True:  # res_lo and res_hi bound each sample's largest row; res is their chord at alpha
+        res = res_lo + (alpha - lo) / (hi - lo) * (res_hi - res_lo) + (
+            slack[kept] + CHORD_TOL * np.abs(res_hi))
+        need = np.flatnonzero(~(res < 0.0))  # NaN too
+        if need.size:
+            res[need] = residual(alpha, kept[need])
         if res.max() <= 0.0:
-            lo = alpha
+            lo, res_lo = alpha, res
         else:
             hi = alpha
-            kept = (res > 0.0).any(axis=1)
-            base, coef, lag = base[kept], coef[kept], lag[kept]
+            pos = res > 0.0
+            kept, res_lo, res_hi = kept[pos], res_lo[pos], res[pos]
         alpha = 0.5 * (lo + hi)
         if hi - lo <= tol or alpha in (lo, hi):
             return lo
 
 
+@_grid_sized
 def compute_bounds(model: NetworkModel, certificate: Certificate,
                    grid_points: int | None = None) -> tuple[float, float, float]:
     """A-priori bounds (J, M, N) for a certified model.
@@ -324,20 +380,16 @@ def compute_bounds(model: NetworkModel, certificate: Certificate,
     """
     gp = grid_points or certificate.grid_points or 4096
     cg = _ConditionGrid(model, gp)
-    sm, xi = cg.sm, certificate.xi
-    tv = _kernel_gain(sm, 0.0)[0]
+    sm, xi, abs_a = cg.sm, certificate.xi, np.abs(cg.sm.a)
+    tv_rows, tv_sup = cg.zero_rate_gain()
     abs_inputs = np.abs(sm.inputs)
     C = np.array([act.offset for act in model.g])
-    D = np.array([act.offset for act in model.f])
 
-    def row_sums(x: np.ndarray) -> np.ndarray:  # over j in order, not numpy's pairwise order
-        return functools.reduce(np.add, np.moveaxis(x, -1, 0))
-
-    J = float((row_sums(cg.abs_a * C) + row_sums(tv * D) + abs_inputs).max())
+    J = float((_row_sums(abs_a * C) + tv_rows + abs_inputs).max())
     M = 1.01 * J / certificate.eta if J > 0.0 else 1.0
     alpha_hat = float((np.abs(sm.d).max(axis=0) / xi).max())
-    beta_hat = float(((cg.abs_a.max(axis=0) * cg.G) / xi[:, None]).max())
-    gamma_hat = float(((tv.max(axis=0) * cg.F) / xi[:, None]).max())
+    beta_hat = float(((abs_a.max(axis=0) * cg.G) / xi[:, None]).max())
+    gamma_hat = float(((tv_sup * cg.F) / xi[:, None]).max())
     c_hat = float((abs_inputs.max(axis=0) / xi).max())
     N = (alpha_hat + beta_hat + gamma_hat) * M + c_hat
     return J, M, N
@@ -381,8 +433,8 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
                     "delay per pair")
             for atom in kern.atoms:
                 tau_sup[i, j] += atom.s
-    return DiscreteDelayForm(d_inf=cg.sm.d.min(axis=0), a_sup=cg.abs_a.max(axis=0),
-                             b_sup=_kernel_gain(cg.sm, 0.0)[0].max(axis=0), tau_sup=tau_sup)
+    return DiscreteDelayForm(d_inf=cg.sm.d.min(axis=0), a_sup=np.abs(cg.sm.a).max(axis=0),
+                             b_sup=cg.zero_rate_gain()[1], tau_sup=tau_sup)
 
 
 def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
