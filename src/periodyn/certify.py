@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
 from .kernels import (Atom, DelayKernel, ExponentialDensity, part_gain,
@@ -30,6 +29,7 @@ SPLIT_SEED_GRID = 1024  # the split search seeds from the weights at min(grid, 1
 # relative slack of the rate's chord test: over the rounding of 3 rows, each up to 2.2e-7
 # of its magnitude (an exponential density's moment near the rate cap)
 CHORD_TOL = 2.0 ** -20
+_LP_TOL = 1e-12  # least reduced cost that enters, pivot taken and step that is progress
 
 
 class ModelShapeError(ValueError):
@@ -166,15 +166,24 @@ class _ConditionGrid:
         return self.condition_rows(self.gain_matrix(alpha)[0], alpha) @ xi
 
 
-def _grid_sized(fn):
-    """``fn`` with a failed allocation of its grid's arrays raised as :class:`GridTooLargeError`."""
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except MemoryError:
-            raise GridTooLargeError("the grid's arrays are too large to hold in memory") from None
-    return call
+class TooManyDrawsError(ValueError):
+    """More split-sup draws than memory holds."""
+
+
+def _sized(error: type[ValueError], arrays: str):
+    """A decorator: ``fn`` with a failed allocation of ``arrays`` raised as ``error``."""
+    def wrap(fn):
+        @functools.wraps(fn)
+        def call(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except MemoryError:
+                raise error(f"{arrays} are too large to hold in memory") from None
+        return call
+    return wrap
+
+
+_grid_sized = _sized(GridTooLargeError, "the grid's arrays")
 
 
 def row_residual(model: NetworkModel, xi, t: float, i: int) -> float:
@@ -233,6 +242,70 @@ def _comparison_weights(gain: np.ndarray, d: np.ndarray,
     return rho, xi
 
 
+@dataclass(frozen=True)
+class LPResult:
+    """:func:`linprog`'s answer, in scipy's codes: status 0 optimal, 1 pivot limit, 3 unbounded."""
+
+    status: int
+    x: np.ndarray | None = None  # (xi, t) when optimal
+
+
+def linprog(c, A_ub, b_ub, bounds) -> LPResult:
+    """max t subject to A_ub @ (xi, t) <= b_ub and xi in its ``bounds``: the max-margin LP.
+
+    scipy's call shape for the one LP the weight search poses: c is -e_t, t is the last
+    variable, free, with a column of ones in A_ub, and each xi_j lies in a finite box
+    [lo_j, hi_j].  With xi = lo + y and t = min(r) + s, r = b_ub - A_ub lo, the origin of
+    (y, s) >= 0 is a vertex (the optimal t is at least min(r)), so no phase I is needed; the
+    boxes are n more rows y <= hi - lo.  A dense condensed tableau: the variable of largest
+    reduced cost enters, and Bland's rule (least label enters, least label leaves a tie)
+    after a pivot that made no progress, so the simplex cannot cycle.  The returned t is
+    the largest that xi allows.
+    """
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A_ub, b_ub))
+    m, n = A.shape[0], A.shape[1] - 1
+    lo, hi = np.array(bounds[:n], dtype=float).reshape(n, 2).T
+    if (c[:n].any() or not c[n] < 0.0 or tuple(bounds[n]) != (None, None)
+            or not (A[:, n] == 1.0).all() or not np.isfinite([lo, hi]).all()):
+        raise ValueError("linprog takes only the max-margin LP: max t over A_ub @ (xi, t) "
+                         "<= b_ub, a column of ones for t, and a finite box for each xi")
+    r = b - A[:, :n] @ lo
+    tab = np.zeros((m + n + 1, n + 2))  # rows: A's, the boxes, -(reduced costs); last column: values
+    tab[:m, :n + 1] = A
+    tab[:m, -1] = r - r.min()
+    tab[m:m + n, :n] = np.eye(n)
+    tab[m:m + n, -1] = hi - lo
+    tab[-1, n] = -1.0
+    nonbasic, basic = np.arange(n + 1), np.arange(n + 1, n + 1 + m + n)  # labels: y, s, slacks
+    bland = False
+    for _ in range(50 * (m + n)):  # a guard: without cycling the simplex ends far sooner
+        cost = tab[-1, :-1]
+        enter = np.flatnonzero(cost < -_LP_TOL)
+        if not enter.size:
+            y = np.zeros(m + 2 * n + 1)  # by label; a nonbasic variable is 0
+            y[basic] = tab[:-1, -1]
+            xi = np.clip(lo + y[:n], lo, hi)  # rounding may step past a bound
+            return LPResult(0, np.append(xi, (b - A[:, :n] @ xi).min()))
+        q = enter[np.argmin(nonbasic[enter])] if bland else int(np.argmin(cost))
+        col, val = tab[:-1, q], np.maximum(tab[:-1, -1], 0.0)
+        ok = col > _LP_TOL
+        if not ok.any():
+            return LPResult(3)
+        ratio = np.full(len(col), math.inf)
+        np.divide(val, col, out=ratio, where=ok)
+        ties = np.flatnonzero(ratio == ratio.min())
+        p = ties[np.argmin(basic[ties])] if bland else ties[np.argmax(col[ties])]
+        bland = ratio[p] <= _LP_TOL
+        pivot = tab[p, q]
+        prow, pcol = tab[p] / pivot, tab[:, q].copy()
+        tab -= np.outer(pcol, prow)
+        tab[p] = prow
+        tab[:, q] = -pcol / pivot
+        tab[p, q] = 1.0 / pivot
+        nonbasic[q], basic[p] = basic[p], nonbasic[q]
+    return LPResult(1)
+
+
 def _max_margin_weights(blocks: np.ndarray) -> np.ndarray | None:
     """Weights in [1, XI_BOX_MAX] that minimize the worst row of ``blocks`` (T, n, n) @ xi.
 
@@ -247,7 +320,7 @@ def _max_margin_weights(blocks: np.ndarray) -> np.ndarray | None:
     while True:
         m = int(active.sum())
         res = linprog(c, A_ub=np.hstack([blocks[active], np.ones((m, 1))]), b_ub=np.zeros(m),
-                      bounds=[(1.0, XI_BOX_MAX)] * n + [(None, None)], method="highs")
+                      bounds=[(1.0, XI_BOX_MAX)] * n + [(None, None)])
         if res.status != 0:
             return None
         xi = res.x[:n]
@@ -522,6 +595,7 @@ def search_split_sup_criterion(model: NetworkModel, alpha: float = 0.0, draws: i
     return _split_sup_search(model, form, alpha, draws, seed, cert)
 
 
+@_sized(TooManyDrawsError, "the draws' arrays")
 def _split_sup_search(model: NetworkModel, form: DiscreteDelayForm, alpha: float, draws: int,
                       seed: int, cert: Certificate | None) -> CriterionReport:
     """:func:`search_split_sup_criterion` with the sup form and the seed weights found."""

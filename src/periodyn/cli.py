@@ -8,6 +8,7 @@ are JSON on stdout; exit codes are 0 success, 1 input error, 2 infeasible,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -22,8 +23,8 @@ import numpy as np
 from .config import (ConfigError, builtin_config_path, config_hash, load_model,
                      model_to_config, parse_config, serialize_config)
 from .model import ConstantIC, GridTooLargeError, validate
-from .certify import (ModelShapeError, check_row_dominance, compare_criteria, compute_bounds,
-                      find_decay_rate, find_weights, random_discrete_delay_model)
+from .certify import (ModelShapeError, TooManyDrawsError, check_row_dominance, compare_criteria,
+                      compute_bounds, find_decay_rate, find_weights, random_discrete_delay_model)
 from .integrate import DivergenceError, RunTooLongError, StepTooSmallError, simulate
 from .kernels import TAIL_TOL
 from .periodic import (NoConvergenceError, estimate_decay_rate, find_periodic_orbit,
@@ -33,9 +34,16 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
+
+
+class EnsembleTooLargeError(ValueError):
+    """An ensemble of more instances than memory holds."""
+
+
 # the flag that sets the size of an array too large to hold in memory
 _SIZE_FLAGS = ((StepTooSmallError, "--h"), (GridTooLargeError, "--grid"),
-               (RunTooLongError, "--t-end"))
+               (RunTooLongError, "--t-end"), (TooManyDrawsError, "--draws"),
+               (EnsembleTooLargeError, "--ensemble"))
 
 
 # --- SVG line plots ----------------------------------------------------------
@@ -283,13 +291,17 @@ def ensemble_instance(task: tuple[int, int, int]) -> dict:
 def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
                  workers: int = 1) -> dict:
     """Seeded criterion comparison over random constant-delay instances."""
-    tasks = [(seed + idx, grid, draws) for idx in range(count)]
+    try:  # the rows first, so an ensemble too large to hold fails before any instance runs
+        rows = [None] * count
+        tasks = [(seed + idx, grid, draws) for idx in range(count)]
+    except MemoryError:
+        raise EnsembleTooLargeError(f"{count} instances are too many to hold in memory") from None
     workers = min(workers, count)  # a fork pool starts all its workers at the first submit
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(ensemble_instance, tasks))
+            rows[:] = pool.map(ensemble_instance, tasks)
     else:
-        rows = [ensemble_instance(task) for task in tasks]
+        rows[:] = map(ensemble_instance, tasks)
     counts = {
         "instances": count,
         **{key: sum(r[key] for r in rows) for key in ENSEMBLE_CRITERIA},
@@ -421,12 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # what exists now (the modules) outlives the command: a full collection, which building
+    # a large model's config can set off, need not scan it
+    gc.freeze()
     try:
         return args.handler(args)
     except ValueError as exc:  # a ConfigError too
         flag = next((f"{flag}: " for kind, flag in _SIZE_FLAGS if isinstance(exc, kind)), "")
         print(f"error: {flag}{exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

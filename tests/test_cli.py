@@ -588,3 +588,16 @@ def test_huge_run_or_grid_is_an_input_error_naming_its_flag(cfg_file, argv, flag
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {flag}: ") and "in memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--draws", "--ensemble"])
+def test_huge_draws_or_ensemble_is_an_input_error_naming_its_flag(cfg_file, flag):
+    # 1e9 split-sup draws are a 156 GiB array, and 1e9 ensemble rows 8 GB of pointers
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "periodyn.cli", "compare", cfg_file, "--grid", "256",
+                           flag, "1000000000"],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {flag}: ") and "in memory" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -141,11 +141,15 @@ def test_sup_lp_is_one_round_and_bit_identical(monkeypatch, seed):
     form = discrete_delay_form(model, 512)
     S = (form.a_sup * certify._lipschitz(model.g)
          + form.b_sup * certify._lipschitz(model.f) * form.lag(0.0) + np.diag(-form.d_inf))
-    theta_ref = one_shot_lp(S)[0]
+    n = model.n
+    theta_ref = certify.linprog(np.append(np.zeros(n), -1.0), A_ub=np.hstack([S, np.ones((n, 1))]),
+                                b_ub=np.zeros(n), bounds=[(1.0, XI_BOX_MAX)] * n + [(None, None)]).x[:n]
     shapes = recorded_lp_shapes(monkeypatch)
     theta = _max_margin_weights(S[None])
-    assert shapes == [(model.n, model.n + 1)]
+    assert shapes == [(n, n + 1)]
     assert np.array_equal(theta, theta_ref)
+    theta_highs = one_shot_lp(S)[0]
+    assert -(S @ theta).max() == pytest.approx(-(S @ theta_highs).max(), rel=1e-12)
     report = search_sup_criterion(model, 0.0, 512)
     assert report.witness["theta"] == [float(v) for v in theta_ref / theta_ref.min()]
 
