@@ -380,6 +380,10 @@ def _non_negative_float(text: str) -> float:
     return _bounded_float(text, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 
 
+def _step(text: str) -> float:  # an inf step reaches the period check, which names it
+    return _bounded_float(text, lambda v: v > 0.0, "a number > 0")
+
+
 def _fraction(text: str) -> float:
     return _bounded_float(text, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 
@@ -401,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common],
                        help="integrate the network and export CSV/SVG")
     p.add_argument("--t-end", type=_non_negative_float, required=True, dest="t_end")
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--h", type=_step, required=True)
     p.add_argument("--ic", default=None, help="comma-separated constant history")
     p.add_argument("--out", default=None, help="CSV output path")
     p.add_argument("--plot", default=None, help="SVG output path")
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-period", parents=[common],
                        help="locate the periodic orbit by period-map iteration")
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--h", type=_step, required=True)
     p.add_argument("--fp-tol", type=_positive_float, default=1e-10, dest="fp_tol")
     p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
     p.add_argument("--out", default=None, help="CSV output path for the orbit segment")

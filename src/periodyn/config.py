@@ -243,8 +243,9 @@ def serialize_config(doc: dict) -> str:
 
 
 def config_hash(model: NetworkModel) -> str:
-    """SHA-256 of the canonical document's compact JSON (no indent: the C encoder runs)."""
-    return hashlib.sha256(json.dumps(model_to_config(model)).encode()).hexdigest()
+    """SHA-256 of the canonical document's compact JSON, by the C encoder, no cycle check."""
+    return hashlib.sha256(json.dumps(model_to_config(model), check_circular=False)
+                          .encode()).hexdigest()
 
 
 def builtin_config_path() -> str:

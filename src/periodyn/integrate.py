@@ -45,8 +45,8 @@ import numpy as np
 
 from .expressions import _BLOCK_VALUES
 from .kernels import TAIL_TOL, Atom, simpson_rule
-from .model import (ConstantIC, GridTooLargeError, HermiteNodes, InitialCondition, NetworkModel,
-                    SampledIC, SampledModel, _read_only, sampled)
+from .model import (ACTIVATIONS, ConstantIC, GridTooLargeError, HermiteNodes, InitialCondition,
+                    NetworkModel, SampledIC, SampledModel, _read_only, sampled)
 
 
 class HistoryUnderrunError(RuntimeError):
@@ -280,9 +280,11 @@ def _elementwise(acts, units):
     groups: dict = {}
     for k, q in enumerate(units):
         groups.setdefault(acts[q], []).append(k)
-    if len(groups) == 1:
-        return next(iter(groups))
-    index = [(act, np.array(pos, dtype=np.intp)) for act, pos in groups.items()]
+    # a table activation as its numpy function, without a Python call to Activation
+    index = [(ACTIVATIONS[act.kind][0] if act.kind in ACTIVATIONS else act,
+              np.array(pos, dtype=np.intp)) for act, pos in groups.items()]
+    if len(index) == 1:
+        return index[0][0]
 
     def apply(x: np.ndarray) -> np.ndarray:
         out = np.empty_like(x)
@@ -319,6 +321,7 @@ class _ReadPlan:
         self.anchor = _read_only(offsets[:, None] - (tau + part_lag) / h)
         self.steps = (reads.lag - part_lag[reads.col]) / h  # Simpson nodes run from lag 0 up
         self.sm, self.h, self.col, self.src, self.scale = sm, h, reads.col, reads.src, reads.scale
+        self.rows = list(zip(-sm.d, sm.a, sm.inputs))  # each sample's (-d, a, inputs) row views
         self.part_dst = reads.dst[first]
         self.f_act = _elementwise(model.f, reads.src)
         self.latest = self.anchor.max(axis=1, initial=-math.inf)
@@ -388,7 +391,7 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
     sm = plan.sm
     n = sm.model.n
     mod, parts = sm.kernel_weights.shape
-    neg_d, a, inputs, weights = -sm.d, sm.a, sm.inputs, sm.kernel_weights
+    rows, weights = plan.rows, sm.kernel_weights
     g_act = _elementwise(sm.model.g, range(n))
     f_act, col, scale, part_dst = plan.f_act, plan.col, plan.scale, plan.part_dst
     anchor, steps, low, h = plan.anchor, plan.steps, plan.low, plan.h
@@ -447,8 +450,8 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
         return sums.reshape(size, n) if np.ndim(jh) else sums
 
     def stage(jh: int, u: np.ndarray, du_delayed: np.ndarray) -> np.ndarray:
-        idx = jh % mod
-        return neg_d[idx] * u + a[idx] @ g_act(u) + inputs[idx] + du_delayed
+        neg_d, a, inputs = rows[jh % mod]
+        return neg_d * u + a.dot(g_act(u)) + inputs + du_delayed
 
     return stage, delayed
 
@@ -522,13 +525,17 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
                 k4 = stage(jh + 2, u + h * k3, end)
                 u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 m += 1
-                if not np.isfinite(u).all():
-                    raise DivergenceError(m * h)
-                hist.append(u, k4)  # provisional slope until the node is committed
                 if near[(jh + 2) % len(near)]:  # some reads lie in the step just taken
+                    hist.append(u, k4)  # they read the node with a provisional slope
                     end = delayed(jh + 2)
-                k1 = stage(jh + 2, u, end)
-                hist.set_last_derivative(k1)
+                    k1 = stage(jh + 2, u, end)
+                    hist.set_last_derivative(k1)
+                else:
+                    k1 = stage(jh + 2, u, end)
+                    hist.append(u, k1)
+            if not np.isfinite(u).all():  # a nonfinite state stays nonfinite under RK4
+                finite = np.isfinite(hist.values[m - size + 1: m + 1]).all(axis=1)
+                raise DivergenceError((m - size + 1 + int(np.argmin(finite))) * h)
     times = np.arange(steps + 1) * h
     return Trajectory(times=times, states=hist.values[: steps + 1].copy(), history=hist)
 
