@@ -21,23 +21,44 @@ from .model import ACTIVATIONS, Activation, NetworkModel, validate
 
 class ConfigError(ValueError):
     def __init__(self, message: str, where: str = ""):
-        self.where = where
+        self.message, self.where = message, where
         super().__init__(f"{where}: {message}" if where else message)
 
 
-def _require_mapping(obj, where: str) -> dict:
+def _at(where: str, parse, *args):
+    """``parse(*args)``, a ConfigError in it put under ``where``: a parser reports paths
+    relative to what it reads, so a path is formatted only on the way out of an error."""
+    try:
+        return parse(*args)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, where + exc.where) from exc.__cause__
+
+
+def _each(parse_one, items) -> tuple:
+    """``parse_one`` of every item, a ConfigError put under the item's index."""
+    out = []
+    try:
+        for item in items:
+            out.append(parse_one(item))
+    except ConfigError as exc:
+        raise ConfigError(exc.message, f"[{len(out)}]{exc.where}") from exc.__cause__
+    return tuple(out)
+
+
+def _require_mapping(obj, where: str = "") -> dict:
     if not isinstance(obj, dict):
         raise ConfigError(f"expected an object, got {type(obj).__name__}", where)
     return obj
 
 
-def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field(s) {sorted(unknown)}", where)
+def _reject_unknown(obj: dict, allowed: set[str], where: str = "") -> None:
+    if not obj.keys() <= allowed:
+        raise ConfigError(f"unknown field(s) {sorted(set(obj) - allowed)}", where)
 
 
-def _number(obj, where: str) -> float:
+def _number(obj, where: str = "") -> float:
+    if type(obj) is float and math.isfinite(obj):
+        return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"expected a number, got {type(obj).__name__}", where)
     value = float(obj)
@@ -46,116 +67,108 @@ def _number(obj, where: str) -> float:
     return value
 
 
-def _parse_term(obj, where: str) -> Term:
-    obj = _require_mapping(obj, where)
+_TERM_KEYS = {"amp", "fn", "k"}
+
+
+def _parse_term(obj) -> Term:
+    obj = _require_mapping(obj)
     if "const" in obj:
-        _reject_unknown(obj, {"const"}, where)
-        return Term("const", _number(obj["const"], f"{where}.const"))
-    _reject_unknown(obj, {"amp", "fn", "k"}, where)
-    for key in ("amp", "fn", "k"):
-        if key not in obj:
-            raise ConfigError(f"term needs '{key}'", where)
-    fn = obj["fn"]
+        _reject_unknown(obj, {"const"})
+        return Term("const", _number(obj["const"], ".const"))
+    if obj.keys() != _TERM_KEYS:
+        _reject_unknown(obj, _TERM_KEYS)
+        missing = next(key for key in ("amp", "fn", "k") if key not in obj)
+        raise ConfigError(f"term needs '{missing}'")
+    fn, k = obj["fn"], obj["k"]
     if fn not in TERM_KINDS or fn == "const":
-        raise ConfigError(f"unknown term function {fn!r}", f"{where}.fn")
-    k = obj["k"]
-    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
-        raise ConfigError("term frequency k must be a positive integer", f"{where}.k")
-    return Term(fn, _number(obj["amp"], f"{where}.amp"), k)
+        raise ConfigError(f"unknown term function {fn!r}", ".fn")
+    # an int but not a bool; JSON gives exactly int, so the type test decides at once
+    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, int)) or k <= 0:
+        raise ConfigError("term frequency k must be a positive integer", ".k")
+    return Term(fn, _number(obj["amp"], ".amp"), k)
 
 
-def _parse_expr(obj, where: str) -> PeriodicExpr:
+def _parse_expr(obj) -> PeriodicExpr:
     if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return const(_number(obj, where))
+        return const(_number(obj))
     if isinstance(obj, dict):
         obj = [obj]
     if not isinstance(obj, list):
-        raise ConfigError("expression must be a number, a term or a list of terms", where)
-    return PeriodicExpr(tuple(_parse_term(item, f"{where}[{idx}]")
-                              for idx, item in enumerate(obj)))
+        raise ConfigError("expression must be a number, a term or a list of terms")
+    return PeriodicExpr(_each(_parse_term, obj))
 
 
-def _construct(make, where: str, *args):
-    """``make(*args)``, its ValueError reported at ``where``."""
+def _construct(make, *args):
+    """``make(*args)``, its ValueError a ConfigError."""
     try:
         return make(*args)
     except ValueError as exc:
-        raise ConfigError(str(exc), where) from exc
+        raise ConfigError(str(exc)) from exc
 
 
-def _parse_density(obj, where: str) -> DistributedPart:
-    obj = _require_mapping(obj, where)
+def _parse_density(obj) -> DistributedPart:
+    obj = _require_mapping(obj)
     if "shape" not in obj:
-        raise ConfigError("density needs 'shape'", where)
+        raise ConfigError("density needs 'shape'")
     shape = obj["shape"]
     if not (isinstance(shape, str) and shape in DENSITIES):
-        raise ConfigError(f"unknown density shape {shape!r}", f"{where}.shape")
+        raise ConfigError(f"unknown density shape {shape!r}", ".shape")
     cls = DENSITIES[shape]
-    _reject_unknown(obj, {"shape", "weight", *(f.name for f in fields(cls))}, where)
+    _reject_unknown(obj, {"shape", "weight", *(f.name for f in fields(cls))})
     args = []
     for f in fields(cls):  # a field declared as a tuple takes a list of numbers
-        at, value = f"{where}.{f.name}", obj.get(f.name, 0.0)
+        at, value = f".{f.name}", obj.get(f.name, 0.0)
         if not str(f.type).startswith("tuple"):
             args.append(_number(value, at))
         elif isinstance(value, list):
-            args.append(tuple(_number(x, f"{at}[{k}]") for k, x in enumerate(value)))
+            args.append(_at(at, _each, _number, value))
         else:
             raise ConfigError("expected a list of numbers", at)
-    dens = _construct(cls, where, *args)
+    dens = _construct(cls, *args)
     if "weight" not in obj:
-        raise ConfigError("density needs 'weight'", where)
-    return DistributedPart(shape=dens, weight=_parse_expr(obj["weight"], f"{where}.weight"))
+        raise ConfigError("density needs 'weight'")
+    return DistributedPart(shape=dens, weight=_at(".weight", _parse_expr, obj["weight"]))
 
 
-def _parse_kernel(obj, where: str) -> DelayKernel:
+def _parse_atom(obj) -> Atom:
+    obj = _require_mapping(obj)
+    _reject_unknown(obj, {"s", "weight"})
+    if "s" not in obj or "weight" not in obj:
+        raise ConfigError("atom needs 's' and 'weight'")
+    return _construct(Atom, _number(obj["s"], ".s"), _at(".weight", _parse_expr, obj["weight"]))
+
+
+def _parse_kernel(obj) -> DelayKernel:
     if obj is None:
         return DelayKernel()
-    obj = _require_mapping(obj, where)
-    _reject_unknown(obj, {"atoms", "density"}, where)
-    atoms = []
-    for idx, spec in enumerate(obj.get("atoms", []) or []):
-        at = f"{where}.atoms[{idx}]"
-        spec = _require_mapping(spec, at)
-        _reject_unknown(spec, {"s", "weight"}, at)
-        if "s" not in spec or "weight" not in spec:
-            raise ConfigError("atom needs 's' and 'weight'", at)
-        atoms.append(_construct(Atom, at, _number(spec["s"], f"{at}.s"),
-                                _parse_expr(spec["weight"], f"{at}.weight")))
-    density = obj.get("density")
-    part = _parse_density(density, f"{where}.density") if density is not None else None
-    return _construct(DelayKernel, where, tuple(atoms), part)
+    obj = _require_mapping(obj)
+    _reject_unknown(obj, {"atoms", "density"})
+    atoms = _at(".atoms", _each, _parse_atom, obj.get("atoms", []) or [])
+    part = None if obj.get("density") is None else _at(".density", _parse_density, obj["density"])
+    return _construct(DelayKernel, atoms, part)
 
 
-def _parse_activation(obj, where: str) -> Activation:
-    kind = obj if isinstance(obj, str) else _require_mapping(obj, where).get("kind")
+def _parse_activation(obj) -> Activation:
+    kind = obj if isinstance(obj, str) else _require_mapping(obj).get("kind")
     if isinstance(kind, str) and kind in ACTIVATIONS:
         if isinstance(obj, dict):
-            _reject_unknown(obj, {"kind"}, where)
+            _reject_unknown(obj, {"kind"})
         return Activation(kind, ACTIVATIONS[kind][1])
     if kind == "satlin" and isinstance(obj, dict):
-        _reject_unknown(obj, {"kind", "slope", "cap"}, where)
-        return _construct(Activation.saturating, where,
-                          _number(obj.get("slope", 1.0), f"{where}.slope"),
-                          _number(obj.get("cap", 1.0), f"{where}.cap"))
-    raise ConfigError(f"unknown activation {kind!r}", where)
+        _reject_unknown(obj, {"kind", "slope", "cap"})
+        return _construct(Activation.saturating, _number(obj.get("slope", 1.0), ".slope"),
+                          _number(obj.get("cap", 1.0), ".cap"))
+    raise ConfigError(f"unknown activation {kind!r}")
 
 
-def _matrix(obj, n: int, name: str, parse_one) -> tuple[tuple, ...]:
+def _vector(obj, n: int, parse_one, items: str = "entries") -> tuple:
     if not isinstance(obj, list) or len(obj) != n:
-        raise ConfigError(f"expected {n} rows", name)
-    rows = []
-    for i, row in enumerate(obj):
-        if not isinstance(row, list) or len(row) != n:
-            raise ConfigError(f"expected {n} entries", f"{name}[{i}]")
-        rows.append(tuple(parse_one(entry, f"{name}[{i}][{j}]")
-                          for j, entry in enumerate(row)))
-    return tuple(rows)
+        raise ConfigError(f"expected {n} {items}")
+    return _each(parse_one, obj)
 
 
-def _vector(obj, n: int, name: str, parse_one) -> tuple:
-    if not isinstance(obj, list) or len(obj) != n:
-        raise ConfigError(f"expected {n} entries", name)
-    return tuple(parse_one(entry, f"{name}[{i}]") for i, entry in enumerate(obj))
+def _matrix(obj, n: int, parse_one) -> tuple[tuple, ...]:
+    return _vector(obj, n, lambda row: _vector(row, n, parse_one), "rows")
 
 
 def parse_config(doc, source: str = "<config>") -> NetworkModel:
@@ -182,13 +195,13 @@ def parse_config(doc, source: str = "<config>") -> NetworkModel:
     _reject_unknown(acts, {"g", "f"}, f"{source}.activations")
     return NetworkModel(
         n=n, omega=omega,
-        d=_vector(doc.get("d"), n, f"{source}.d", _parse_expr),
-        a=_matrix(doc.get("a"), n, f"{source}.a", _parse_expr),
-        kernels=_matrix(doc.get("kernels"), n, f"{source}.kernels", _parse_kernel),
-        tau=_matrix(doc.get("tau"), n, f"{source}.tau", _parse_expr),
-        inputs=_vector(doc.get("inputs"), n, f"{source}.inputs", _parse_expr),
-        g=_vector(acts.get("g"), n, f"{source}.activations.g", _parse_activation),
-        f=_vector(acts.get("f"), n, f"{source}.activations.f", _parse_activation),
+        d=_at(f"{source}.d", _vector, doc.get("d"), n, _parse_expr),
+        a=_at(f"{source}.a", _matrix, doc.get("a"), n, _parse_expr),
+        kernels=_at(f"{source}.kernels", _matrix, doc.get("kernels"), n, _parse_kernel),
+        tau=_at(f"{source}.tau", _matrix, doc.get("tau"), n, _parse_expr),
+        inputs=_at(f"{source}.inputs", _vector, doc.get("inputs"), n, _parse_expr),
+        g=_at(f"{source}.activations.g", _vector, acts.get("g"), n, _parse_activation),
+        f=_at(f"{source}.activations.f", _vector, acts.get("f"), n, _parse_activation),
     )
 
 

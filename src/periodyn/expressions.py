@@ -202,20 +202,49 @@ class TermTable:
     def bounds(self, t: np.ndarray, names) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """``(least, greatest)`` of every expression of the named groups on the 1-d grid ``t``.
 
-        It reduces :meth:`eval` of blocks of at most ``_BLOCK_VALUES`` values in
-        all (one time at least), so a long grid needs bounded memory.  An empty
-        ``t`` raises ValueError: it has no least value.
+        An expression with at most one non-constant term ``amp * B`` is monotone
+        in ``B``, as ``fl(amp * B)`` and each ``fl(x + c)`` round monotonically, so
+        its extremes are its values where ``B`` has its extremes, with the bits of
+        a full scan.  Only expressions of two or more such terms are scanned over
+        the whole grid.  Blocks hold at most ``_BLOCK_VALUES`` values.  A proven
+        enclosure on the grid's cells is to replace this rule.  An empty ``t``
+        raises ValueError: it has no least value.
         """
         if t.size == 0:
             raise ValueError("a grid needs at least one time")
-        out = {name: (np.full(len(self.groups[name]), math.inf),
-                      np.full(len(self.groups[name]), -math.inf)) for name in names}
-        rows = max(1, _BLOCK_VALUES // max(sum(len(self.groups[name]) for name in names), 1))
-        for start in range(0, t.size, rows):
-            for name, values in self.eval(t[start:start + rows], names).items():
-                np.minimum(out[name][0], values.min(axis=0), out=out[name][0])
-                np.maximum(out[name][1], values.max(axis=0), out=out[name][1])
+        # every group at the grid times of each basis's least, then greatest value
+        values = self.eval(t[self._extreme_times(t).ravel()], names)
+        out = {}
+        for name in names:
+            count, base = np.zeros((2, len(self.groups[name])), dtype=np.intp)
+            for cols, slot_base, _ in self._slots[name]:
+                cols = slice(None) if cols is None else cols
+                count[cols] += slot_base != 0
+                base[cols] = np.maximum(base[cols], slot_base)  # the basis read, if only one
+            ends = values[name].reshape(2, self._width, -1)[:, base, np.arange(base.size)]
+            out[name] = least, greatest = ends.min(axis=0), ends.max(axis=0)
+            many = np.flatnonzero(count > 1)
+            if many.size:
+                table = TermTable({name: [self.groups[name][c] for c in many]})
+                rows = max(1, _BLOCK_VALUES // many.size)
+                for start in range(0, t.size, rows):
+                    block = table.eval(t[start:start + rows])[name]
+                    least[many] = np.minimum(least[many], block.min(axis=0))
+                    greatest[many] = np.maximum(greatest[many], block.max(axis=0))
         return out
+
+    def _extreme_times(self, t: np.ndarray) -> np.ndarray:
+        """(2, bases) grid indices of the least (row 0) and greatest value of each basis."""
+        at = np.zeros((2, self._width), dtype=np.intp)
+        best = np.repeat([[math.inf], [-math.inf]], self._width, axis=1)
+        rows = max(1, _BLOCK_VALUES // self._width)
+        for start in range(0, t.size, rows):
+            basis = self._basis(t[start:start + rows])
+            found = np.stack((basis.argmin(axis=0), basis.argmax(axis=0)))
+            value = np.take_along_axis(basis, found, axis=0)
+            better = np.stack((value[0] < best[0], value[1] > best[1]))
+            at[better], best[better] = found[better] + start, value[better]
+        return at
 
     def divides_period(self, omega: float, rel_tol: float = 1e-9) -> dict[str, np.ndarray]:
         """``PeriodicExpr.divides_period(omega, rel_tol)`` of every expression, per group.

@@ -411,8 +411,10 @@ def validate(model: NetworkModel, grid_points: int = 4096) -> ValidationReport:
     tolerance of ``divides_period``, its values on 256 samples must also equal
     those one period later.  ``d`` must be positive and ``tau`` nonnegative on
     ``grid_points`` times: their least values come from one
-    ``TermTable.bounds`` of :func:`coefficient_table`, and a violation is
-    reported at the first time its expression takes its least value there.
+    ``TermTable.bounds`` of :func:`coefficient_table` (an expression of one
+    basis at that basis's extreme times, as rounding keeps it monotone in
+    it; a proven enclosure on the grid's cells is to replace this), and a
+    violation is reported at the first time its expression is least there.
     Activations are checked on dense and seeded random samples.  Downstream
     operations (certification, simulation, orbit search) assume an empty report.
     """

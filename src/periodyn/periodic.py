@@ -111,7 +111,12 @@ def lookback_steps(model: NetworkModel, h: float) -> int:
 def _advance_one_period(model: NetworkModel, ic: InitialCondition,
                         h: float) -> tuple[SampledIC, Trajectory]:
     traj = simulate(model, ic, model.omega, h)
-    return traj.history.window(lookback_steps(model, h)), traj
+    steps = lookback_steps(model, h)
+    try:
+        return traj.history.window(steps), traj
+    except (MemoryError, OverflowError, ValueError):  # numpy cannot allocate the window
+        raise ValueError(f"tau: delays that reach {steps * h:.3g} need a period-map window of "
+                         f"{steps:.3g} steps of h={h}, too many to hold in memory") from None
 
 
 def period_map(model: NetworkModel, ic: InitialCondition, h: float) -> SampledIC:

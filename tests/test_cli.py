@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import resource
@@ -14,6 +15,11 @@ from periodyn.model import builtin_example
 from periodyn.cli import (ConfigError, builtin_config_path, config_hash, main,
                           model_to_config, parse_config, run_ensemble,
                           serialize_config, write_line_plot, _nice_ticks)
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
+inputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(inputs)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +110,16 @@ class TestConfigParsing:
         # reader, the writer or the bundled file shows here
         assert config_hash(builtin_example()) == (
             "3ffdceabac772bc1caf363760e4a6065071efa210bfd7c985dd78ad33340d690")
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: inputs.wide_network(3, 30),
+         "c08a7c86e4c09f7e00462acf3c1b0bc1d23e10d0f3176894f7b87ab723ed4ee6"),
+        (lambda: inputs.DISTRIBUTED,
+         "60f5d751b02a972949f34dff8f3961b3c96965937d91de4bda1541b360168d07"),
+    ], ids=["wide3-30", "distributed"])
+    def test_benchmark_config_hashes_are_pinned(self, make, digest):
+        # the 30-unit and the distributed-delay inputs, through the reader and the writer
+        assert config_hash(parse_config(json.dumps(make()))) == digest
 
 
 class TestCertifyCommand:
@@ -588,6 +604,22 @@ def test_huge_run_or_grid_is_an_input_error_naming_its_flag(cfg_file, argv, flag
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {flag}: ") and "in memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_huge_delay_in_find_period_is_an_input_error_naming_tau(tmp_path, builtin_cfg_text):
+    # a delay of 1e9 needs a period-map window of 1e11 steps of h = 1e-2, 2 TiB
+    doc = json.loads(builtin_cfg_text)
+    doc["tau"][1][1] = [{"amp": 1e9, "fn": "abs_cos", "k": 2}]
+    path = tmp_path / "huge_tau.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "periodyn.cli", "find-period", str(path),
+                           "--h", "1e-2", "--grid", "256"],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: tau: ") and "in memory" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("flag", ["--draws", "--ensemble"])

@@ -71,6 +71,80 @@ def test_bounds_of_an_empty_grid_are_refused():
         TermTable({"g": (const(1.0),)}).bounds(np.array([]), ("g",))
 
 
+def assert_bounds_are_eval_extremes(table, t, names):
+    bounds = table.bounds(t, names)
+    for name in names:
+        least, greatest = bounds[name]
+        values = [expr.eval(t) for expr in table.groups[name]]
+        assert same_bits(least, np.array([v.min() for v in values], dtype=float))
+        assert same_bits(greatest, np.array([v.max() for v in values], dtype=float))
+
+
+REAL_MODELS = {
+    "builtin": builtin_example,
+    "distributed": lambda: parse_config(json.dumps(inputs.DISTRIBUTED)),
+    **{f"wide{v}": (lambda v=v: parse_config(json.dumps(inputs.wide_network(v, 30))))
+       for v in range(16)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_MODELS))
+def test_bounds_of_real_models_are_eval_bit_for_bit(name):
+    model = REAL_MODELS[name]()
+    t = np.linspace(0.0, model.omega, 4096, endpoint=False)
+    assert_bounds_are_eval_extremes(coefficient_table(model), t, ("d", "tau"))
+
+
+HAND_MADE = (
+    # one basis twice with opposite signs: two varying terms, not a one-basis expression
+    PeriodicExpr((Term("sin2", 1.0, 1), Term("sin2", -3.0, 1))),
+    PeriodicExpr((Term("const", 0.1), Term("abs_cos", 0.7, 3), Term("abs_cos", -0.7, 3))),
+    # a constant after the varying term, and constants on both sides of it
+    PeriodicExpr((Term("abs_cos", -0.7, 3), Term("const", 0.2))),
+    PeriodicExpr((Term("const", 1e-3), Term("sin", 2.5, 2), Term("const", -7.0))),
+    # amplitudes of +-0.0, alone and beside constants
+    PeriodicExpr((Term("sin", 0.0, 1),)),
+    PeriodicExpr((Term("cos", -0.0, 2), Term("const", 1.0))),
+    PeriodicExpr((Term("const", -0.0), Term("sin2", -0.0, 1))),
+    # a negative amplitude, constants only, and nothing at all
+    PeriodicExpr((Term("cos2", -2.0, 1),)),
+    const(3.0), Z,
+)
+
+
+@pytest.mark.parametrize("block", [1, 3, expressions._BLOCK_VALUES])
+def test_bounds_of_hand_made_expressions(block, monkeypatch):
+    monkeypatch.setattr(expressions, "_BLOCK_VALUES", block)
+    table = TermTable({"hand": HAND_MADE, "other": (term_expr("sin", 1.0, 5),)})
+    for t in (np.linspace(0.0, 2.0, 37), np.linspace(0.0, 2.0, 64, endpoint=False)[::-1],
+              np.array([0.25]), np.array([1.0, 1.0, 0.5])):
+        assert_bounds_are_eval_extremes(table, t, ("hand",))
+        assert_bounds_are_eval_extremes(table, t, ("hand", "other"))
+
+
+def test_one_basis_read_twice_is_scanned_over_the_whole_grid():
+    # 0.7 B - nextafter(0.7) B with B = |cos(pi t)| rounds to 0 at some times, but to
+    # -6.2e-33 where B is greatest: not monotone in B, so B's extremes miss its own
+    expr = PeriodicExpr((Term("abs_cos", 0.7, 1), Term("abs_cos", -np.nextafter(0.7, 1.0), 1)))
+    t = np.linspace(0.0, 2.0, 64, endpoint=False)
+    basis = Term("abs_cos", 1.0, 1).eval(t)
+    assert expr.eval(t).max() > expr.eval(t[[basis.argmin(), basis.argmax()]]).max()
+    table = TermTable({"g": (expr, term_expr("abs_cos", 1.0, 1))})
+    assert_bounds_are_eval_extremes(table, t, ("g",))
+
+
+@pytest.mark.parametrize("block", [1, 3])
+def test_a_least_value_in_a_later_block_is_found(block, monkeypatch):
+    # sin(pi t) on [0, 2) is least at t = 1.5, in the last quarter of the grid
+    monkeypatch.setattr(expressions, "_BLOCK_VALUES", block)
+    t = np.linspace(0.0, 2.0, 16, endpoint=False)
+    table = TermTable({"g": (term_expr("sin", 1.0, 1), term_expr("sin", -1.0, 1),
+                             expr_sum(const(2.0), term_expr("sin", 1.0, 1)))})
+    least, greatest = table.bounds(t, ("g",))["g"]
+    assert least.tolist() == [-1.0, -1.0, 1.0] and greatest.tolist() == [1.0, 1.0, 3.0]
+    assert_bounds_are_eval_extremes(table, t, ("g",))
+
+
 @given(exprs, times)
 def test_scalar_and_array_eval_agree(expr, t):
     arr = expr.eval(np.atleast_1d(np.asarray(t, dtype=float)))
