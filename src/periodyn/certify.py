@@ -391,7 +391,8 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     cg = _ConditionGrid(model, grid_points)
     sm, xi = cg.sm, _positive_weights(xi, model.n)
     i, j = np.array([ij for *ij, _ in sm.kernel_parts], dtype=np.intp).reshape(-1, 2).T
-    rows, first = np.unique(i, return_index=True)  # a row's parts are adjacent (row-major)
+    first = np.flatnonzero(np.diff(i, prepend=-1))  # a row's parts are adjacent (row-major)
+    rows = i[first]
     parts = {}  # (slot, part) per distinct mass: an atom's lag or a density's shape
     slot = [parts.setdefault(p.s if isinstance(p, Atom) else p.shape, (len(parts), p))[0]
             for *_, p in sm.kernel_parts]

@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -34,6 +33,8 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
+
+ProcessPoolExecutor = None  # concurrent.futures' pool, imported by the first ensemble that needs one
 
 
 class EnsembleTooLargeError(ValueError):
@@ -227,6 +228,22 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _contraction(segment, residual: float, alpha: float, omega: float) -> dict:
+    """The search's largest map quotient against the certified factor e^{-alpha omega}.
+
+    With q < 1 certified, the last iterate lies within q / (1 - q) times its
+    residual of the discrete map's fixed point.
+    """
+    q = math.exp(-alpha * omega)
+    observed = max(segment.quotients, default=None)
+    within = None if observed is None else observed <= q
+    if within is False:
+        print(f"warning: the period map contracted by {observed:.6g} per period, worse than "
+              f"the certified e^(-alpha omega) = {q:.6g}", file=sys.stderr)
+    return {"observed": observed, "certified": q, "within_certified": within,
+            "fixed_point_distance": q / (1.0 - q) * residual if q < 1.0 else None}
+
+
 def cmd_find_period(args) -> int:
     model = load_model(args.config)
     report = RunReport("find-period", args.config, config_hash(model),
@@ -237,6 +254,7 @@ def cmd_find_period(args) -> int:
         report.results["certified"] = False
         report.emit()
         return EXIT_INFEASIBLE
+    cert = replace(cert, alpha=find_decay_rate(model, cert.xi, grid_points=args.grid))
     report.results["certificate"] = cert
     ic = ConstantIC(tuple(0.0 for _ in range(model.n)))
     try:
@@ -251,6 +269,7 @@ def cmd_find_period(args) -> int:
             "restarts": segment.restarts,
             "periodicity_deviation": deviation,
             "seam_gap": segment.seam_gap,
+            "contraction": _contraction(segment, residual, cert.alpha, model.omega),
         })
         if args.rate_periods > 0:
             # decay fit from a deterministic off-orbit start: x(0) shifted by one
@@ -291,6 +310,7 @@ def ensemble_instance(task: tuple[int, int, int]) -> dict:
 def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
                  workers: int = 1) -> dict:
     """Seeded criterion comparison over random constant-delay instances."""
+    global ProcessPoolExecutor
     try:  # the rows first, so an ensemble too large to hold fails before any instance runs
         rows = [None] * count
         tasks = [(seed + idx, grid, draws) for idx in range(count)]
@@ -298,6 +318,8 @@ def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
         raise EnsembleTooLargeError(f"{count} instances are too many to hold in memory") from None
     workers = min(workers, count)  # a fork pool starts all its workers at the first submit
     if workers > 1:
+        if ProcessPoolExecutor is None:
+            from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows[:] = pool.map(ensemble_instance, tasks)
     else:
@@ -420,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fp-tol", type=_positive_float, default=1e-10, dest="fp_tol")
     p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
     p.add_argument("--out", default=None, help="CSV output path for the orbit segment")
-    p.add_argument("--rate-periods", type=_non_negative_int, default=8, dest="rate_periods",
-                   help="periods to simulate for the decay-rate fit (0 disables)")
+    p.add_argument("--rate-periods", type=_non_negative_int, default=0, dest="rate_periods",
+                   help="periods to simulate for a decay-rate fit (default 0: no fit)")
     p.set_defaults(handler=cmd_find_period)
 
     p = sub.add_parser("compare", parents=[common],

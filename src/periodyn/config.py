@@ -61,7 +61,11 @@ def _number(obj, where: str = "") -> float:
         return obj
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"expected a number, got {type(obj).__name__}", where)
-    value = float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an int literal with more than about 308 digits
+        raise ConfigError("expected a finite number, got an integer past the float range",
+                          where) from None
     if not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {value}", where)
     return value

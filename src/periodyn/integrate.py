@@ -326,7 +326,8 @@ class _ReadPlan:
         self.f_act = _elementwise(model.f, reads.src)
         self.latest = self.anchor.max(axis=1, initial=-math.inf)
         earliest = (self.anchor - self.steps[last]).min(axis=1, initial=math.inf)
-        self.low = np.minimum(np.ceil(earliest) - 1.0, -2.0).astype(np.intp)
+        # clamped to the intp range, which a delay of 1e302 steps overflows
+        self.low = np.clip(np.ceil(earliest) - 1.0, np.iinfo(np.intp).min, -2.0).astype(np.intp)
         lags = sm.tau.min(axis=0).reshape(-1)[reads.pair] + reads.lag
         self.min_lag = float(lags.min(initial=math.inf))
         self.max_lag = float((sm.tau.max(axis=0).reshape(-1)[reads.pair]

@@ -19,6 +19,7 @@ from .kernels import TAIL_TOL
 from .model import HermiteNodes, InitialCondition, NetworkModel, SampledIC, _positive_weights
 
 ANDERSON_DEPTH = 3  # the orbit search mixes the differences of the last 3 + 1 maps
+QUOTIENT_FLOOR = 1e-12  # iterates closer than this, relative to their size, give no quotient
 
 
 class NoConvergenceError(RuntimeError):
@@ -35,7 +36,8 @@ class NoConvergenceError(RuntimeError):
 class PeriodSegment(HermiteNodes):
     """One period of the located orbit, wrapped periodically for evaluation.
 
-    ``residual_history`` and ``restarts`` record the search that found it.
+    ``residual_history``, ``restarts`` and ``quotients`` (each map's
+    contraction quotient) record the search that found it.
     """
 
     omega: float
@@ -44,6 +46,7 @@ class PeriodSegment(HermiteNodes):
     derivs: np.ndarray
     residual_history: tuple[float, ...] = ()
     restarts: int = 0
+    quotients: tuple[float, ...] = ()
 
     start = 0.0
 
@@ -136,14 +139,23 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
     (Walker & Ni, SIAM J. Numer. Anal. 49(4) 2011): G(x) minus the
     combination of map differences that least-squares cancels the newest
     G(x) - x.  A residual above the best one so far drops that history and
-    takes the plain step G(x) (a restart).  Raises NoConvergenceError (with
-    the residual history) when the residual fails to shrink by x0.99 over
-    20 consecutive maps or max_iters maps are spent.  The segment is the
-    last map's trajectory and records the residual history and restarts.
+    takes the plain step G(x) (a restart).  Each map after the second also
+    gives the quotient |G(x) - G(x')| / |x - x'| with the previous iterate
+    x', in the same norm, unless |x - x'| is at rounding level
+    (``QUOTIENT_FLOOR`` times |x|): the contraction the search observed.
+    Raises NoConvergenceError (with the residual history) when the residual
+    fails to shrink by x0.99 over 20 consecutive maps or max_iters maps are
+    spent.  The segment is the last map's trajectory and records the
+    residual history, restarts and quotients.
     """
     xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
+
+    def norm(v: np.ndarray) -> float:  # xi-weighted max over the node values
+        return float(np.max(np.abs(v[:len(window.values)]) / xi))
+
     current: InitialCondition = ic0
     residuals: list[float] = []
+    quotients: list[float] = []
     restarts = 0
     mixed: list[np.ndarray] = []  # (G(x), G(x) - x) of each map being mixed
     for it in range(1, max_iters + 1):
@@ -151,15 +163,19 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
         g = np.concatenate((window.values, window.derivs))
         if it > 1:
             f = g - x
-            res = float(np.max(np.abs(f[:len(window.values)]) / xi[None, :]))
+            res = norm(f)
             residuals.append(res)
+            if it > 2 and (step := norm(x - last[0])) > QUOTIENT_FLOOR * norm(x):
+                quotients.append(norm(g - last[1]) / step)
+            last = x, g  # neither array is written to: the mixing makes a new g
             if res <= fp_tol:
                 k = traj.states.shape[0]
                 segment = PeriodSegment(
                     omega=model.omega, h=h,
                     values=traj.states.copy(),
                     derivs=traj.history.derivs[:k].copy(),
-                    residual_history=tuple(residuals), restarts=restarts)
+                    residual_history=tuple(residuals), restarts=restarts,
+                    quotients=tuple(quotients))
                 return segment, res, it
             if len(residuals) >= 21 and residuals[-1] > 0.99 * residuals[-21]:
                 raise NoConvergenceError(residuals, restarts)
@@ -180,10 +196,11 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
 
 
 def verify_periodicity(segment: PeriodSegment, model: NetworkModel, h: float,
-                       k_periods: int = 5, xi=None) -> float:
-    """Simulate several periods from the segment and measure the repeat defect.
+                       k_periods: int = 2, xi=None) -> float:
+    """Simulate k_periods periods from the segment and measure the repeat defect.
 
-    Returns max over nodes of the weighted norm of u(t + omega) - u(t).
+    Returns max over nodes of the weighted norm of u(t + omega) - u(t), so
+    the default two periods give one period of differences.
     """
     xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
     ic = segment.as_history(lookback_steps(model, h))

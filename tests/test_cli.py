@@ -265,7 +265,7 @@ class TestFindPeriodCommand:
     def test_builtin_orbit(self, cfg_file, tmp_path, capsys):
         out = tmp_path / "orbit.csv"
         code = main(["find-period", cfg_file, "--h", "0.004", "--grid", "1024",
-                     "--out", str(out)])
+                     "--rate-periods", "8", "--out", str(out)])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         res = report["results"]
@@ -559,7 +559,8 @@ class TestFindPeriodReports:
                           inputs=[0.0])
         path = tmp_path / "fast.json"
         path.write_text(json.dumps(doc))
-        assert main(["find-period", str(path), "--h", "1e-2", "--grid", "256"]) == 0
+        assert main(["find-period", str(path), "--h", "1e-2", "--grid", "256",
+                     "--rate-periods", "8"]) == 0
         fit = json.loads(capsys.readouterr().out, parse_constant=_refuse)["results"]["rate_fit"]
         assert fit["degenerate"] is True and fit["alpha_emp"] is None
 
@@ -620,6 +621,30 @@ def test_huge_delay_in_find_period_is_an_input_error_naming_tau(tmp_path, builti
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: tau: ") and "in memory" in proc.stderr
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def test_a_delay_past_the_index_range_warns_nothing(tmp_path, builtin_cfg_text):
+    # a delay of 1e300 lies 1e302 steps of h = 1e-2 back, past the range of an intp
+    doc = json.loads(builtin_cfg_text)
+    doc["tau"][1][1] = [{"amp": 1e300, "fn": "abs_cos", "k": 2}]
+    path = tmp_path / "huge_tau.json"
+    path.write_text(json.dumps(doc))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-W", "always", "-m", "periodyn.cli", "find-period",
+                           str(path), "--h", "1e-2", "--grid", "256"],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: tau: ") and proc.stderr.count("\n") == 1
+
+
+def test_import_loads_no_process_pool():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", "import sys, periodyn.cli; "
+                           "print('concurrent.futures.process' in sys.modules)"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("flag", ["--draws", "--ensemble"])

@@ -108,6 +108,12 @@ CASES = {
                    "cfg.d[2][0].const: expected a number, got bool"),
     "const nan": (edit(("d", 2, 0), {"const": float("nan")}),
                   "cfg.d[2][0].const: expected a finite number, got nan"),
+    "const huge integer": (edit(("d", 2, 0), {"const": 10 ** 400}),
+                           "cfg.d[2][0].const: "
+                           "expected a finite number, got an integer past the float range"),
+    "constant huge integer": (edit(("inputs", 0), -10 ** 400),
+                              "cfg.inputs[0]: "
+                              "expected a finite number, got an integer past the float range"),
     # kernels, atoms and densities
     "kernel not an object": (edit(("kernels", 1, 2), [1]),
                              "cfg.kernels[1][2]: expected an object, got list"),

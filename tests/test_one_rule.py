@@ -109,6 +109,8 @@ def test_find_period_report_layout(tmp_path, capsys):
     model = load_model(path)
     h, out = 1e-2, str(tmp_path / "orbit.csv")
     cert = find_weights(model, grid_points=256)
+    cert = replace(cert, alpha=find_decay_rate(model, cert.xi, grid_points=256))
+    q = math.exp(-cert.alpha * model.omega)
     ic = ConstantIC((0.0,) * model.n)
     segment, residual, iterations = find_periodic_orbit(model, ic, h, fp_tol=1e-8,
                                                         max_iters=1000, xi=cert.xi)
@@ -123,6 +125,9 @@ def test_find_period_report_layout(tmp_path, capsys):
         "restarts": segment.restarts,
         "periodicity_deviation": verify_periodicity(segment, model, h, xi=cert.xi),
         "seam_gap": segment.seam_gap,
+        "contraction": {"observed": max(segment.quotients), "certified": q,
+                        "within_certified": max(segment.quotients) <= q,
+                        "fixed_point_distance": q / (1.0 - q) * residual},
         "rate_fit": {"alpha_emp": fit.alpha_emp, "r_squared": fit.r_squared,
                      "window": list(fit.window), "n_points": fit.n_points,
                      "degenerate": fit.degenerate},
