@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
-from .kernels import (Atom, DelayKernel, ExponentialDensity, part_gain,
-                      part_mass as _part_mass, total_variation)
+from .kernels import Atom, DelayKernel, ExponentialDensity, part_gain, part_mass as _part_mass
 from .model import (Activation, GridTooLargeError, NetworkModel, SampledModel, _positive_weights,
-                    eval_coefficients, sampled)
+                    sampled)
 
 STRICT_TOL = 1e-12
 XI_BOX_MAX = 1e6
@@ -186,17 +185,6 @@ def _sized(error: type[ValueError], arrays: str):
 _grid_sized = _sized(GridTooLargeError, "the grid's arrays")
 
 
-def row_residual(model: NetworkModel, xi, t: float, i: int) -> float:
-    """Left side of the dominance condition for row ``i`` at time ``t``."""
-    xi = np.asarray(xi, dtype=float)
-    sl = eval_coefficients(model, t)
-    acc = -xi[i] * sl.d[i]
-    for j in range(model.n):
-        acc += xi[j] * model.g[j].lipschitz * abs(sl.a[i, j])
-        acc += xi[j] * model.f[j].lipschitz * total_variation(model.kernels[i][j], t)
-    return float(acc)
-
-
 def check_row_dominance(model: NetworkModel, xi, grid_points: int = 4096) -> tuple[float, bool]:
     """Margin eta of the pointwise condition for fixed weights.
 
@@ -207,39 +195,6 @@ def check_row_dominance(model: NetworkModel, xi, grid_points: int = 4096) -> tup
     res = cg.residual_rows(_positive_weights(xi, model.n), 0.0)
     eta = -float(res.max())
     return eta, eta >= STRICT_TOL
-
-
-def mmatrix_weights(model: NetworkModel, grid_points: int = 4096,
-                    alpha: float = 0.0) -> tuple[float, np.ndarray | None]:
-    """Worst-case comparison-matrix route to candidate weights.
-
-    Builds the sup-over-time gain matrix against the inf self-inhibition and
-    returns (spectral_radius, xi) with xi a dominance witness when the radius
-    is below one, else (spectral_radius, None).  Conservative: pointwise
-    feasible models can fail this check.
-    """
-    cg = _ConditionGrid(model, grid_points)
-    return _comparison_weights(cg.gain_matrix(alpha)[0], cg.sm.d, alpha)
-
-
-def _comparison_weights(gain: np.ndarray, d: np.ndarray,
-                        alpha: float) -> tuple[float, np.ndarray | None]:
-    """:func:`mmatrix_weights` on the grid's gain tensor (*T, n, n) and self-inhibition (*T, n).
-
-    The radius is the largest eigenvalue modulus: a cyclic comparison matrix
-    has several eigenvalues of that modulus, where power iteration wanders.
-    """
-    P = gain.max(axis=0)
-    delta = (d - alpha).min(axis=0)
-    if np.any(delta <= 0.0) or not np.isfinite(P).all():
-        return math.inf, None
-    A = P / delta[:, None]
-    rho = float(np.abs(np.linalg.eigvals(A)).max())
-    if rho >= 1.0:
-        return rho, None
-    xi = np.linalg.solve(np.eye(A.shape[0]) - A, np.ones(A.shape[0]))
-    xi /= xi.min()
-    return rho, xi
 
 
 @dataclass(frozen=True)
@@ -332,37 +287,45 @@ def _max_margin_weights(blocks: np.ndarray) -> np.ndarray | None:
         active[inactive.argmax(axis=0)[new], new] = True
 
 
+def _lp_weights(rows: np.ndarray) -> np.ndarray:
+    """The one weight rule: :func:`_max_margin_weights` of the finite ``rows`` (T, n, n),
+    scaled to least weight 1, or unit weights when an LP fails.
+
+    The LP sums each row over weights in [1, XI_BOX_MAX], so a row whose
+    magnitudes at weight XI_BOX_MAX sum past the float range raises ValueError,
+    naming its unit, before any LP runs.
+    """
+    with np.errstate(over="ignore"):
+        reach = np.maximum(rows.max(axis=0), -rows.min(axis=0)).sum(axis=1) * XI_BOX_MAX
+    over = np.flatnonzero(reach == math.inf)
+    if over.size:
+        raise ValueError(f"unit {over[0] + 1}: the gains of its dominance row, at weights up "
+                         f"to {XI_BOX_MAX:g}, sum past the float range")
+    xi = _max_margin_weights(rows)
+    return np.ones(rows.shape[-1]) if xi is None else xi / xi.min()
+
+
 @_grid_sized
 def find_weights(model: NetworkModel, grid_points: int = 4096,
                  alpha: float = 0.0) -> Certificate | None:
     """Search for positive weights certifying the pointwise condition.
 
-    Three candidates, scaled to least weight 1, compete on the grid margin:
-    the conservative comparison-matrix witness (if any), the max-margin
-    solution of the grid program by cutting planes (weights boxed to
-    [1, 1e6]), and unit weights.
-    ``alpha > 0`` certifies the rate-extended condition instead.  Returns
-    None when no weights make the margin positive on the grid; that is not a
-    proof of instability.
+    The weights are the max-margin solution of the grid program by cutting
+    planes, boxed to [1, XI_BOX_MAX] and scaled to least weight 1, or unit
+    weights when an LP fails (:func:`_lp_weights`).  ``alpha > 0`` certifies
+    the rate-extended condition instead.  Returns None when a row is not
+    finite or these weights do not make the margin positive on the grid;
+    that is not a proof of instability.
     """
     cg = _ConditionGrid(model, grid_points)
-    gain = cg.gain_matrix(alpha)[0]
-    _, xi_mm = _comparison_weights(gain, cg.sm.d, alpha)  # before the diagonal joins the gain
-    rows = cg.condition_rows(gain, alpha)
+    rows = cg.condition_rows(cg.gain_matrix(alpha)[0], alpha)
     if not np.isfinite(rows).all():  # a diverging moment or an overflowing e^{alpha tau}
         return None
-    xi_lp = _max_margin_weights(rows)
-    candidates = [xi for xi in (xi_mm, xi_lp) if xi is not None] + [np.ones(model.n)]
-
-    best_xi, best_eta = None, -math.inf
-    for xi in candidates:
-        xi_hat = xi / xi.min()
-        eta = -float((rows @ xi_hat).max())
-        if eta > best_eta:
-            best_xi, best_eta = xi_hat, eta
-    if best_eta < STRICT_TOL:
+    xi = _lp_weights(rows)
+    eta = -float((rows @ xi).max())
+    if eta < STRICT_TOL:
         return None
-    return Certificate(xi=best_xi, eta=best_eta, alpha=alpha, grid_points=grid_points)
+    return Certificate(xi=xi, eta=eta, alpha=alpha, grid_points=grid_points)
 
 
 @_grid_sized
@@ -517,8 +480,7 @@ def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
     S = (_row_gains(form.a_sup, _lipschitz(model.g), form.b_sup, _lipschitz(model.f),
                     form.tau_sup, alpha) + np.diag(alpha - form.d_inf))
     if theta is None:  # an inf row (an overflowing lag) cannot be met: unit weights, as checked
-        theta = _max_margin_weights(S[None]) if np.isfinite(S).all() else None
-        theta = np.ones(model.n) if theta is None else theta / theta.min()
+        theta = _lp_weights(S[None]) if np.isfinite(S).all() else np.ones(model.n)
     return _report("sup", S @ theta, {"theta": [float(v) for v in theta], "alpha": alpha})
 
 

@@ -113,7 +113,6 @@ class HistoryBuffer(HermiteNodes):
         self.base = ic_values.shape[0]
         self.count = 0
         self.horizon = self.start_time
-        self._units = np.arange(self.n)
         values = np.zeros((self.n, self.base + max(capacity, 2)))
         derivs = np.zeros_like(values)
         values[:, :self.base] = ic_values.T
@@ -182,23 +181,6 @@ class HistoryBuffer(HermiteNodes):
             out = np.where(times > self.start_time,
                            v[node] + (times - self.start_time) * m[node], out)
         return out
-
-    def lookup_scalar(self, t: float, j: int) -> float:
-        return float(self.lookup_batch(np.array([t]), np.array([j]))[0])
-
-    def lookup(self, t: float) -> np.ndarray:
-        return self.lookup_batch(np.full(self.n, t), self._units)
-
-    def derivative(self, t: float) -> np.ndarray:
-        """Slope at ``t``; zero before the first node, the node slope while there is one node."""
-        self._check_horizon(t)
-        flat = self._units * self._cap
-        if self.count <= 1 and t > self.start_time:
-            return self._flat[1][self.base + flat]
-        if t < self.start_time - (self.base - 1) * self.h:
-            return np.zeros(self.n)
-        row, theta = self._locate(t)
-        return self._slope(row + flat, theta)
 
     def window(self, steps: int) -> SampledIC:
         """Copy of the newest ``steps`` steps, re-based to end at time 0.
@@ -457,23 +439,6 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
     return stage, delayed
 
 
-def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
-        quad_step: float | None = None) -> np.ndarray:
-    """Right side at time ``t`` with delayed lookups: one stage of :func:`simulate`.
-
-    The stage is anchored at the newest node of ``history`` on a plan of one sample.
-    Density nodes are ``quad_step`` apart, by default ``history.h`` as in :func:`simulate`.
-    """
-    sm = SampledModel(model, [t])
-    h = history.h
-    node = max(history.count - 1, 0)
-    plan = _ReadPlan(sm, _delayed_reads(sm, TAIL_TOL, h if quad_step is None else quad_step), h,
-                     [(t - history.start_time) / h - node])
-    history._check_horizon(history.start_time + (node + float(plan.latest[0])) * h)
-    stage, delayed = _stage_function(plan, history)
-    return stage(0, np.asarray(u, dtype=float), delayed(2 * node))
-
-
 def _exact_steps(total: float, h: float, what: str) -> int:
     k = total / h
     r = round(k)
@@ -539,26 +504,3 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
                 raise DivergenceError((m - size + 1 + int(np.argmin(finite))) * h)
     times = np.arange(steps + 1) * h
     return Trajectory(times=times, states=hist.values[: steps + 1].copy(), history=hist)
-
-
-def convergence_order(model: NetworkModel, ic: InitialCondition, t_end: float,
-                      k0: int = 32, window: tuple[float, float] | None = None) -> float:
-    """Richardson order estimate from runs at h, h/2, h/4.
-
-    Compares states at shared nodes (optionally restricted to a window away
-    from the initial breaking point) and returns log2 of the error ratio.
-    """
-    runs = [simulate(model, ic, t_end, model.omega / (k0 * 2 ** lev)) for lev in range(3)]
-
-    def sup_diff(coarse: Trajectory, fine: Trajectory) -> float:
-        diff = np.abs(coarse.states - fine.states[::2]).max(axis=1)
-        if window is not None:
-            mask = (coarse.times >= window[0]) & (coarse.times <= window[1])
-            diff = diff[mask]
-        return float(diff.max())
-
-    e01 = sup_diff(runs[0], runs[1])
-    e12 = sup_diff(runs[1], runs[2])
-    if e12 == 0.0:
-        return math.inf
-    return math.log2(e01 / e12)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -172,21 +171,6 @@ class DelayKernel:
         """The atoms, then the density part if there is one: the one part order."""
         return self.atoms if self.density is None else self.atoms + (self.density,)
 
-    def total_variation_values(self, t) -> np.ndarray:
-        """Vectorized total variation over an array of times: the moment at alpha = 0."""
-        return self.exp_moment_values(t, 0.0)[0]
-
-    def exp_moment_values(self, t, alpha: float) -> tuple[np.ndarray, bool]:
-        """Vectorized exponential moment (sum of :func:`part_gain`); flag False when it diverges."""
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for part in self.parts:
-            mass, finite = part_mass(part, alpha)
-            if not finite:
-                return np.full_like(t, math.inf), False
-            out += part_gain(part.weight.eval(t), mass)
-        return out, True
-
 
 def part_mass(part: Atom | DistributedPart, alpha: float) -> tuple[float, bool]:
     """(mass, finite) of one kernel part at rate alpha.
@@ -207,26 +191,6 @@ def part_gain(weight, mass: float) -> np.ndarray:
     w = np.abs(weight)
     with np.errstate(invalid="ignore"):  # the 0 * inf that np.where then drops
         return np.where(w != 0.0, w * mass, 0.0)
-
-
-@dataclass(frozen=True)
-class KernelMoment:
-    alpha: float
-    value: float
-    finite: bool
-
-
-def total_variation(kernel: DelayKernel, t: float) -> float:
-    """Aggregate absolute delayed gain at time ``t``."""
-    return float(kernel.total_variation_values(np.asarray(t, dtype=float)))
-
-
-def exp_moment(kernel: DelayKernel, t: float, alpha: float) -> KernelMoment:
-    """Exponentially weighted absolute gain; divergence is flagged, not raised."""
-    if alpha < 0.0:
-        raise ValueError("alpha must be nonnegative")
-    values, finite = kernel.exp_moment_values(np.asarray(t, dtype=float), alpha)
-    return KernelMoment(alpha=alpha, value=float(values), finite=finite)
 
 
 def simpson_rule(shape: Density, tail_tol: float = TAIL_TOL,
@@ -251,34 +215,3 @@ def simpson_rule(shape: Density, tail_tol: float = TAIL_TOL,
     coef[1::2] = 4.0
     coef[0] = coef[-1] = 1.0
     return nodes, (s_cut / n / 3.0) * coef * shape.eval(nodes)
-
-
-def density_quadrature(shape: Density, lookup: Callable[[float], float],
-                       tail_tol: float = TAIL_TOL, step: float | None = None) -> float:
-    """Integral of ``density(s) * lookup(s)`` by :func:`simpson_rule`, one lookup per node."""
-    nodes, weights = simpson_rule(shape, tail_tol, step)
-    return float(weights @ np.array([lookup(float(s)) for s in nodes]))
-
-
-def convolve(
-    kernel: DelayKernel,
-    t: float,
-    lookup: Callable[[float], float],
-    tail_tol: float = TAIL_TOL,
-    step: float | None = None,
-) -> float:
-    """Integrate ``lookup`` against the kernel measure at time ``t``.
-
-    Atoms are evaluated exactly; the density part goes through
-    :func:`density_quadrature` weighted by the density's time coefficient.
-    """
-    acc = 0.0
-    for atom in kernel.atoms:
-        w = atom.weight.eval(t)
-        if w != 0.0:
-            acc += w * lookup(atom.s)
-    if kernel.density is not None:
-        b = kernel.density.weight.eval(t)
-        if b != 0.0:
-            acc += b * density_quadrature(kernel.density.shape, lookup, tail_tol, step)
-    return float(acc)

@@ -354,11 +354,6 @@ def sampled(model: NetworkModel, count: int, step: float) -> SampledModel:
         raise GridTooLargeError(f"{count} samples are too many to hold in memory") from None
 
 
-def eval_coefficients(model: NetworkModel, t: float) -> SampledModel:
-    """Evaluate all coefficient expressions at one time; pure and deterministic."""
-    return SampledModel(model, float(t))
-
-
 @dataclass
 class ValidationReport:
     violations: list[str] = field(default_factory=list)

@@ -15,18 +15,18 @@ from scipy.integrate import quad
 
 from periodyn.expressions import const, term_expr
 from periodyn.kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
-                              TableDensity, UniformDensity, exp_moment,
-                              total_variation)
+                              TableDensity, UniformDensity)
 from periodyn.model import Activation, ConstantIC
 from periodyn.certify import (check_row_dominance, compute_bounds, find_decay_rate,
                               find_weights, random_discrete_delay_model,
                               search_split_sup_criterion)
 from periodyn.cli import builtin_config_path, main, run_ensemble
-from periodyn.integrate import convergence_order, simulate
+from periodyn.integrate import simulate
 from periodyn.periodic import (PeriodSegment, estimate_decay_rate, find_periodic_orbit,
                                verify_periodicity)
 
-from helpers import scalar_model, weighted_norms
+from helpers import (convergence_order, exp_moment, scalar_model, total_variation,
+                     weighted_norms)
 
 BUILTIN_ETA_ORACLE = 0.07199615906297285  # dense-grid evaluation, worst row 3
 SCALAR_ALPHA_ORACLE = 0.4428544010015685  # root of exp(a) + a = 2

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from periodyn.expressions import const, term_expr
-from periodyn.integrate import HistoryBuffer, HistoryUnderrunError, rhs, simulate
+from periodyn.integrate import HistoryBuffer, HistoryUnderrunError, simulate
 from periodyn.kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
-                              TableDensity, UniformDensity, density_quadrature)
+                              TableDensity, UniformDensity)
 from periodyn.model import Activation, ConstantIC, ExprIC, SampledIC
 
-from helpers import scalar_model
+from helpers import density_quadrature, lookup_scalar, rhs, scalar_model
 
 H = 0.05
 IC_STEPS = 6
@@ -41,7 +41,7 @@ def _times(lo, hi, rng, nodes=()):
 def _assert_batch_equals_scalar(hist, times, rng):
     cols = rng.integers(0, 2, size=times.size)
     batch = hist.lookup_batch(times, cols)
-    scalar = np.array([hist.lookup_scalar(float(t), int(j)) for t, j in zip(times, cols)])
+    scalar = np.array([lookup_scalar(hist, float(t), int(j)) for t, j in zip(times, cols)])
     assert np.array_equal(batch, scalar)
     return cols, batch
 
@@ -119,7 +119,7 @@ def test_stage_density_sum_matches_scalar_quadrature(shape):
     for k in (3, 40, traj.times.size - 1):
         t, u = float(traj.times[k]), float(traj.states[k, 0])
         quad = density_quadrature(
-            shape, lambda s: math.tanh(hist.lookup_scalar(t - 0.07 - s, 0)), step=h)
+            shape, lambda s: math.tanh(lookup_scalar(hist, t - 0.07 - s, 0)), step=h)
         du = rhs(model, t, np.array([u]), hist, quad_step=h)[0]
         assert du == pytest.approx(-1.5 * u + 0.7 * quad, rel=0.0, abs=1e-13)
 

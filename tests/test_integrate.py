@@ -7,10 +7,10 @@ from periodyn.expressions import const, term_expr
 from periodyn.kernels import Atom, DelayKernel, DistributedPart, UniformDensity
 from periodyn.model import Activation, ConstantIC, SampledIC
 from periodyn.certify import compute_bounds, find_weights, random_discrete_delay_model
-from periodyn.integrate import (DivergenceError, HistoryBuffer, HistoryUnderrunError,
-                                convergence_order, rhs, simulate)
+from periodyn.integrate import DivergenceError, HistoryBuffer, HistoryUnderrunError, simulate
 
-from helpers import scalar_model, weighted_norms
+from helpers import (convergence_order, derivative, lookup, lookup_scalar, rhs, scalar_model,
+                     weighted_norms)
 
 
 def linear_forced():
@@ -42,31 +42,31 @@ class TestHistoryBuffer:
 
     def test_delegates_to_initial_condition(self):
         hist = self._filled()
-        assert hist.lookup_scalar(-3.0, 0) == 1.0
-        assert hist.lookup_scalar(0.0, 0) == 1.0
+        assert lookup_scalar(hist, -3.0, 0) == 1.0
+        assert lookup_scalar(hist, 0.0, 0) == 1.0
 
     def test_interpolates_quadratic_exactly(self):
         hist = self._filled()
         for t in (0.05, 0.17, 0.31, 0.399):
-            assert hist.lookup_scalar(t, 0) == pytest.approx(t * t, abs=1e-15)
+            assert lookup_scalar(hist, t, 0) == pytest.approx(t * t, abs=1e-15)
 
     def test_never_extrapolates_past_horizon(self):
         hist = self._filled()
         with pytest.raises(HistoryUnderrunError):
-            hist.lookup_scalar(0.55, 0)
+            lookup_scalar(hist, 0.55, 0)
 
     def test_extrapolates_within_horizon(self):
         hist = self._filled()
         hist.horizon = 0.5
-        assert hist.lookup_scalar(0.45, 0) == pytest.approx(0.45 ** 2, abs=1e-12)
+        assert lookup_scalar(hist, 0.45, 0) == pytest.approx(0.45 ** 2, abs=1e-12)
 
     def test_vector_lookup_matches_scalar(self):
         hist = self._filled()
-        assert hist.lookup(0.23)[0] == hist.lookup_scalar(0.23, 0)
+        assert lookup(hist, 0.23)[0] == lookup_scalar(hist, 0.23, 0)
 
     def test_derivative(self):
         hist = self._filled()
-        assert hist.derivative(0.25)[0] == pytest.approx(0.5, abs=1e-12)
+        assert derivative(hist, 0.25)[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_growth_beyond_capacity(self):
         hist = self._filled(n_nodes=40)

@@ -12,10 +12,10 @@ from periodyn.certify import (_kernel_gain, find_decay_rate, random_discrete_del
                               search_split_sup_criterion)
 from periodyn.config import parse_config
 from periodyn.expressions import const, term_expr
-from periodyn.kernels import Atom, DelayKernel, total_variation
+from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation, builtin_example, sampled
 
-from helpers import scalar_model
+from helpers import exp_moment_values, scalar_model, total_variation
 from test_read_plan import DISTRIBUTED
 
 MODELS = {"builtin": builtin_example, "distributed": lambda: parse_config(json.dumps(DISTRIBUTED))}
@@ -46,7 +46,7 @@ def test_gain_matches_exp_moment_values(name, alpha):
     assert finite
     for i in range(model.n):
         for j in range(model.n):
-            moment, ok = model.kernels[i][j].exp_moment_values(sm.t, alpha)
+            moment, ok = exp_moment_values(model.kernels[i][j], sm.t, alpha)
             assert ok
             np.testing.assert_allclose(gain[:, i, j], moment, rtol=0.0, atol=1e-15)
 

@@ -5,10 +5,9 @@ import pytest
 
 from periodyn.expressions import PeriodicExpr, Term, const, expr_sum, term_expr
 from periodyn.kernels import Atom, DelayKernel
-from periodyn.model import (Activation, ConstantIC, ExprIC, NetworkModel, SampledIC,
-                            eval_coefficients, validate)
+from periodyn.model import Activation, ConstantIC, ExprIC, NetworkModel, SampledIC, validate
 
-from helpers import scalar_model
+from helpers import eval_coefficients, scalar_model
 
 
 class TestPeriodicExpr:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from periodyn.certify import (ModelShapeError, check_row_dominance, compare_criteria,
-                              compute_bounds, find_decay_rate, find_weights, mmatrix_weights)
+                              compute_bounds, find_decay_rate, find_weights)
 from periodyn.cli import builtin_config_path, config_hash, load_model, main, run_ensemble
 from periodyn.expressions import const, expr_sum, term_expr
 from periodyn.integrate import _period_plan
@@ -17,7 +17,7 @@ from periodyn.model import Activation, ConstantIC, NetworkModel
 from periodyn.periodic import (estimate_decay_rate, find_periodic_orbit, lookback_steps,
                                verify_periodicity)
 
-from helpers import ZERO, scalar_model
+from helpers import ZERO, mmatrix_weights, scalar_model
 from test_overflow_rows import lag_one_overflow_model
 
 

@@ -9,15 +9,14 @@ from scipy.optimize import brentq
 
 from periodyn.certify import (_ConditionGrid, _kernel_gain, _part_mass,
                               check_split_sup_criterion, check_sup_criterion, find_decay_rate,
-                              find_weights, mmatrix_weights, search_split_sup_criterion,
-                              search_sup_criterion)
+                              find_weights, search_split_sup_criterion, search_sup_criterion)
 from periodyn.cli import main
 from periodyn.config import parse_config
 from periodyn.expressions import const, expr_sum, term_expr
 from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation
 
-from helpers import scalar_model
+from helpers import mmatrix_weights, scalar_model
 
 
 def lag_one_overflow_model():

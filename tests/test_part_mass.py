@@ -8,10 +8,10 @@ from periodyn import certify, kernels
 from periodyn.config import builtin_config_path, load_model
 from periodyn.expressions import ZERO, const, term_expr
 from periodyn.kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
-                              TableDensity, UniformDensity, exp_moment)
+                              TableDensity, UniformDensity)
 from periodyn.model import SampledModel, builtin_example
 
-from helpers import scalar_model
+from helpers import exp_moment, scalar_model
 
 PAST_THE_FLOAT_RANGE = {
     "atom": DelayKernel(atoms=(Atom(1.0, const(0.1)),)),

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from periodyn.expressions import const
-from periodyn.integrate import HistoryBuffer, rhs, simulate
+from periodyn.integrate import HistoryBuffer, simulate
 from periodyn.kernels import DelayKernel, DistributedPart, ExponentialDensity
-from periodyn.model import Activation, ConstantIC, SampledIC, eval_coefficients
+from periodyn.model import Activation, ConstantIC, SampledIC
 from periodyn.periodic import PeriodSegment
 
-from helpers import scalar_model
+from helpers import derivative, eval_coefficients, lookup, lookup_scalar, rhs, scalar_model
 
 
 def test_rhs_reproduces_node_slopes(builtin):
@@ -54,11 +54,11 @@ def test_dense_outputs_agree_inside_nodes(nodes):
     seg = PeriodSegment(omega=h * (values.shape[0] - 1), h=h, values=values, derivs=derivs)
     for t in np.linspace(0.0, seg.omega, 97)[1:-1]:
         t = float(t)
-        assert np.array_equal(hist.lookup(t), ic.eval(t))
+        assert np.array_equal(lookup(hist, t), ic.eval(t))
         assert np.array_equal(seg.eval(t), ic.eval(t))
         for j in range(2):
-            assert hist.lookup_scalar(t, j) == ic.eval_component(t, j) == seg.eval_component(t, j)
-            assert hist.derivative(t)[j] == ic.derivative_component(t, j)
+            assert lookup_scalar(hist, t, j) == ic.eval_component(t, j) == seg.eval_component(t, j)
+            assert derivative(hist, t)[j] == ic.derivative_component(t, j)
 
 
 def test_segment_reads_a_time_array_as_each_time(nodes):
