@@ -10,7 +10,7 @@ from .certify import (Certificate, CriterionReport, ModelShapeError,
                       check_period_scaled_criterion, check_row_dominance,
                       check_split_sup_criterion, check_sup_criterion, compute_bounds,
                       find_decay_rate, find_weights, search_split_sup_criterion,
-                      search_sup_criterion, weighted_sup_norm)
+                      search_sup_criterion)
 from .integrate import DivergenceError, HistoryBuffer, HistoryUnderrunError, Trajectory, simulate
 from .periodic import (NoConvergenceError, PeriodSegment, RateFit,
                        estimate_decay_rate, find_periodic_orbit, period_map,

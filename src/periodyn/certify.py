@@ -19,7 +19,7 @@ import numpy as np
 
 from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
 from .kernels import Atom, DelayKernel, ExponentialDensity, part_gain, part_mass as _part_mass
-from .model import (Activation, GridTooLargeError, NetworkModel, SampledModel, _positive_weights,
+from .model import (Activation, NetworkModel, SampledModel, _positive_weights, holding,
                     sampled)
 
 STRICT_TOL = 1e-12
@@ -28,18 +28,12 @@ SPLIT_SEED_GRID = 1024  # the split search seeds from the weights at min(grid, 1
 # relative slack of the rate's chord test: over the rounding of 3 rows, each up to 2.2e-7
 # of its magnitude (an exponential density's moment near the rate cap)
 CHORD_TOL = 2.0 ** -20
+_GRID_TOO_LARGE = "the grid's arrays are too large to hold in memory"
 _LP_TOL = 1e-12  # least reduced cost that enters, pivot taken and step that is progress
 
 
 class ModelShapeError(ValueError):
     """Raised when a criterion needs the constant-discrete-delay model form."""
-
-
-def weighted_sup_norm(x, xi) -> float:
-    """max_i |x_i| / xi_i, the norm all bounds and contraction rates use."""
-    x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    return float(np.max(np.abs(x) / xi))
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +126,8 @@ class _ConditionGrid:
     """Coefficient magnitudes on the grid, one per (model, grid), keeping no (T, n, n) array."""
 
     def __init__(self, model: NetworkModel, grid_points: int):
-        self.sm = sampled(model, grid_points, model.omega / grid_points)
+        with holding("--grid", f"{grid_points} samples are too many to hold in memory"):
+            self.sm = sampled(model, grid_points, model.omega / grid_points)
         self.n = model.n
         self.G = _lipschitz(model.g)
         self.F = _lipschitz(model.f)
@@ -163,26 +158,6 @@ class _ConditionGrid:
 
     def residual_rows(self, xi: np.ndarray, alpha: float) -> np.ndarray:
         return self.condition_rows(self.gain_matrix(alpha)[0], alpha) @ xi
-
-
-class TooManyDrawsError(ValueError):
-    """More split-sup draws than memory holds."""
-
-
-def _sized(error: type[ValueError], arrays: str):
-    """A decorator: ``fn`` with a failed allocation of ``arrays`` raised as ``error``."""
-    def wrap(fn):
-        @functools.wraps(fn)
-        def call(*args, **kwargs):
-            try:
-                return fn(*args, **kwargs)
-            except MemoryError:
-                raise error(f"{arrays} are too large to hold in memory") from None
-        return call
-    return wrap
-
-
-_grid_sized = _sized(GridTooLargeError, "the grid's arrays")
 
 
 def check_row_dominance(model: NetworkModel, xi, grid_points: int = 4096) -> tuple[float, bool]:
@@ -305,7 +280,6 @@ def _lp_weights(rows: np.ndarray) -> np.ndarray:
     return np.ones(rows.shape[-1]) if xi is None else xi / xi.min()
 
 
-@_grid_sized
 def find_weights(model: NetworkModel, grid_points: int = 4096,
                  alpha: float = 0.0) -> Certificate | None:
     """Search for positive weights certifying the pointwise condition.
@@ -318,7 +292,8 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
     that is not a proof of instability.
     """
     cg = _ConditionGrid(model, grid_points)
-    rows = cg.condition_rows(cg.gain_matrix(alpha)[0], alpha)
+    with holding("--grid", _GRID_TOO_LARGE):
+        rows = cg.condition_rows(cg.gain_matrix(alpha)[0], alpha)
     if not np.isfinite(rows).all():  # a diverging moment or an overflowing e^{alpha tau}
         return None
     xi = _lp_weights(rows)
@@ -328,7 +303,6 @@ def find_weights(model: NetworkModel, grid_points: int = 4096,
     return Certificate(xi=xi, eta=eta, alpha=alpha, grid_points=grid_points)
 
 
-@_grid_sized
 def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
                     tol: float = 1e-6) -> float:
     """Largest certifiable decay rate for fixed weights, by bisection.
@@ -362,10 +336,11 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
 
     # row (t, i): base + alpha xi_i, plus the sum of coef * mass * e^{alpha lag} over the
     # parts of the row, coef = F_j xi_j |w(t)| and lag = tau_ij(t)
-    base = np.abs(sm.a) @ (cg.G * xi) - sm.d * xi
-    coef = np.abs(sm.kernel_weights) * (cg.F * xi)[j]
-    lag = np.take(sm.tau.reshape(-1, model.n ** 2), i * model.n + j, axis=1)  # C order, like coef
-    spare = [np.empty_like(coef), np.empty_like(coef)]
+    with holding("--grid", _GRID_TOO_LARGE):
+        base = np.abs(sm.a) @ (cg.G * xi) - sm.d * xi
+        coef = np.abs(sm.kernel_weights) * (cg.F * xi)[j]
+        lag = np.take(sm.tau.reshape(-1, model.n ** 2), i * model.n + j, axis=1)  # coef's order
+        spare = [np.empty_like(coef), np.empty_like(coef)]
 
     def residual(alpha: float, idx: np.ndarray) -> np.ndarray:
         """Largest row of each time sample ``idx``; delayed terms are made in the spare buffers."""
@@ -406,7 +381,6 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
             return lo
 
 
-@_grid_sized
 def compute_bounds(model: NetworkModel, certificate: Certificate,
                    grid_points: int | None = None) -> tuple[float, float, float]:
     """A-priori bounds (J, M, N) for a certified model.
@@ -417,12 +391,12 @@ def compute_bounds(model: NetworkModel, certificate: Certificate,
     """
     gp = grid_points or certificate.grid_points or 4096
     cg = _ConditionGrid(model, gp)
-    sm, xi, abs_a = cg.sm, certificate.xi, np.abs(cg.sm.a)
-    tv_rows, tv_sup = cg.zero_rate_gain()
-    abs_inputs = np.abs(sm.inputs)
+    sm, xi = cg.sm, certificate.xi
     C = np.array([act.offset for act in model.g])
-
-    J = float((_row_sums(abs_a * C) + tv_rows + abs_inputs).max())
+    with holding("--grid", _GRID_TOO_LARGE):
+        abs_a, abs_inputs = np.abs(sm.a), np.abs(sm.inputs)
+        tv_rows, tv_sup = cg.zero_rate_gain()
+        J = float((_row_sums(abs_a * C) + tv_rows + abs_inputs).max())
     M = 1.01 * J / certificate.eta if J > 0.0 else 1.0
     alpha_hat = float((np.abs(sm.d).max(axis=0) / xi).max())
     beta_hat = float(((abs_a.max(axis=0) * cg.G) / xi[:, None]).max())
@@ -558,7 +532,6 @@ def search_split_sup_criterion(model: NetworkModel, alpha: float = 0.0, draws: i
     return _split_sup_search(model, form, alpha, draws, seed, cert)
 
 
-@_sized(TooManyDrawsError, "the draws' arrays")
 def _split_sup_search(model: NetworkModel, form: DiscreteDelayForm, alpha: float, draws: int,
                       seed: int, cert: Certificate | None) -> CriterionReport:
     """:func:`search_split_sup_criterion` with the sup form and the seed weights found."""
@@ -566,14 +539,15 @@ def _split_sup_search(model: NetworkModel, form: DiscreteDelayForm, alpha: float
     fixed = [np.ones(n)] + ([cert.xi] if cert is not None else [])
     # per-column bounds: each draw takes xi, then a_exp, then b_exp from the stream
     parts = [n, n * n, n * n]
-    u = np.random.default_rng(seed).uniform(np.repeat([-1.5, 0.05, 0.05], parts),
-                                            np.repeat([1.5, 0.95, 0.95], parts),
-                                            size=(draws, sum(parts)))
-    half = np.full((len(fixed), n, n), 0.5)
-    xi = np.vstack(fixed + [np.exp(u[:, :n])])
-    a_exp = np.concatenate([half, u[:, n:n + n * n].reshape(-1, n, n)])
-    b_exp = np.concatenate([half, u[:, n + n * n:].reshape(-1, n, n)])
-    rows = _split_sup_rows(model, form, alpha, xi, a_exp, b_exp)
+    rng = np.random.default_rng(seed)
+    with holding("--draws", "the draws' arrays are too large to hold in memory"):
+        u = rng.uniform(np.repeat([-1.5, 0.05, 0.05], parts), np.repeat([1.5, 0.95, 0.95], parts),
+                        size=(draws, sum(parts)))
+        half = np.full((len(fixed), n, n), 0.5)
+        xi = np.vstack(fixed + [np.exp(u[:, :n])])
+        a_exp = np.concatenate([half, u[:, n:n + n * n].reshape(-1, n, n)])
+        b_exp = np.concatenate([half, u[:, n + n * n:].reshape(-1, n, n)])
+        rows = _split_sup_rows(model, form, alpha, xi, a_exp, b_exp)
     worst = rows.max(axis=1)
     k = np.argmin(np.where(worst <= -STRICT_TOL, -np.inf, worst))  # first hit, else first min
     return _split_sup_report(rows[k], xi[k], alpha, a_exp[k], b_exp[k])

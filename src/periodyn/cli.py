@@ -21,10 +21,10 @@ import numpy as np
 # validate are re-exported: callers reach them as periodyn.cli.*
 from .config import (ConfigError, builtin_config_path, config_hash, load_model,
                      model_to_config, parse_config, serialize_config)
-from .model import ConstantIC, GridTooLargeError, validate
-from .certify import (ModelShapeError, TooManyDrawsError, check_row_dominance, compare_criteria,
-                      compute_bounds, find_decay_rate, find_weights, random_discrete_delay_model)
-from .integrate import DivergenceError, RunTooLongError, StepTooSmallError, simulate
+from .model import ConstantIC, TooLargeError, holding, validate
+from .certify import (ModelShapeError, check_row_dominance, compare_criteria, compute_bounds,
+                      find_decay_rate, find_weights, random_discrete_delay_model)
+from .integrate import DivergenceError, simulate
 from .kernels import TAIL_TOL
 from .periodic import (NoConvergenceError, estimate_decay_rate, find_periodic_orbit,
                        verify_periodicity)
@@ -35,16 +35,6 @@ EXIT_INFEASIBLE = 2
 EXIT_NO_CONVERGENCE = 3
 
 ProcessPoolExecutor = None  # concurrent.futures' pool, imported by the first ensemble that needs one
-
-
-class EnsembleTooLargeError(ValueError):
-    """An ensemble of more instances than memory holds."""
-
-
-# the flag that sets the size of an array too large to hold in memory
-_SIZE_FLAGS = ((StepTooSmallError, "--h"), (GridTooLargeError, "--grid"),
-               (RunTooLongError, "--t-end"), (TooManyDrawsError, "--draws"),
-               (EnsembleTooLargeError, "--ensemble"))
 
 
 # --- SVG line plots ----------------------------------------------------------
@@ -274,8 +264,12 @@ def cmd_find_period(args) -> int:
         if args.rate_periods > 0:
             # decay fit from a deterministic off-orbit start: x(0) shifted by one
             perturbed = ConstantIC(tuple(float(v) + 1.0 for v in segment.eval(0.0)))
-            fit = estimate_decay_rate(model, segment, perturbed, args.h,
-                                      args.rate_periods * model.omega, xi=cert.xi)
+            with holding("--rate-periods", "the rate fit's run is past the float range"):
+                t_end = args.rate_periods * model.omega
+            try:
+                fit = estimate_decay_rate(model, segment, perturbed, args.h, t_end, xi=cert.xi)
+            except TooLargeError as exc:  # the fit's run, whose length --rate-periods sets
+                raise TooLargeError(f"--rate-periods: {str(exc).partition(': ')[2]}") from None
             # a degenerate fit's rate is inf, which JSON cannot print
             report.results["rate_fit"] = replace(fit, alpha_emp=None) if fit.degenerate else fit
     except NoConvergenceError as exc:
@@ -311,11 +305,10 @@ def run_ensemble(count: int, seed: int, grid: int = 1024, draws: int = 200,
                  workers: int = 1) -> dict:
     """Seeded criterion comparison over random constant-delay instances."""
     global ProcessPoolExecutor
-    try:  # the rows first, so an ensemble too large to hold fails before any instance runs
+    # the rows first, so an ensemble too large to hold fails before any instance runs
+    with holding("--ensemble", f"{count} instances are too many to hold in memory"):
         rows = [None] * count
         tasks = [(seed + idx, grid, draws) for idx in range(count)]
-    except MemoryError:
-        raise EnsembleTooLargeError(f"{count} instances are too many to hold in memory") from None
     workers = min(workers, count)  # a fork pool starts all its workers at the first submit
     if workers > 1:
         if ProcessPoolExecutor is None:
@@ -464,9 +457,8 @@ def main(argv=None) -> int:
     gc.freeze()
     try:
         return args.handler(args)
-    except ValueError as exc:  # a ConfigError too
-        flag = next((f"{flag}: " for kind, flag in _SIZE_FLAGS if isinstance(exc, kind)), "")
-        print(f"error: {flag}{exc}", file=sys.stderr)
+    except ValueError as exc:  # a ConfigError or TooLargeError too
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         gc.unfreeze()

@@ -89,6 +89,7 @@ def _parse_term(obj) -> Term:
     # an int but not a bool; JSON gives exactly int, so the type test decides at once
     if type(k) is not int and (isinstance(k, bool) or not isinstance(k, int)) or k <= 0:
         raise ConfigError("term frequency k must be a positive integer", ".k")
+    _number(k, ".k")  # the basis takes k * pi as a float
     return Term(fn, _number(obj["amp"], ".amp"), k)
 
 

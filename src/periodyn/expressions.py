@@ -106,8 +106,8 @@ def _divides(omega: float, period: Fraction | None, rel_tol: float = 1e-9) -> bo
     """
     if period is None:
         return True
-    ratio = Fraction(omega) / period
-    return round(ratio) >= 1 and abs(ratio - round(ratio)) <= rel_tol * max(1, ratio)
+    ratio = Fraction(omega) / period  # exact, also past the float range
+    return round(ratio) >= 1 and abs(ratio - round(ratio)) <= Fraction(rel_tol) * max(1, ratio)
 
 
 ZERO = PeriodicExpr(())

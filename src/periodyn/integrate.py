@@ -6,7 +6,7 @@ extension used for all delayed lookups.  The initial history is a leading
 block of nodes in the same storage: a constant history is one node, a
 sampled history on the same step keeps its own nodes, and any other history
 is sampled onto the step grid back to the read plan's reach.  One locate
-rule then serves every time from before the start up to the horizon.
+rule then serves every time, before the start and after it.
 
 Each stage reads all its delayed terms -- every atom and every Simpson node
 of every density -- through a read plan.  The step divides the period and
@@ -35,6 +35,7 @@ flow exact in floating point.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import warnings
@@ -45,20 +46,12 @@ import numpy as np
 
 from .expressions import _BLOCK_VALUES
 from .kernels import TAIL_TOL, Atom, simpson_rule
-from .model import (ACTIVATIONS, ConstantIC, GridTooLargeError, HermiteNodes, InitialCondition,
-                    NetworkModel, SampledIC, SampledModel, _read_only, sampled)
+from .model import (ACTIVATIONS, ConstantIC, HermiteNodes, InitialCondition, NetworkModel,
+                    SampledIC, SampledModel, TooLargeError, _read_only, holding, sampled)
 
 
 class HistoryUnderrunError(RuntimeError):
     """A delayed lookup needed times beyond the represented history."""
-
-
-class StepTooSmallError(GridTooLargeError):
-    """One period of half steps is too many samples to hold in memory."""
-
-
-class RunTooLongError(ValueError):
-    """A run of more nodes than memory holds."""
 
 
 class DivergenceError(RuntimeError):
@@ -93,12 +86,11 @@ class HistoryBuffer(HermiteNodes):
     last of them at ``start_time`` with the history's slope; the run's node 0
     follows at the same time with the run's slope.  Times at or before
     ``start_time`` therefore read the initial block and later times the run,
-    through one locate rule: the history is constant before its first node,
-    and a lookup past the last node (past ``horizon``, which is ``start_time``,
-    while the run has no node) raises.  Run stages read past the newest node
-    through the clamp in ``read`` of :func:`_stage_function`, which
-    extrapolates the newest cubic.  ``lag`` is how far before ``start_time``
-    an initial history that is not already on the grid gets sampled.
+    through one locate rule: the history is constant before its first node.
+    Run stages read past the newest node through the clamp in ``read`` of
+    :func:`_stage_function`, which extrapolates the newest cubic.  ``lag`` is
+    how far before ``start_time`` an initial history that is not already on
+    the grid gets sampled.
 
     ``values`` and ``derivs`` are (rows, n) views from the run's node 0.  The
     storage is unit-major, so one flat gather reads any mix of units.
@@ -112,7 +104,6 @@ class HistoryBuffer(HermiteNodes):
         ic_values, ic_derivs = _initial_nodes(ic, self.start_time, self.h, lag)
         self.base = ic_values.shape[0]
         self.count = 0
-        self.horizon = self.start_time
         values = np.zeros((self.n, self.base + max(capacity, 2)))
         derivs = np.zeros_like(values)
         values[:, :self.base] = ic_values.T
@@ -155,32 +146,6 @@ class HistoryBuffer(HermiteNodes):
 
     def set_last_derivative(self, du: np.ndarray) -> None:
         self._d[:, self.base + self.count - 1] = du
-
-    def _check_horizon(self, t_max: float) -> None:
-        if t_max > max(self.last_time, self.horizon) + 1e-9 * self.h:
-            raise HistoryUnderrunError(
-                f"lookup at t={float(t_max)!r} beyond history end {self.last_time!r}")
-
-    def _locate(self, t):
-        """Row and offset of ``t`` (scalar or array), without the horizon check."""
-        x = np.maximum((t - self.start_time) / self.h, 1.0 - self.base)
-        k = np.minimum(np.floor(x), max(self.count - 2, 0))
-        # the run's node 0 sits one row after the initial block's node at the start
-        return k.astype(np.intp) + (self.base - (x <= 0.0)), x - k
-
-    def lookup_batch(self, times: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Unit ``cols[k]`` of the history at ``times[k]`` for every k, in one gather."""
-        if times.size:
-            self._check_horizon(times.max())
-        flat = cols * self._cap  # each unit's offset in the unit-major storage
-        row, theta = self._locate(times)
-        out = self._value(row + flat, theta)
-        if self.count <= 1:  # one node: a first-order Taylor step after the start
-            node = self.base + flat
-            v, m = self._flat
-            out = np.where(times > self.start_time,
-                           v[node] + (times - self.start_time) * m[node], out)
-        return out
 
     def window(self, steps: int) -> SampledIC:
         """Copy of the newest ``steps`` steps, re-based to end at time 0.
@@ -243,15 +208,18 @@ class _DelayedReads(NamedTuple):
 def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _DelayedReads:
     dst, src, col, lag, scale = [], [], [], [], []
     for k, (i, j, part) in enumerate(sm.kernel_parts):
-        if isinstance(part, Atom):
-            nodes, weights = [part.s], [1.0]
-        else:
-            nodes, weights = simpson_rule(part.shape, tail_tol, quad_step)
-        dst += [i] * len(nodes)
-        src += [j] * len(nodes)
-        col += [k] * len(nodes)
-        lag.extend(nodes)
-        scale.extend(weights)
+        atom = isinstance(part, Atom)
+        # a density reads at Simpson nodes quad_step apart over its support
+        with contextlib.nullcontext() if atom else holding(
+                f"kernels[{i}][{j}].density", f"its support of {part.shape.cutoff(tail_tol):.3g}, "
+                f"read every {quad_step:g}, needs too many reads to hold in memory"):
+            nodes, weights = ([part.s], [1.0]) if atom else simpson_rule(part.shape, tail_tol,
+                                                                         quad_step)
+            dst += [i] * len(nodes)
+            src += [j] * len(nodes)
+            col += [k] * len(nodes)
+            lag.extend(nodes)
+            scale.extend(weights)
     dst, src = np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
     return _DelayedReads(dst, src, dst * sm.model.n + src, np.array(col, dtype=np.intp),
                          np.array(lag, dtype=float), np.array(scale, dtype=float))
@@ -341,11 +309,9 @@ def _period_plan(model: NetworkModel, h: float, tail_tol: float, samples: int) -
     period map runs every iteration on the same plan of a whole period.
     """
     period = _exact_steps(model.omega, h, "period")
-    try:
+    with holding("--h", f"step h={h} is too small: one period is {period:.3g} steps, "
+                 "too many to sample in memory"):
         sm = sampled(model, 2 * period, 0.5 * h)
-    except GridTooLargeError:
-        raise StepTooSmallError(f"step h={h} is too small: one period is {period:.3g} steps, "
-                                "too many to sample in memory") from None
     half = np.arange(samples) % 2
     plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h), h, half * 0.5)
     # the history reaches the midpoint's step end, and the node at the other stages
@@ -441,6 +407,8 @@ def _stage_function(plan: _ReadPlan, hist: HistoryBuffer):
 
 def _exact_steps(total: float, h: float, what: str) -> int:
     k = total / h
+    if k == math.inf:
+        raise TooLargeError(f"{what}: {total} is more steps of h={h} than a float counts")
     r = round(k)
     if abs(k - r) > 1e-9 * max(1.0, abs(k)):
         raise ValueError(f"{what}: {total} is not an integer multiple of h={h}")
@@ -471,11 +439,9 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
         # sub-step lookups will run on the extrapolant every step
         warnings.warn(f"step h={h} is not below the smallest delay {plan.min_lag:.6g}; "
                       "intra-step lookups fall back to the Hermite extrapolant")
-    try:
+    with holding("--t-end", f"t_end={t_end} is {steps:.3g} steps of h={h}, too many nodes "
+                 "to hold in memory"):
         hist = HistoryBuffer(ic, 0.0, h, n, capacity=steps + 1, lag=plan.max_lag)
-    except (MemoryError, ValueError):  # numpy refuses a count past its largest array
-        raise RunTooLongError(f"t_end={t_end} is {steps:.3g} steps of h={h}, too many nodes "
-                              "to hold in memory") from None
     stage, delayed = _stage_function(plan, hist)
     near = (plan.latest > -1.0).tolist()  # some read lies less than a step before the node
     m = 0

@@ -92,9 +92,6 @@ class TableDensity:
             else:
                 yield s0, s1, v0, v1
 
-    def abs_mass(self) -> float:
-        return self.exp_abs_moment(0.0)[0]
-
     def exp_abs_moment(self, alpha: float) -> tuple[float, bool]:
         total = 0.0
         for s0, s1, v0, v1 in self._segments():

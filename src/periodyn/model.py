@@ -12,6 +12,7 @@ verifies by dense sampling.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass, field, fields
 
@@ -337,8 +338,22 @@ class SampledModel:
         self.kernel_weights = _read_only(values["weights"])
 
 
-class GridTooLargeError(ValueError):
-    """A grid of more samples than memory holds."""
+class TooLargeError(ValueError):
+    """An input sizes an array past memory; the message starts with that input's name."""
+
+
+@contextlib.contextmanager
+def holding(name: str, message: str):
+    """Raise a failed allocation in the block as ``TooLargeError(f"{name}: {message}")``.
+
+    ``name`` is the flag or JSON path that sized the block's arrays.  numpy
+    refuses a count past its largest array with ValueError, so the block may
+    hold only allocations.
+    """
+    try:
+        yield
+    except (MemoryError, OverflowError, ValueError):
+        raise TooLargeError(f"{name}: {message}") from None
 
 
 @functools.lru_cache(maxsize=8)
@@ -348,10 +363,7 @@ def sampled(model: NetworkModel, count: int, step: float) -> SampledModel:
     Certification samples one period at its grid, integration one period at
     half steps; each command then reads one sampling in all its stages.
     """
-    try:
-        return SampledModel(model, np.arange(count) * step)
-    except (MemoryError, ValueError):  # numpy refuses a count past its largest array
-        raise GridTooLargeError(f"{count} samples are too many to hold in memory") from None
+    return SampledModel(model, np.arange(count) * step)
 
 
 @dataclass

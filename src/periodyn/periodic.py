@@ -16,7 +16,8 @@ import numpy as np
 
 from .integrate import Trajectory, _period_plan, simulate, write_states_csv
 from .kernels import TAIL_TOL
-from .model import HermiteNodes, InitialCondition, NetworkModel, SampledIC, _positive_weights
+from .model import (HermiteNodes, InitialCondition, NetworkModel, SampledIC, _positive_weights,
+                    holding)
 
 ANDERSON_DEPTH = 3  # the orbit search mixes the differences of the last 3 + 1 maps
 QUOTIENT_FLOOR = 1e-12  # iterates closer than this, relative to their size, give no quotient
@@ -115,11 +116,9 @@ def _advance_one_period(model: NetworkModel, ic: InitialCondition,
                         h: float) -> tuple[SampledIC, Trajectory]:
     traj = simulate(model, ic, model.omega, h)
     steps = lookback_steps(model, h)
-    try:
+    with holding("tau", f"delays that reach {steps * h:.3g} need a period-map window of "
+                 f"{steps:.3g} steps of h={h}, too many to hold in memory"):
         return traj.history.window(steps), traj
-    except (MemoryError, OverflowError, ValueError):  # numpy cannot allocate the window
-        raise ValueError(f"tau: delays that reach {steps * h:.3g} need a period-map window of "
-                         f"{steps:.3g} steps of h={h}, too many to hold in memory") from None
 
 
 def period_map(model: NetworkModel, ic: InitialCondition, h: float) -> SampledIC:

@@ -10,8 +10,8 @@ import numpy as np
 
 from periodyn.certify import _ConditionGrid
 from periodyn.expressions import PeriodicExpr, const
-from periodyn.integrate import (HistoryBuffer, Trajectory, _delayed_reads, _ReadPlan,
-                                _stage_function, simulate)
+from periodyn.integrate import (HistoryBuffer, HistoryUnderrunError, Trajectory, _delayed_reads,
+                                _ReadPlan, _stage_function, simulate)
 from periodyn.kernels import TAIL_TOL, DelayKernel, Density, part_gain, part_mass, simpson_rule
 from periodyn.model import Activation, InitialCondition, NetworkModel, SampledModel
 
@@ -158,23 +158,53 @@ def convolve(
 
 # integrate
 
+def _check_horizon(buf: HistoryBuffer, t_max: float) -> None:
+    """Raise past the last node, or past ``buf.horizon`` where a test sets one."""
+    if t_max > max(buf.last_time, getattr(buf, "horizon", buf.start_time)) + 1e-9 * buf.h:
+        raise HistoryUnderrunError(
+            f"lookup at t={float(t_max)!r} beyond history end {buf.last_time!r}")
+
+
+def _locate(buf: HistoryBuffer, t):
+    """Row and offset of ``t`` (scalar or array), without the horizon check."""
+    x = np.maximum((t - buf.start_time) / buf.h, 1.0 - buf.base)
+    k = np.minimum(np.floor(x), max(buf.count - 2, 0))
+    # the run's node 0 sits one row after the initial block's node at the start
+    return k.astype(np.intp) + (buf.base - (x <= 0.0)), x - k
+
+
+def lookup_batch(buf: HistoryBuffer, times: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Unit ``cols[k]`` of the history at ``times[k]`` for every k, in one gather."""
+    if times.size:
+        _check_horizon(buf, times.max())
+    flat = cols * buf._cap  # each unit's offset in the unit-major storage
+    row, theta = _locate(buf, times)
+    out = buf._value(row + flat, theta)
+    if buf.count <= 1:  # one node: a first-order Taylor step after the start
+        node = buf.base + flat
+        v, m = buf._flat
+        out = np.where(times > buf.start_time,
+                       v[node] + (times - buf.start_time) * m[node], out)
+    return out
+
+
 def lookup_scalar(buf: HistoryBuffer, t: float, j: int) -> float:
-    return float(buf.lookup_batch(np.array([t]), np.array([j]))[0])
+    return float(lookup_batch(buf, np.array([t]), np.array([j]))[0])
 
 
 def lookup(buf: HistoryBuffer, t: float) -> np.ndarray:
-    return buf.lookup_batch(np.full(buf.n, t), np.arange(buf.n))
+    return lookup_batch(buf, np.full(buf.n, t), np.arange(buf.n))
 
 
 def derivative(buf: HistoryBuffer, t: float) -> np.ndarray:
     """Slope at ``t``; zero before the first node, the node slope while there is one node."""
-    buf._check_horizon(t)
+    _check_horizon(buf, t)
     flat = np.arange(buf.n) * buf._cap
     if buf.count <= 1 and t > buf.start_time:
         return buf._flat[1][buf.base + flat]
     if t < buf.start_time - (buf.base - 1) * buf.h:
         return np.zeros(buf.n)
-    row, theta = buf._locate(t)
+    row, theta = _locate(buf, t)
     return buf._slope(row + flat, theta)
 
 
@@ -190,7 +220,7 @@ def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
     node = max(history.count - 1, 0)
     plan = _ReadPlan(sm, _delayed_reads(sm, TAIL_TOL, h if quad_step is None else quad_step), h,
                      [(t - history.start_time) / h - node])
-    history._check_horizon(history.start_time + (node + float(plan.latest[0])) * h)
+    _check_horizon(history, history.start_time + (node + float(plan.latest[0])) * h)
     stage, delayed = _stage_function(plan, history)
     return stage(0, np.asarray(u, dtype=float), delayed(2 * node))
 

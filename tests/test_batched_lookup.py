@@ -11,7 +11,7 @@ from periodyn.kernels import (Atom, DelayKernel, DistributedPart, ExponentialDen
                               TableDensity, UniformDensity)
 from periodyn.model import Activation, ConstantIC, ExprIC, SampledIC
 
-from helpers import density_quadrature, lookup_scalar, rhs, scalar_model
+from helpers import density_quadrature, lookup_batch, lookup_scalar, rhs, scalar_model
 
 H = 0.05
 IC_STEPS = 6
@@ -40,7 +40,7 @@ def _times(lo, hi, rng, nodes=()):
 
 def _assert_batch_equals_scalar(hist, times, rng):
     cols = rng.integers(0, 2, size=times.size)
-    batch = hist.lookup_batch(times, cols)
+    batch = lookup_batch(hist, times, cols)
     scalar = np.array([lookup_scalar(hist, float(t), int(j)) for t, j in zip(times, cols)])
     assert np.array_equal(batch, scalar)
     return cols, batch
@@ -68,10 +68,10 @@ class TestBatchedLookup:
         times = _times(-IC_STEPS * H, 0.0, rng)
         cols = rng.integers(0, 2, size=times.size)
         expected = [ic.eval_component(float(t), int(j)) for t, j in zip(times, cols)]
-        np.testing.assert_allclose(hist.lookup_batch(times, cols), expected,
+        np.testing.assert_allclose(lookup_batch(hist, times, cols), expected,
                                    rtol=0.0, atol=1e-13)
         # the start time reads the initial node, not the run's node 0
-        assert np.array_equal(hist.lookup_batch(np.zeros(2), np.arange(2)), ic.values[-1])
+        assert np.array_equal(lookup_batch(hist, np.zeros(2), np.arange(2)), ic.values[-1])
 
     def test_single_node_taylor_step(self):
         ic, hist = _buffer(count=1)
@@ -86,7 +86,7 @@ class TestBatchedLookup:
         _, hist = _buffer(count=9)
         times = np.array([-0.1, 0.1, hist.horizon + 0.01 * H, 0.2])
         with pytest.raises(HistoryUnderrunError):
-            hist.lookup_batch(times, np.zeros(4, dtype=int))
+            lookup_batch(hist, times, np.zeros(4, dtype=int))
 
 
 class TestWindow:

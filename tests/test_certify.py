@@ -12,8 +12,7 @@ from periodyn.certify import (Certificate, ModelShapeError, check_period_scaled_
                               check_sup_criterion, compute_bounds, discrete_delay_form,
                               find_decay_rate, find_weights, pointwise_criterion_label,
                               pointwise_report, random_discrete_delay_model,
-                              search_split_sup_criterion, search_sup_criterion,
-                              weighted_sup_norm)
+                              search_split_sup_criterion, search_sup_criterion)
 
 from helpers import exp_moment_values, mmatrix_weights, row_residual, scalar_model
 
@@ -356,10 +355,6 @@ class TestInclusionProperties:
 
 
 class TestWeightedNorm:
-    def test_values(self):
-        assert weighted_sup_norm([2.0, -3.0], [1.0, 2.0]) == 2.0
-        assert weighted_sup_norm([1.0], [4.0]) == 0.25
-
     def test_discrete_form_extracts_sups(self, builtin):
         form = discrete_delay_form(builtin, 4096)
         assert form.d_inf[0] == pytest.approx(2.51, abs=1e-9)

@@ -16,6 +16,8 @@ from periodyn.cli import (ConfigError, builtin_config_path, config_hash, main,
                           model_to_config, parse_config, run_ensemble,
                           serialize_config, write_line_plot, _nice_ticks)
 
+from test_read_plan import DISTRIBUTED
+
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
 inputs = importlib.util.module_from_spec(_spec)
@@ -658,3 +660,61 @@ def test_huge_draws_or_ensemble_is_an_input_error_naming_its_flag(cfg_file, flag
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {flag}: ") and "in memory" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _run_limited(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "periodyn.cli", *argv],
+                          capture_output=True, text=True, preexec_fn=_limit_address_space,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+
+
+@pytest.mark.parametrize("periods", [10 ** 12, 10 ** 306, 10 ** 320])
+def test_huge_rate_fit_is_an_input_error_naming_rate_periods(cfg_file, periods):
+    # 10^12 periods of the fit's run are 2e14 nodes, 10^306 periods more steps of h
+    # than a float counts, 10^320 periods no float time; find-period has no --t-end flag
+    proc = _run_limited("find-period", cfg_file, "--h", "1e-2", "--grid", "256",
+                        "--rate-periods", str(periods))
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: --rate-periods: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["simulate", "find-period"])
+@pytest.mark.parametrize("where, field, value", [
+    ((1, 2), "width", 1e7),  # 1e9 Simpson nodes one step of 1e-2 apart
+    ((1, 2), "width", 1e12),
+    ((1, 2), "width", 1e30),  # past numpy's largest array
+    ((0, 1), "lam", 1e-12),  # an exponential cut off at 1.8e13
+])
+def test_wide_density_support_is_an_input_error_naming_the_density(tmp_path, command, where,
+                                                                   field, value):
+    doc = json.loads(json.dumps(DISTRIBUTED))
+    doc["kernels"][where[0]][where[1]]["density"][field] = value
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--t-end", "0.5"] if command == "simulate" else []
+    proc = _run_limited(command, str(path), "--h", "1e-2", "--grid", "256", *extra)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: kernels[{where[0]}][{where[1]}].density: ")
+    assert "in memory" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["--h", "1e-320", "--t-end", "0"], "period"),  # 2 / 1e-320 overflows to inf
+    (["--h", "1e-302", "--t-end", "5e11"], "t_end"),
+])
+def test_a_step_count_past_the_float_range_is_an_input_error(cfg_file, capsys, argv, what):
+    assert main(["simulate", cfg_file, "--force", *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {what}: ") and err.count("\n") == 1
+
+
+def test_term_frequency_past_the_float_range_exits_one_with_path(tmp_path, capsys):
+    # the coefficient basis takes k * pi as a float
+    path = tmp_path / "huge_k.json"
+    path.write_text(json.dumps(tiny_config(d=[[{"const": 1.0}, {"amp": 0.5, "fn": "sin2",
+                                                                 "k": 10 ** 400}]])))
+    assert main(["certify", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}.d[0][1].k: ")

@@ -193,4 +193,4 @@ class TestConstruction:
     def test_table_abs_mass_with_sign_change(self):
         shape = TableDensity((0.0, 1.0), (1.0, -1.0))
         # |linear from 1 to -1| integrates to 0.5
-        assert shape.abs_mass() == pytest.approx(0.5, abs=1e-14)
+        assert shape.exp_abs_moment(0.0)[0] == pytest.approx(0.5, abs=1e-14)

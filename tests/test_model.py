@@ -39,6 +39,10 @@ class TestPeriodicExpr:
         assert term_expr("sin2", 1.0, 2).divides_period(2.0)
         assert not term_expr("cos", 1.0, 1).divides_period(1.0)
 
+    def test_divides_period_past_the_float_range(self):
+        # omega / period is 8e312, compared exactly: no float holds it
+        assert term_expr("sin2", 1.0, 4 * 10 ** 300).divides_period(2e12)
+
     def test_invalid_terms(self):
         with pytest.raises(ValueError):
             Term("wavelet", 1.0, 1)

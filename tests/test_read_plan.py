@@ -19,7 +19,7 @@ from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation, ConstantIC, ExprIC, sampled
 from periodyn.periodic import period_map
 
-from helpers import scalar_model
+from helpers import lookup_batch, scalar_model
 
 TAIL_TOL = 1e-8
 
@@ -62,7 +62,7 @@ def _reference(model, h, hist, jh):
     idx = jh % sm.t.shape[0]
     tau = sm.tau[idx].reshape(-1)[reads.pair]
     times = (0.5 * h * jh - tau) - reads.lag
-    values = hist.lookup_batch(times, reads.src)
+    values = lookup_batch(hist, times, reads.src)
     acts = np.array([model.f[j](float(v)) for j, v in zip(reads.src, values)])
     terms = sm.kernel_weights[idx][reads.col] * reads.scale * acts
     return np.bincount(reads.dst, weights=terms, minlength=model.n), times
