@@ -359,99 +359,84 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
-def _int_at_least(text: str, low: int, what: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < low:
-        raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
-    return value
+def _number(cast, ok, what: str):
+    """An argparse type: ``cast(text)`` if ``ok`` holds of it, else an error naming ``what``."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not ok(value):  # an int is shown as parsed, a float as given
+            shown = value if cast is int else text
+            raise argparse.ArgumentTypeError(f"must be {what}, got {shown}")
+        return value
+    return parse
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1, "a positive integer")
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_positive_float = _number(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+_non_negative_float = _number(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_step = _number(float, lambda v: v > 0.0, "a number > 0")  # inf: the period check names it
+_fraction = _number(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 
 
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0, "a non-negative integer")
+COMMANDS = ("certify", "simulate", "find-period", "compare")
 
 
-def _bounded_float(text: str, ok, what: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not ok(value):
-        raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    return _bounded_float(text, lambda v: 0.0 < v < math.inf, "a finite number > 0")
-
-
-def _non_negative_float(text: str) -> float:
-    return _bounded_float(text, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
-
-
-def _step(text: str) -> float:  # an inf step reaches the period check, which names it
-    return _bounded_float(text, lambda v: v > 0.0, "a number > 0")
-
-
-def _fraction(text: str) -> float:
-    return _bounded_float(text, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of all four commands, or of ``command`` alone with the same help and errors."""
     parser = _Parser(
         prog="periodyn",
         description="Certify, simulate and compare periodically forced delayed networks.")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # a usage line names all four commands; only the full parser reports a missing or bad one
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser,
+                                metavar=command and "{" + ",".join(COMMANDS) + "}")
     common = _Parser(add_help=False)  # every command reads a config and certifies on a grid
     common.add_argument("config")
     common.add_argument("--grid", type=_positive_int, default=4096)
 
-    p = sub.add_parser("certify", parents=[common],
-                       help="search weights, margin, decay rate and bounds")
-    p.add_argument("--tol", type=_positive_float, default=1e-6)
-    p.set_defaults(handler=cmd_certify)
+    def add(name: str, handler, summary: str):  # the subparser, or None if it is not built
+        if command in (None, name):
+            p = sub.add_parser(name, parents=[common], help=summary)
+            p.set_defaults(handler=handler)
+            return p
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="integrate the network and export CSV/SVG")
-    p.add_argument("--t-end", type=_non_negative_float, required=True, dest="t_end")
-    p.add_argument("--h", type=_step, required=True)
-    p.add_argument("--ic", default=None, help="comma-separated constant history")
-    p.add_argument("--out", default=None, help="CSV output path")
-    p.add_argument("--plot", default=None, help="SVG output path")
-    p.add_argument("--tail-tol", type=_fraction, default=TAIL_TOL, dest="tail_tol")
-    p.add_argument("--force", action="store_true",
-                   help="simulate even when certification fails")
-    p.set_defaults(handler=cmd_simulate)
+    if p := add("certify", cmd_certify, "search weights, margin, decay rate and bounds"):
+        p.add_argument("--tol", type=_positive_float, default=1e-6)
 
-    p = sub.add_parser("find-period", parents=[common],
-                       help="locate the periodic orbit by period-map iteration")
-    p.add_argument("--h", type=_step, required=True)
-    p.add_argument("--fp-tol", type=_positive_float, default=1e-10, dest="fp_tol")
-    p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
-    p.add_argument("--out", default=None, help="CSV output path for the orbit segment")
-    p.add_argument("--rate-periods", type=_non_negative_int, default=0, dest="rate_periods",
-                   help="periods to simulate for a decay-rate fit (default 0: no fit)")
-    p.set_defaults(handler=cmd_find_period)
+    if p := add("simulate", cmd_simulate, "integrate the network and export CSV/SVG"):
+        p.add_argument("--t-end", type=_non_negative_float, required=True, dest="t_end")
+        p.add_argument("--h", type=_step, required=True)
+        p.add_argument("--ic", default=None, help="comma-separated constant history")
+        p.add_argument("--out", default=None, help="CSV output path")
+        p.add_argument("--plot", default=None, help="SVG output path")
+        p.add_argument("--tail-tol", type=_fraction, default=TAIL_TOL, dest="tail_tol")
+        p.add_argument("--force", action="store_true",
+                       help="simulate even when certification fails")
 
-    p = sub.add_parser("compare", parents=[common],
-                       help="evaluate this and rival criteria, optionally on an ensemble")
-    p.add_argument("--draws", type=_positive_int, default=200)
-    p.add_argument("--seed", type=_non_negative_int, default=7)
-    p.add_argument("--ensemble", type=_non_negative_int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.set_defaults(handler=cmd_compare)
+    if p := add("find-period", cmd_find_period,
+                "locate the periodic orbit by period-map iteration"):
+        p.add_argument("--h", type=_step, required=True)
+        p.add_argument("--fp-tol", type=_positive_float, default=1e-10, dest="fp_tol")
+        p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
+        p.add_argument("--out", default=None, help="CSV output path for the orbit segment")
+        p.add_argument("--rate-periods", type=_non_negative_int, default=0, dest="rate_periods",
+                       help="periods to simulate for a decay-rate fit (default 0: no fit)")
+
+    if p := add("compare", cmd_compare,
+                "evaluate this and rival criteria, optionally on an ensemble"):
+        p.add_argument("--draws", type=_positive_int, default=200)
+        p.add_argument("--seed", type=_non_negative_int, default=7)
+        p.add_argument("--ensemble", type=_non_negative_int, default=0)
+        p.add_argument("--workers", type=_positive_int, default=1)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the named command's subparser alone; all four for --help or an unknown command
+    args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     # what exists now (the modules) outlives the command: a full collection, which building
     # a large model's config can set off, need not scan it
     gc.freeze()

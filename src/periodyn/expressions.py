@@ -207,8 +207,8 @@ class TermTable:
         its extremes are its values where ``B`` has its extremes, with the bits of
         a full scan.  Only expressions of two or more such terms are scanned over
         the whole grid.  Blocks hold at most ``_BLOCK_VALUES`` values.  A proven
-        enclosure on the grid's cells is to replace this rule.  An empty ``t``
-        raises ValueError: it has no least value.
+        enclosure on the grid's cells is to replace this rule.  A NaN value makes
+        both bounds NaN.  An empty ``t`` raises ValueError: it has no least value.
         """
         if t.size == 0:
             raise ValueError("a grid needs at least one time")
@@ -234,7 +234,10 @@ class TermTable:
         return out
 
     def _extreme_times(self, t: np.ndarray) -> np.ndarray:
-        """(2, bases) grid indices of the least (row 0) and greatest value of each basis."""
+        """(2, bases) grid indices of the least (row 0) and greatest value of each basis.
+
+        A NaN value counts as both.
+        """
         at = np.zeros((2, self._width), dtype=np.intp)
         best = np.repeat([[math.inf], [-math.inf]], self._width, axis=1)
         rows = max(1, _BLOCK_VALUES // self._width)
@@ -242,7 +245,7 @@ class TermTable:
             basis = self._basis(t[start:start + rows])
             found = np.stack((basis.argmin(axis=0), basis.argmax(axis=0)))
             value = np.take_along_axis(basis, found, axis=0)
-            better = np.stack((value[0] < best[0], value[1] > best[1]))
+            better = np.stack((value[0] < best[0], value[1] > best[1])) | np.isnan(value)
             at[better], best[better] = found[better] + start, value[better]
         return at
 

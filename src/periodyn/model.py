@@ -6,8 +6,8 @@ The model represents coupled units
               + sum_j int_0^inf f_j(u_j(t - tau_ij(t) - s)) dK_ij(t, s) + I_i(t)
 
 with all coefficients periodic with a common declared period ``omega``.
-Activations carry explicit growth/Lipschitz constants that the validator
-verifies by dense sampling.
+Activations carry explicit growth/Lipschitz constants, which the validator
+admits when they are at least those of the activation's kind.
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ ACTIVATIONS = {
 class Activation:
     """Activation ``kind`` of :data:`ACTIVATIONS`, or ``satlin``: clip(lip*s, -cap, cap).
 
-    Its declared growth bound is |f(s)| <= lip*|s| + off.
+    Its declared growth bound is |f(s)| <= lip*|s| + off.  It is admitted when
+    ``lip`` is at least its kind's Lipschitz constant (a satlin's is its slope):
+    as f(0) = 0, both bounds then hold for every s.
     """
 
     kind: str
@@ -46,7 +48,7 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATIONS and self.kind != "satlin":
             raise ValueError(f"unknown activation kind {self.kind!r}")
-        if self.lipschitz < 0.0 or self.offset < 0.0:
+        if not (self.lipschitz >= 0.0 and self.offset >= 0.0):  # NaN too
             raise ValueError("activation constants must be nonnegative")
 
     @classmethod
@@ -70,6 +72,10 @@ class Activation:
         if slope < 0.0 or cap <= 0.0:
             raise ValueError("saturating activation needs slope >= 0 and cap > 0")
         return cls("satlin", slope, cap=cap)
+
+    @property
+    def admitted(self) -> bool:
+        return self.kind == "satlin" or self.lipschitz >= ACTIVATIONS[self.kind][1]
 
     def __call__(self, x):
         if self.kind == "satlin":
@@ -395,8 +401,15 @@ def _coefficient_names(model: NetworkModel):
                 part += 1
 
 
-def _activation_violations(act: Activation, rng: np.random.Generator) -> list[str]:
-    """Growth and Lipschitz bounds checked on dense and random samples."""
+def _activation_violations(act: Activation, position: int) -> list[str]:
+    """Why ``act``, declaring less than its kind's Lipschitz constant, is not admitted.
+
+    Its bounds are checked on dense samples and on the 40,000 draws of
+    ``default_rng(0)`` that follow those of ``position`` others; where these
+    show no excess, its constant is named.
+    """
+    rng = np.random.default_rng(0)
+    rng.bit_generator.advance(40_000 * position)
     out = []
     s = np.linspace(-100.0, 100.0, 100_001)
     excess = np.abs(act(s)) - (act.lipschitz * np.abs(s) + act.offset)
@@ -407,29 +420,32 @@ def _activation_violations(act: Activation, rng: np.random.Generator) -> list[st
     lip_excess = np.abs(act(x + h) - act(x)) - act.lipschitz * np.abs(h)
     if lip_excess.max() > 1e-9:
         out.append(f"Lipschitz bound violated (excess {lip_excess.max():.3g})")
-    return out
+    return out or [f"Lipschitz constant {float(act.lipschitz)!r} is below {act.kind}'s "
+                   f"{ACTIVATIONS[act.kind][1]:g}"]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a term whose k*pi*t overflows is NaN, and reported
 def validate(model: NetworkModel, grid_points: int = 4096) -> ValidationReport:
     """Check admissibility; returns violations instead of raising.
 
     Every coefficient must repeat with period ``omega``: a multiple of the
     exact period of every basis it reads.  Where it is one only within the
     tolerance of ``divides_period``, its values on 256 samples must also equal
-    those one period later.  ``d`` must be positive and ``tau`` nonnegative on
-    ``grid_points`` times: their least values come from one
-    ``TermTable.bounds`` of :func:`coefficient_table` (an expression of one
-    basis at that basis's extreme times, as rounding keeps it monotone in
-    it; a proven enclosure on the grid's cells is to replace this), and a
-    violation is reported at the first time its expression is least there.
-    Activations are checked on dense and seeded random samples.  Downstream
-    operations (certification, simulation, orbit search) assume an empty report.
+    those one period later.  On ``grid_points`` times every coefficient must
+    be finite, ``d`` positive and ``tau`` nonnegative: their least and
+    greatest values come from one ``TermTable.bounds`` of
+    :func:`coefficient_table` (an expression of one basis at that basis's
+    extreme times, as rounding keeps it monotone in it; a proven enclosure on
+    the grid's cells is to replace this), and a sign violation is reported at
+    the first time its expression is least there.  An activation is admitted
+    by its constants (see :class:`Activation`); one that is not is reported
+    with what :func:`_activation_violations` finds.  Downstream operations
+    (certification, simulation, orbit search) assume an empty report.
     """
     report = ValidationReport()
     n = model.n
     omega = model.omega
     table = coefficient_table(model)
-    rng = np.random.default_rng(0)
 
     # periodicity: the exact periods, then samples one period apart of the inexact multiples
     divides = table.divides_period(omega)
@@ -447,9 +463,17 @@ def validate(model: NetworkModel, grid_points: int = 4096) -> ValidationReport:
                     report.add(f"{label}: not periodic with omega={omega} "
                                f"at t={t_check[bad.argmax()]:.6g}")
 
-    # least d and tau on the grid, each violation at the first time of its least value
+    # every coefficient's extremes on the grid, where it must be finite
     t = np.linspace(0.0, omega, grid_points, endpoint=False)
-    bounds = table.bounds(t, ("d", "tau"))
+    bounds = table.bounds(t, table.groups)
+    finite = {name: np.isfinite(least) & np.isfinite(greatest)
+              for name, (least, greatest) in bounds.items()}
+    if not all(ok.all() for ok in finite.values()):
+        for name, col, label in _coefficient_names(model):
+            if not finite[name][col]:
+                report.add(f"{label}: not finite on the grid of {grid_points} times")
+
+    # least d and tau, each violation at the first time of its least value
 
     def first_least(name: str, col) -> float:
         return t[np.argmin(table.groups[name][col].eval(t))]
@@ -460,12 +484,12 @@ def validate(model: NetworkModel, grid_points: int = 4096) -> ValidationReport:
         i, j = divmod(int(p), n)
         report.add(f"negative delay tau[{i}][{j}] at t={first_least('tau', p):.6g}")
 
-    # each distinct activation is checked once and reported under every index
+    # each distinct activation is decided once and reported under every index
     checked: dict[Activation, list[str]] = {}
     for i in range(n):
         for name, act in ((f"g[{i}]", model.g[i]), (f"f[{i}]", model.f[i])):
             if act not in checked:
-                checked[act] = _activation_violations(act, rng)
+                checked[act] = [] if act.admitted else _activation_violations(act, len(checked))
             for message in checked[act]:
                 report.add(f"{name}: {message}")
     return report
