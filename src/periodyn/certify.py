@@ -142,13 +142,21 @@ class _ConditionGrid:
         return self._zero_rate_gain
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
-        """Row gains :func:`_row_gains` at every grid time."""
+        """Row gains :func:`_row_gains` at every grid time, in two (T, n, n) arrays.
+
+        The kernel gain becomes the delayed term in place, then G_j |a_ij| is
+        made and the term added to it.
+        """
         mom, finite = _kernel_gain(self.sm, alpha)
         if not finite:
             return mom, False
         if alpha == 0.0:
             self.zero_rate_gain(mom)
-        return _row_gains(np.abs(self.sm.a), self.G, mom, self.F, self.sm.tau, alpha), True
+        term = _delayed_term(self.F, mom, self.sm.tau, alpha, out=(mom, None))
+        gain = np.abs(self.sm.a)
+        gain *= self.G
+        gain += term
+        return gain, True
 
     def condition_rows(self, gain: np.ndarray, alpha: float) -> np.ndarray:
         """Rows R with R @ xi the residual: ``gain`` plus alpha - d_i on its diagonal, in place."""

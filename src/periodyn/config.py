@@ -8,7 +8,6 @@ path it was found at.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -17,6 +16,16 @@ from dataclasses import asdict, fields
 from .expressions import PeriodicExpr, Term, TERM_KINDS, const
 from .kernels import DENSITIES, Atom, DelayKernel, DistributedPart
 from .model import ACTIVATIONS, Activation, NetworkModel, validate
+
+# the interpreter's built-in SHA-256, as random.py takes its SHA-512: hashlib loads
+# OpenSSL's libcrypto, which only compare needs (numpy.random imports hashlib)
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class ConfigError(ValueError):
@@ -262,8 +271,8 @@ def serialize_config(doc: dict) -> str:
 
 def config_hash(model: NetworkModel) -> str:
     """SHA-256 of the canonical document's compact JSON, by the C encoder, no cycle check."""
-    return hashlib.sha256(json.dumps(model_to_config(model), check_circular=False)
-                          .encode()).hexdigest()
+    return _sha256(json.dumps(model_to_config(model), check_circular=False)
+                   .encode()).hexdigest()
 
 
 def builtin_config_path() -> str:

@@ -206,37 +206,46 @@ class TermTable:
         in ``B``, as ``fl(amp * B)`` and each ``fl(x + c)`` round monotonically, so
         its extremes are its values where ``B`` has its extremes, with the bits of
         a full scan.  Only expressions of two or more such terms are scanned over
-        the whole grid.  Blocks hold at most ``_BLOCK_VALUES`` values.  A proven
-        enclosure on the grid's cells is to replace this rule.  A NaN value makes
-        both bounds NaN.  An empty ``t`` raises ValueError: it has no least value.
+        the whole grid.  One pass over blocks of the grid computes each basis once,
+        for its extreme times and for the scan; a block holds at most
+        ``_BLOCK_VALUES`` values of either.  A proven enclosure on the grid's cells
+        is to replace this rule.  A NaN value makes both bounds NaN.  An empty ``t``
+        raises ValueError: it has no least value.
         """
         if t.size == 0:
             raise ValueError("a grid needs at least one time")
-        # every group at the grid times of each basis's least, then greatest value
-        values = self.eval(t[self._extreme_times(t).ravel()], names)
-        out = {}
+        # per group: the basis each expression reads, if only one, and the scan of those of
+        # two or more varying terms (their columns and slots, least and greatest so far)
+        reads, scans = {}, {}
         for name in names:
             count, base = np.zeros((2, len(self.groups[name])), dtype=np.intp)
             for cols, slot_base, _ in self._slots[name]:
                 cols = slice(None) if cols is None else cols
                 count[cols] += slot_base != 0
-                base[cols] = np.maximum(base[cols], slot_base)  # the basis read, if only one
-            ends = values[name].reshape(2, self._width, -1)[:, base, np.arange(base.size)]
-            out[name] = least, greatest = ends.min(axis=0), ends.max(axis=0)
+                base[cols] = np.maximum(base[cols], slot_base)
+            reads[name] = base
             many = np.flatnonzero(count > 1)
             if many.size:
-                table = TermTable({name: [self.groups[name][c] for c in many]})
-                rows = max(1, _BLOCK_VALUES // many.size)
-                for start in range(0, t.size, rows):
-                    block = table.eval(t[start:start + rows])[name]
-                    least[many] = np.minimum(least[many], block.min(axis=0))
-                    greatest[many] = np.maximum(greatest[many], block.max(axis=0))
+                scans[name] = (many, _restrict(self._slots[name], many),
+                               np.full(many.size, math.inf), np.full(many.size, -math.inf))
+        at = self._extreme_times(t, scans.values())
+        # every group at the grid times of each basis's least, then greatest value
+        values = self.eval(t[at.ravel()], names)
+        out = {}
+        for name, base in reads.items():
+            ends = values[name].reshape(2, self._width, -1)[:, base, np.arange(base.size)]
+            out[name] = ends.min(axis=0), ends.max(axis=0)
+        for name, (many, _, least, greatest) in scans.items():
+            out[name][0][many] = np.minimum(out[name][0][many], least)
+            out[name][1][many] = np.maximum(out[name][1][many], greatest)
         return out
 
-    def _extreme_times(self, t: np.ndarray) -> np.ndarray:
+    def _extreme_times(self, t: np.ndarray, scans) -> np.ndarray:
         """(2, bases) grid indices of the least (row 0) and greatest value of each basis.
 
-        A NaN value counts as both.
+        A NaN value counts as both.  Each scan ``(columns, slots, least, greatest)``
+        takes the least and greatest value of its expressions into its two arrays,
+        from the same blocks of basis values.
         """
         at = np.zeros((2, self._width), dtype=np.intp)
         best = np.repeat([[math.inf], [-math.inf]], self._width, axis=1)
@@ -247,6 +256,13 @@ class TermTable:
             value = np.take_along_axis(basis, found, axis=0)
             better = np.stack((value[0] < best[0], value[1] > best[1])) | np.isnan(value)
             at[better], best[better] = found[better] + start, value[better]
+            for cols, slots, least, greatest in scans:  # in parts of the block's rows
+                step = max(1, _BLOCK_VALUES // cols.size)
+                for part in (basis[s:s + step] for s in range(0, len(basis), step)):
+                    values = np.empty((len(part), cols.size))
+                    _fill(values, part, slots)
+                    np.minimum(least, values.min(axis=0), out=least)
+                    np.maximum(greatest, values.max(axis=0), out=greatest)
         return at
 
     def divides_period(self, omega: float, rel_tol: float = 1e-9) -> dict[str, np.ndarray]:
@@ -262,6 +278,18 @@ class TermTable:
             for cols, base, _ in self._slots[name]:
                 every[slice(None) if cols is None else cols] &= ok[base]
         return out
+
+
+def _restrict(slots: list, keep: np.ndarray) -> list:
+    """The term slots of the expressions ``keep`` (ascending), numbered by their place in it."""
+    out = []
+    for cols, base, amp in slots:
+        cols = np.arange(base.size) if cols is None else cols
+        take = np.flatnonzero(np.isin(cols, keep))
+        if take.size:
+            place = np.searchsorted(keep, cols[take])
+            out.append((None if take.size == keep.size else place, base[take], amp[take]))
+    return out
 
 
 def _fill(values: np.ndarray, basis: np.ndarray, slots: list) -> None:

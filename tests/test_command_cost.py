@@ -1,4 +1,5 @@
-"""What a command pays for: activations admitted by their constants, a finite grid, one subparser.
+"""What a command pays for: activations admitted by their constants, a finite grid, one
+subparser, and a config digest that loads no OpenSSL.
 
 An activation that declares at least its kind's Lipschitz constant is
 admitted without samples; one that declares less is reported, on the seeded
@@ -8,6 +9,7 @@ subparser of the command it runs, with the help and errors of the full parser.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -20,10 +22,10 @@ import pytest
 
 from helpers import scalar_model
 from periodyn import cli, model as model_module
-from periodyn.config import builtin_config_path
+from periodyn.config import builtin_config_path, config_hash, model_to_config, parse_config
 from periodyn.expressions import TermTable, const, expr_sum, term_expr
 from periodyn.model import Activation, builtin_example, validate
-from test_term_table import two_unit
+from test_term_table import inputs, two_unit
 
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
@@ -163,6 +165,49 @@ def test_only_compare_imports_numpy_random(argv):
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--grid", "256"],
+    ["simulate", "--grid", "256", "--h", "1e-2", "--t-end", "0.5"],
+    ["find-period", "--grid", "256", "--h", "1e-2"],
+])
+def test_only_compare_loads_openssl(argv):
+    # config_hash takes the interpreter's own SHA-256, not hashlib's OpenSSL one
+    code = ("import contextlib, io, sys\n"
+            "from periodyn.cli import builtin_config_path, main\n"
+            "argv = sys.argv[1:2] + [builtin_config_path()] + sys.argv[2:]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(argv) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == "False\n"
+
+
+@pytest.mark.parametrize("make", [
+    builtin_example,
+    lambda: parse_config(json.dumps(inputs.DISTRIBUTED)),
+    lambda: parse_config(json.dumps(inputs.wide_network(3, 30))),
+], ids=["builtin", "distributed", "wide3-30"])
+def test_config_hash_is_hashlib_sha256(make):
+    model = make()
+    want = hashlib.sha256(json.dumps(model_to_config(model)).encode()).hexdigest()
+    assert config_hash(model) == want
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # where the interpreter has neither built-in module, the digest is hashlib's
+    code = ("import sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "from periodyn.config import config_hash\n"
+            "from periodyn.model import builtin_example\n"
+            "print(config_hash(builtin_example()), '_hashlib' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout == f"{config_hash(builtin_example())} True\n"
 
 
 # --- one subparser -----------------------------------------------------------------
