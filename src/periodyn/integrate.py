@@ -226,20 +226,37 @@ def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _Dela
 
 
 def _elementwise(acts, units):
-    """Apply ``acts[units[k]]`` to entry k of an array's last axis, one call per activation."""
-    groups: dict = {}
-    for k, q in enumerate(units):
-        groups.setdefault(acts[q], []).append(k)
-    # a table activation as its numpy function, without a Python call to Activation
-    index = [(ACTIVATIONS[act.kind][0] if act.kind in ACTIVATIONS else act,
-              np.array(pos, dtype=np.intp)) for act, pos in groups.items()]
-    if len(index) == 1:
-        return index[0][0]
+    """Apply ``acts[units[k]]`` to entry k of an array's last axis, one call per kind.
+
+    A table activation is its numpy function, without a Python call to
+    Activation.  With several kinds a ufunc kind (tanh, arctan: neither warns
+    on any entry) makes the output from every entry, and each other ufunc
+    kind overwrites its own entries in place under a per-unit mask.  A masked
+    call costs more the more runs of one kind it crosses, so where the kinds
+    change more than 32 times along the axis (the atoms of a wide network
+    alternate read by read) each other kind is gathered and scattered
+    instead, as is every kind that is not a ufunc.
+    """
+    fns = [ACTIVATIONS[acts[q].kind][0] if acts[q].kind in ACTIVATIONS else acts[q]
+           for q in units]
+    # ufuncs first, each in order of first use, never of hashes
+    kinds = sorted(dict.fromkeys(fns), key=lambda fn: not isinstance(fn, np.ufunc))
+    if len(kinds) == 1:
+        return kinds[0]
+    which = np.array([kinds.index(fn) for fn in fns], dtype=np.intp)
+    first = kinds[0] if kinds and isinstance(kinds[0], np.ufunc) else np.empty_like
+    long_runs = np.count_nonzero(np.diff(which)) <= 32
+    masked = [(fn, which == k) for k, fn in enumerate(kinds)
+              if fn is not first and long_runs and isinstance(fn, np.ufunc)]
+    gathered = [(fn, np.flatnonzero(which == k)) for k, fn in enumerate(kinds)
+                if fn is not first and not (long_runs and isinstance(fn, np.ufunc))]
 
     def apply(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        for act, pos in index:
-            out[..., pos] = act(x[..., pos])
+        out = first(x)
+        for fn, where in masked:
+            fn(x, out=out, where=where)
+        for fn, pos in gathered:
+            out[..., pos] = fn(x[..., pos])
         return out
 
     return apply

@@ -3,8 +3,10 @@ formula, the --h flag, and the same bytes from separate processes.
 
 ``simulate`` checks finiteness once per block of steps and then reports the
 first nonfinite node; ``_elementwise`` applies each table activation as its
-numpy function; ``stage`` reads one sample's row views and takes ``a.dot``.
-None of them may move a bit or a reported time.
+numpy function, once per kind, masked or gathered, and never writes into its
+argument; ``stage`` reads one sample's row views and takes ``a.dot``.  None of
+them may move a bit or a reported time, and a mixed-activation network keeps
+its bytes under any ``PYTHONHASHSEED``.
 """
 
 import json
@@ -28,6 +30,9 @@ from helpers import scalar_model
 from test_block_reads import MODELS, _per_step_run, inputs
 
 KINDS = [Activation(kind, 1.0) for kind in ACTIVATIONS] + [Activation.saturating(0.7, 0.4)]
+# the builtin network's activations replaced by three kinds each
+MIXED = {"g": ["tanh", "arctan", "identity"],
+         "f": ["arctan", {"kind": "satlin", "slope": 0.5, "cap": 2.0}, "tanh"]}
 
 
 def _blocks(plan, steps):
@@ -67,21 +72,32 @@ def _grouped(acts, units, x):
     return out
 
 
-@pytest.mark.parametrize("shape", [(7,), (5, 7)])  # a stage's state, a read's samples
+@pytest.mark.parametrize("shape, layout", [
+    pytest.param((7,), "random", id="shape0"),  # a stage's state
+    pytest.param((5, 7), "random", id="shape1"),  # a read's samples
+    # read blocks whose units change read by read (gathered) or run long (masked)
+    pytest.param((5, 120), "alternating", id="alternating"),
+    pytest.param((5, 120), "runs", id="runs"),
+])
 @pytest.mark.parametrize("mix", ["one"] + [f"mixed-{k}" for k in range(len(KINDS))])
-def test_resolved_activations_keep_the_bits_of_activation_call(mix, shape):
+def test_resolved_activations_keep_the_bits_of_activation_call(mix, shape, layout):
     rng = np.random.default_rng(3)
     x = rng.normal(scale=2.0, size=shape)
     x[..., 0] = 1e300  # saturates every kind but identity
-    units = rng.integers(0, 4, size=shape[-1]).tolist()
+    before = x.copy()
+    units = {"random": rng.integers(0, 4, size=shape[-1]).tolist(),
+             "alternating": [k % 4 for k in range(shape[-1])],
+             "runs": [4 * k // shape[-1] for k in range(shape[-1])]}[layout]
     if mix == "one":
         for act in KINDS:
             acts = (act,) * 4
             assert _elementwise(acts, units)(x).tobytes() == act(x).tobytes()
+            assert x.tobytes() == before.tobytes()  # identity returns its argument
     else:  # four units: the kind under test beside three others
         k = int(mix.split("-")[1])
         acts = tuple(KINDS[(k + j) % len(KINDS)] for j in range(4))
         got = _elementwise(acts, units)(x)
+        assert x.tobytes() == before.tobytes()
         assert got.tobytes() == _grouped(acts, units, x).tobytes()
 
 
@@ -116,14 +132,21 @@ def test_step_that_is_not_positive_is_a_usage_error(tmp_path, capsys, monkeypatc
     assert calls == []  # before any work
 
 
-def test_find_period_is_byte_identical_across_processes(tmp_path):
+@pytest.mark.parametrize("activations", [None, MIXED], ids=["builtin", "mixed"])
+def test_find_period_is_byte_identical_across_processes(tmp_path, activations):
     src = str(Path(cli.__file__).resolve().parents[1])
+    config = builtin_config_path()
+    if activations is not None:  # several kinds in g and in f: the order of kinds and masks
+        with open(config, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        config = tmp_path / "mixed.json"
+        config.write_text(json.dumps({**doc, "activations": activations}), encoding="utf-8")
     runs = []
     for seed in ("0", "1"):
         cwd = tmp_path / seed
         cwd.mkdir()
         proc = subprocess.run(
-            [sys.executable, "-m", "periodyn.cli", "find-period", builtin_config_path(),
+            [sys.executable, "-m", "periodyn.cli", "find-period", str(config),
              "--h", "1e-2", "--fp-tol", "1e-8", "--rate-periods", "1", "--out", "orbit.csv"],
             capture_output=True, cwd=cwd, timeout=300,
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
