@@ -323,13 +323,17 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     an end of the bracket.  It reads the sampled model's layout: ``xi`` is
     contracted once into a (T, n) base and (T, K) delayed coefficients and
     lags of the T time samples and K kernel parts, on the grid all phases
-    share.  A rate takes one mass per distinct part.  An infeasible rate
-    drops the time samples whose rows all lie at or below 0 there: later
-    rates are lower.  Rows are convex in alpha, so the chord of a sample's
-    largest row between the bracket's ends bounds its rows; a sample whose
-    chord lies below 0 by more than rounding (``CHORD_TOL``) is not
-    evaluated, and the others are gathered into two (T, K) buffers, made
-    once, where their delayed terms are computed.
+    share.  A rate takes one mass per distinct part.  The walk down from
+    the cap evaluates one sample, the worst at rate 0: a rate where its
+    largest row is positive is infeasible and becomes the upper end.  At
+    the first rate it does not decide, every sample is evaluated once at
+    the upper end.  An infeasible rate drops the time samples whose rows
+    all lie at or below 0 there: later rates are lower.  Rows are convex
+    in alpha, so the chord of a sample's largest row between the bracket's
+    ends bounds its rows; a sample whose chord lies below 0 by more than
+    rounding (``CHORD_TOL``) is not evaluated, and the others are gathered
+    into two (T, K) buffers, made once, where their delayed terms are
+    computed.
     """
     if not tol > 0.0:
         raise ValueError(f"bisection tolerance must be > 0, got {tol}")
@@ -365,11 +369,20 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     res_lo = residual(0.0, kept)
     if res_lo.max() > 0.0:
         return 0.0
+    top = kept[[res_lo.argmax()]]  # the sample worst at rate 0
     cap = float(sm.d.max()) + 1.0
     for _, p in parts.values():
         if isinstance(getattr(p, "shape", None), ExponentialDensity):
             cap = min(cap, p.shape.lam * (1.0 - 1e-9))
     lo, hi, alpha, res_hi = 0.0, cap, cap, np.full_like(res_lo, math.inf)  # no chord to cap
+    while residual(alpha, top)[0] > 0.0:  # one positive row: alpha is infeasible
+        hi, alpha = alpha, 0.5 * (lo + alpha)
+        if hi - lo <= tol or alpha in (lo, hi):
+            return lo
+    if alpha < cap:  # hi's rows, measured once: the chord's upper end and the pruning
+        res_hi = residual(hi, kept)
+        pos = res_hi > 0.0
+        kept, res_lo, res_hi = kept[pos], res_lo[pos], res_hi[pos]
     # CHORD_TOL of 2 |base| + res_hi, a bound on a row's |base| + alpha xi + delayed up to hi
     slack = CHORD_TOL * 2.0 * np.abs(base).max(axis=1)
     while True:  # res_lo and res_hi bound each sample's largest row; res is their chord at alpha

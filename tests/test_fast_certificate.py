@@ -165,8 +165,26 @@ def test_weight_search_lp_stays_small(monkeypatch):
 
 # --- the pruned bisection equals the full bisection ---------------------------------
 
+def hidden_binding_row():
+    """Two units: the sample worst at rate 0 is not the one that binds.
+
+    Unit 0 has a margin of 0.1 and no delayed gain, so every sample's rows are
+    at least -0.1 at rate 0 and the first sample is the worst.  Unit 1 has a
+    margin of 10 and a 10-unit atom of weight 9 |sin(pi t)|, which is 0 at
+    t = 0 and binds near alpha = 0.0104: the walk down on the first sample
+    stops at 0.086, far above that rate.
+    """
+    return parse_config(json.dumps({
+        "meta": {"n": 2, "omega": 2.0}, "d": [1.0, 10.0], "a": [[0.9, 0.0], [0.0, 0.0]],
+        "kernels": [[None, None], [None, {"atoms": [
+            {"s": 10.0, "weight": [{"amp": 9.0, "fn": "abs_sin", "k": 1}]}]}]],
+        "tau": [[0.0, 0.0], [0.0, 0.0]], "inputs": [0.0, 0.0],
+        "activations": {"g": ["tanh", "tanh"], "f": ["identity", "identity"]}}))
+
+
 BISECTION_CASES = ([("builtin", builtin_example, 4096), ("distributed", distributed, 1024)]
-                   + [(f"wide{s}", lambda s=s: wide(s), 512) for s in range(4)])
+                   + [(f"wide{s}", lambda s=s: wide(s), 512) for s in range(4)]
+                   + [("hidden-binding-row", hidden_binding_row, 1024)])
 
 
 @pytest.mark.parametrize("name,build,grid", BISECTION_CASES, ids=[c[0] for c in BISECTION_CASES])
@@ -190,6 +208,41 @@ def test_pruned_bisection_matches_full_bisection_within_tol(seed, tol, unit):
     xi = np.ones(model.n) if cert is None else cert.xi
     alpha = find_decay_rate(model, xi, 128, tol=tol)
     assert abs(alpha - full_bisection(model, xi, 128, tol=tol)) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tol=st.floats(1e-8, 1e-3),
+       unit=st.booleans())
+def test_pruned_bisection_equals_full_bisection_on_random_models(seed, tol, unit):
+    model = random_model(seed)
+    cert = None if unit else find_weights(model, 128)
+    xi = np.ones(model.n) if cert is None else cert.xi
+    assert find_decay_rate(model, xi, 128, tol=tol) == full_bisection(model, xi, 128, tol=tol)
+
+
+def recorded_evaluations(monkeypatch):
+    """(rate, rows) of each bisection evaluation: each makes one (rows, K) delayed term."""
+    evaluations = []
+    term = certify._delayed_term
+
+    def recording(coef, mass, lag, alpha, out=(None, None)):
+        evaluations.append((alpha, len(coef)))
+        return term(coef, mass, lag, alpha, out=out)
+
+    monkeypatch.setattr(certify, "_delayed_term", recording)
+    return evaluations
+
+
+@pytest.mark.parametrize("build", [builtin_example, distributed], ids=["builtin", "distributed"])
+def test_walk_down_from_the_cap_evaluates_one_sample_per_rate(monkeypatch, build):
+    model, grid = build(), 4096
+    xi = find_weights(model, grid).xi
+    evaluations = recorded_evaluations(monkeypatch)
+    alpha = find_decay_rate(model, xi, grid)
+    cap = evaluations[1][0]
+    walk = [cap * 0.5 ** k for k in range(64) if cap * 0.5 ** k > alpha]  # the cap, halved
+    assert evaluations[:1 + len(walk)] == [(0.0, grid)] + [(rate, 1) for rate in walk]
+    assert sum(rows for _, rows in evaluations) <= 3 * grid
 
 
 # --- the bisection holds the (T, K) layout, not flat index tables -------------
