@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import PeriodicExpr, ZERO, const, expr_sum, term_expr
+from .expressions import _BLOCK_VALUES, PeriodicExpr, ZERO, const, expr_sum, term_expr
 from .kernels import Atom, DelayKernel, ExponentialDensity, part_gain, part_mass as _part_mass
 from .model import (Activation, NetworkModel, SampledModel, _positive_weights, holding,
                     sampled)
@@ -79,17 +79,24 @@ def _lipschitz(acts) -> np.ndarray:
 def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     """Exponentially weighted absolute gain of every kernel; ((*T, n, n), finite).
 
-    Kernel (i, j) sums the :func:`part_gain` of its parts' sampled weights and
-    masses, the total variation at alpha = 0.  When a density's moment
+    Kernel (i, j) sums the :func:`part_gain` of its parts from 0 in part order, the
+    total variation at alpha = 0, with one mass per distinct part of ``sm.kernel_index``,
+    in one pass over blocks of ``_BLOCK_VALUES`` weights.  When a density's moment
     diverges every entry is inf and ``finite`` is False.
     """
-    gain = np.zeros(sm.a.shape)
-    for k, (i, j, part) in enumerate(sm.kernel_parts):
-        mass, finite = _part_mass(part, alpha)
-        if not finite:
-            return np.full(sm.a.shape, math.inf), False
-        gain[..., i, j] += part_gain(sm.kernel_weights[..., k], mass)
-    return gain, True
+    index = sm.kernel_index
+    masses = [_part_mass(part, alpha) for part in index.distinct]
+    if not all(finite for _, finite in masses):
+        return np.full(sm.a.shape, math.inf), False
+    mass = np.array([m for m, _ in masses])[index.slot]
+    weights = sm.kernel_weights.reshape(sm.t.size, len(mass))
+    gain = np.zeros((len(weights), sm.model.n ** 2))
+    step = max(1, _BLOCK_VALUES // max(len(mass), 1))
+    for r in range(0, len(weights), step):
+        block = part_gain(weights[r:r + step], mass)
+        for cols, pairs in index.by_position:
+            gain[r:r + step, pairs] += block[:, cols]
+    return gain.reshape(sm.a.shape), True
 
 
 def _delayed_term(coef, mass, lag, alpha: float, out=(None, None)) -> np.ndarray:
@@ -107,13 +114,6 @@ def _delayed_term(coef, mass, lag, alpha: float, out=(None, None)) -> np.ndarray
             term *= factor
     term[zero] = 0.0
     return term
-
-
-def _row_gains(abs_a, G, moment, F, tau, alpha: float) -> np.ndarray:
-    """G_j |a_ij| + :func:`_delayed_term` of F_j, moment_ij and tau_ij."""
-    gain = abs_a * G
-    gain += _delayed_term(F, moment, tau, alpha)
-    return gain
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -142,7 +142,8 @@ class _ConditionGrid:
         return self._zero_rate_gain
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
-        """Row gains :func:`_row_gains` at every grid time, in two (T, n, n) arrays.
+        """Row gains G_j |a_ij| + :func:`_delayed_term` of F_j, the kernel gain and tau_ij at
+        every grid time, in two (T, n, n) arrays.
 
         The kernel gain becomes the delayed term in place, then G_j |a_ij| is
         made and the term added to it.
@@ -338,25 +339,22 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     if not tol > 0.0:
         raise ValueError(f"bisection tolerance must be > 0, got {tol}")
     cg = _ConditionGrid(model, grid_points)
-    sm, xi = cg.sm, _positive_weights(xi, model.n)
-    i, j = np.array([ij for *ij, _ in sm.kernel_parts], dtype=np.intp).reshape(-1, 2).T
+    sm, xi, index = cg.sm, _positive_weights(xi, model.n), cg.sm.kernel_index
+    i, j = np.divmod(index.pair, model.n)
     first = np.flatnonzero(np.diff(i, prepend=-1))  # a row's parts are adjacent (row-major)
     rows = i[first]
-    parts = {}  # (slot, part) per distinct mass: an atom's lag or a density's shape
-    slot = [parts.setdefault(p.s if isinstance(p, Atom) else p.shape, (len(parts), p))[0]
-            for *_, p in sm.kernel_parts]
 
     # row (t, i): base + alpha xi_i, plus the sum of coef * mass * e^{alpha lag} over the
     # parts of the row, coef = F_j xi_j |w(t)| and lag = tau_ij(t)
     with holding("--grid", _GRID_TOO_LARGE):
         base = np.abs(sm.a) @ (cg.G * xi) - sm.d * xi
         coef = np.abs(sm.kernel_weights) * (cg.F * xi)[j]
-        lag = np.take(sm.tau.reshape(-1, model.n ** 2), i * model.n + j, axis=1)  # coef's order
+        lag = np.take(sm.tau.reshape(-1, model.n ** 2), index.pair, axis=1)  # coef's order
         spare = [np.empty_like(coef), np.empty_like(coef)]
 
     def residual(alpha: float, idx: np.ndarray) -> np.ndarray:
         """Largest row of each time sample ``idx``; delayed terms are made in the spare buffers."""
-        mass = np.array([_part_mass(p, alpha)[0] for _, p in parts.values()])[slot]
+        mass = np.array([_part_mass(p, alpha)[0] for p in index.distinct])[index.slot]
         out = [b[:len(idx)] for b in spare]
         c, l = (coef, lag) if len(idx) == len(coef) else (  # else gathered, then made in place
             np.take(a, idx, axis=0, out=b, mode="clip") for a, b in zip((coef, lag), out))
@@ -371,7 +369,7 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
         return 0.0
     top = kept[[res_lo.argmax()]]  # the sample worst at rate 0
     cap = float(sm.d.max()) + 1.0
-    for _, p in parts.values():
+    for p in index.distinct:
         if isinstance(getattr(p, "shape", None), ExponentialDensity):
             cap = min(cap, p.shape.lam * (1.0 - 1e-9))
     lo, hi, alpha, res_hi = 0.0, cap, cap, np.full_like(res_lo, math.inf)  # no chord to cap
@@ -472,8 +470,9 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
 def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
                 theta: np.ndarray | None = None) -> CriterionReport:
     """Sup criterion for weights theta, or for the best weights (one small LP) when None."""
-    S = (_row_gains(form.a_sup, _lipschitz(model.g), form.b_sup, _lipschitz(model.f),
-                    form.tau_sup, alpha) + np.diag(alpha - form.d_inf))
+    S = (form.a_sup * _lipschitz(model.g)  # the grid rows' gains, on the sup coefficients
+         + _delayed_term(_lipschitz(model.f), form.b_sup, form.tau_sup, alpha)
+         + np.diag(alpha - form.d_inf))
     if theta is None:  # an inf row (an overflowing lag) cannot be met: unit weights, as checked
         theta = _lp_weights(S[None]) if np.isfinite(S).all() else np.ones(model.n)
     return _report("sup", S @ theta, {"theta": [float(v) for v in theta], "alpha": alpha})
@@ -591,13 +590,9 @@ def check_period_scaled_criterion(model: NetworkModel,
 def pointwise_criterion_label(model: NetworkModel) -> str:
     """Label the pointwise check by the kernel shapes it specializes to."""
     kernels = [kern for row in model.kernels for kern in row]
-    has_atoms = any(kern.atoms for kern in kernels)
-    has_density = any(kern.density is not None for kern in kernels)
-    if has_density and has_atoms:
-        return "pointwise"
-    if has_density:
-        return "pointwise-distributed"
-    return "pointwise-discrete"
+    if not any(kern.density is not None for kern in kernels):
+        return "pointwise-discrete"
+    return "pointwise" if any(kern.atoms for kern in kernels) else "pointwise-distributed"
 
 
 def _pointwise_report(model: NetworkModel, cert: Certificate | None,
@@ -672,19 +667,13 @@ def random_discrete_delay_model(rng: np.random.Generator) -> NetworkModel:
 
     d = tuple(positive_expr(0.8, 3.0) for _ in range(n))
     a = tuple(tuple(gain_expr(scale) for _ in range(n)) for _ in range(n))
-    kernels = []
-    tau = []
-    for _ in range(n):
-        krow = []
-        trow = []
-        for _ in range(n):
-            w = gain_expr(0.7 * scale)
-            krow.append(DelayKernel() if not w.terms else DelayKernel((Atom(0.0, w),)))
-            trow.append(const(float(rng.uniform(0.0, 1.5))))
-        kernels.append(tuple(krow))
-        tau.append(tuple(trow))
-    inputs = tuple(input_expr() for _ in range(n))
-    g = tuple(activation() for _ in range(n))
-    f = tuple(activation() for _ in range(n))
-    return NetworkModel(n=n, omega=2.0, d=d, a=a, kernels=tuple(kernels),
-                        tau=tuple(tau), inputs=inputs, g=g, f=f)
+    # per pair its kernel's weight, then its delay
+    delayed = [[(gain_expr(0.7 * scale), const(float(rng.uniform(0.0, 1.5)))) for _ in range(n)]
+               for _ in range(n)]
+    kernels = [[DelayKernel((Atom(0.0, w),)) if w.terms else DelayKernel() for w, _ in row]
+               for row in delayed]
+    return NetworkModel(n=n, omega=2.0, d=d, a=a, kernels=kernels,
+                        tau=[[lag for _, lag in row] for row in delayed],
+                        inputs=tuple(input_expr() for _ in range(n)),
+                        g=tuple(activation() for _ in range(n)),
+                        f=tuple(activation() for _ in range(n)))

@@ -114,9 +114,7 @@ ZERO = PeriodicExpr(())
 
 
 def const(c: float) -> PeriodicExpr:
-    if c == 0.0:
-        return ZERO
-    return PeriodicExpr((Term("const", float(c)),))
+    return ZERO if c == 0.0 else PeriodicExpr((Term("const", float(c)),))
 
 
 def term_expr(kind: str, c: float, k: int = 0) -> PeriodicExpr:
@@ -124,10 +122,7 @@ def term_expr(kind: str, c: float, k: int = 0) -> PeriodicExpr:
 
 
 def expr_sum(*parts: PeriodicExpr) -> PeriodicExpr:
-    terms: list[Term] = []
-    for part in parts:
-        terms.extend(part.terms)
-    return PeriodicExpr(tuple(terms))
+    return PeriodicExpr(tuple(term for part in parts for term in part.terms))
 
 
 class TermTable:

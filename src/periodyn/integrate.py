@@ -206,7 +206,7 @@ class _DelayedReads(NamedTuple):
 
 
 def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _DelayedReads:
-    dst, src, col, lag, scale = [], [], [], [], []
+    col, lag, scale = [], [], []
     for k, (i, j, part) in enumerate(sm.kernel_parts):
         atom = isinstance(part, Atom)
         # a density reads at Simpson nodes quad_step apart over its support
@@ -215,14 +215,13 @@ def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _Dela
                 f"read every {quad_step:g}, needs too many reads to hold in memory"):
             nodes, weights = ([part.s], [1.0]) if atom else simpson_rule(part.shape, tail_tol,
                                                                          quad_step)
-            dst += [i] * len(nodes)
-            src += [j] * len(nodes)
             col += [k] * len(nodes)
             lag.extend(nodes)
             scale.extend(weights)
-    dst, src = np.array(dst, dtype=np.intp), np.array(src, dtype=np.intp)
-    return _DelayedReads(dst, src, dst * sm.model.n + src, np.array(col, dtype=np.intp),
-                         np.array(lag, dtype=float), np.array(scale, dtype=float))
+    col = np.array(col, dtype=np.intp)
+    pair = sm.kernel_index.pair[col]
+    return _DelayedReads(*np.divmod(pair, sm.model.n), pair, col, np.array(lag, dtype=float),
+                         np.array(scale, dtype=float))
 
 
 def _elementwise(acts, units):

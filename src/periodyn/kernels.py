@@ -160,10 +160,6 @@ class DelayKernel:
             raise ValueError("atom locations must be strictly increasing")
 
     @property
-    def is_zero(self) -> bool:
-        return not self.atoms and self.density is None
-
-    @property
     def parts(self) -> tuple:
         """The atoms, then the density part if there is one: the one part order."""
         return self.atoms if self.density is None else self.atoms + (self.density,)
@@ -183,9 +179,12 @@ def part_mass(part: Atom | DistributedPart, alpha: float) -> tuple[float, bool]:
         return math.inf, True
 
 
-def part_gain(weight, mass: float) -> np.ndarray:
-    """|weight| * mass, and 0 where the weight is 0, also when the mass is inf."""
+def part_gain(weight, mass) -> np.ndarray:
+    """|weight| * mass (one mass, or one per column), and 0 where the weight is 0 at any mass."""
     w = np.abs(weight)
+    if not np.isinf(mass).any():
+        w *= mass  # in place: one block-sized array less
+        return w
     with np.errstate(invalid="ignore"):  # the 0 * inf that np.where then drops
         return np.where(w != 0.0, w * mass, 0.0)
 

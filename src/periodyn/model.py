@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .expressions import PeriodicExpr, TermTable
-from .kernels import DelayKernel
+from .kernels import Atom, DelayKernel
 
 
 # the activations a config names: name -> (function, Lipschitz constant)
@@ -290,10 +290,36 @@ class NetworkModel:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _kernel_parts(model: NetworkModel) -> tuple:
-    """(i, j, part) of every atom and density: pairs row-major, each kernel's atoms first."""
-    return tuple((i, j, part) for i, row in enumerate(model.kernels) for j, kern in enumerate(row)
-                 for part in kern.parts)
+@functools.lru_cache(maxsize=8)
+class KernelIndex:
+    """Every atom and density of a model's kernels, indexed once per model.
+
+    ``parts`` lists them as (i, j, part): pairs row-major, each kernel's atoms
+    first.  Part k is at ``position[k]`` among the parts of the flat pair
+    ``pair[k]`` = i*n + j, and has the mass of ``distinct[slot[k]]``, one part
+    per atom lag or density shape.  ``by_position`` holds each position's
+    (parts, pairs), each a slice where it is a run of indices.
+    """
+
+    def __init__(self, model: NetworkModel):
+        self.parts = tuple((i, j, part) for i, row in enumerate(model.kernels)
+                           for j, kern in enumerate(row) for part in kern.parts)
+        keys = {}  # an atom's lag or a density's shape -> (slot, part)
+        slot = [keys.setdefault(p.s if isinstance(p, Atom) else p.shape, (len(keys), p))[0]
+                for *_, p in self.parts]
+        self.distinct = tuple(p for _, p in keys.values())
+        self.slot = _read_only(np.array(slot, np.intp))
+        n = model.n
+        self.pair = pair = _read_only(np.array([i * n + j for i, j, _ in self.parts], np.intp))
+        # pairs ascend, so searchsorted finds the first part of each part's pair
+        self.position = position = _read_only(np.arange(len(pair)) - np.searchsorted(pair, pair))
+        runs = [np.flatnonzero(position == p) for p in range(position.max(initial=-1) + 1)]
+        self.by_position = tuple((_run(cols), _run(pair[cols])) for cols in runs)
+
+
+def _run(idx: np.ndarray):
+    """Increasing indices as a slice where they are consecutive, else as they are."""
+    return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else _read_only(idx)
 
 
 @functools.lru_cache(maxsize=8)
@@ -301,14 +327,14 @@ def coefficient_table(model: NetworkModel) -> TermTable:
     """Every coefficient expression of ``model`` compiled into one :class:`TermTable`.
 
     Its groups are ``d``, ``inputs``, ``a`` and ``tau`` (row-major) and
-    ``weights``, one per entry of :func:`_kernel_parts`.
+    ``weights``, one per part of :class:`KernelIndex`.
     """
     return TermTable({
         "d": model.d,
         "inputs": model.inputs,
         "a": tuple(e for row in model.a for e in row),
         "tau": tuple(e for row in model.tau for e in row),
-        "weights": tuple(part.weight for _, _, part in _kernel_parts(model)),
+        "weights": tuple(part.weight for _, _, part in KernelIndex(model).parts),
     })
 
 
@@ -322,12 +348,11 @@ class SampledModel:
 
     Time axes come first and the arrays are C-contiguous and read-only:
     ``d`` and ``inputs`` are (*T, n), ``a`` and ``tau`` (*T, n, n).
-    ``kernel_parts`` lists every atom and density as (i, j, part), in
-    row-major order of the pairs and each kernel's atoms before its density,
-    and ``kernel_weights`` (*T, K) holds their weights, one column per part.
-    All of them come from one evaluation of :func:`coefficient_table`, with
-    the bits of ``PeriodicExpr.eval``.  Certification and integration read
-    the coefficients only from here.
+    ``kernel_index`` is the model's :class:`KernelIndex`, ``kernel_parts``
+    its (i, j, part) list, and ``kernel_weights`` (*T, K) holds the parts'
+    weights, one column per part.  The arrays come from one evaluation of
+    :func:`coefficient_table`, with the bits of ``PeriodicExpr.eval``.
+    Certification and integration read the coefficients only from here.
     """
 
     def __init__(self, model: NetworkModel, t):
@@ -340,7 +365,8 @@ class SampledModel:
         self.inputs = _read_only(values["inputs"])
         self.a = _read_only(values["a"].reshape(square))
         self.tau = _read_only(values["tau"].reshape(square))
-        self.kernel_parts = _kernel_parts(model)
+        self.kernel_index = KernelIndex(model)
+        self.kernel_parts = self.kernel_index.parts
         self.kernel_weights = _read_only(values["weights"])
 
 

@@ -1,5 +1,6 @@
 """The certificate's one kernel-gain rule against the per-kernel integrals."""
 
+import copy
 import json
 import math
 
@@ -12,13 +13,18 @@ from periodyn.certify import (_kernel_gain, find_decay_rate, random_discrete_del
                               search_split_sup_criterion)
 from periodyn.config import parse_config
 from periodyn.expressions import const, term_expr
-from periodyn.kernels import Atom, DelayKernel
-from periodyn.model import Activation, builtin_example, sampled
+from periodyn.kernels import Atom, DelayKernel, part_mass
+from periodyn.model import Activation, KernelIndex, SampledModel, builtin_example, sampled
 
 from helpers import exp_moment_values, scalar_model, total_variation
+from test_fast_certificate import inputs, wide
 from test_read_plan import DISTRIBUTED
 
 MODELS = {"builtin": builtin_example, "distributed": lambda: parse_config(json.dumps(DISTRIBUTED))}
+# the distributed input with its exponential density made uniform: every moment has a finite
+# flag at every rate, and at rate 800 the moment (e^800 - 1) / 800 of the width-1 uniform is inf
+UNIFORM = copy.deepcopy(DISTRIBUTED)
+UNIFORM["kernels"][0][1]["density"] = {"shape": "uniform", "width": 0.5, "weight": 0.3}
 
 
 def _grid(model, count=64):
@@ -110,3 +116,67 @@ def test_ensemble_instance_above_1024_seeds_the_split_search_at_1024(monkeypatch
     model = random_discrete_delay_model(np.random.default_rng(5))
     split = search_split_sup_criterion(model, alpha=0.0, draws=20, seed=5, grid_points=1280)
     assert row["split_sup"] == split.satisfied
+
+
+@pytest.mark.parametrize("doc, alpha", [(DISTRIBUTED, 0.0), (DISTRIBUTED, 1.7), (UNIFORM, 800.0)])
+def test_gain_takes_one_mass_per_distinct_part_and_the_bits_of_the_per_part_sum(
+        monkeypatch, doc, alpha):
+    calls = []
+
+    def counting(part, rate):
+        calls.append(part)
+        return part_mass(part, rate)
+
+    monkeypatch.setattr(certify, "_part_mass", counting)
+    _kernel_gain(_grid(wide(3)), alpha)  # 900 atoms, every one at lag 0
+    assert len(calls) == 1
+    calls.clear()
+    model = parse_config(json.dumps(doc))
+    sm = _grid(model)
+    gain, finite = _kernel_gain(sm, alpha)
+    assert finite and len(calls) == 6  # lags 0, 0.5 and 0.25 and three densities: 8 parts
+    # pairs of 0, 1 and 2 parts ([0][2], [0][0], [1][1]; [2][0] an atom and a density)
+    for i in range(model.n):
+        for j in range(model.n):
+            moment, ok = exp_moment_values(model.kernels[i][j], sm.t, alpha)
+            assert ok and gain[:, i, j].tobytes() == moment.tobytes(), (i, j)
+    if alpha == 800.0:  # that density's weight sin^2(pi t) is exactly 0 at t = 0
+        assert gain[0, 1, 2] == 0.0 and np.isinf(gain[1:, 1, 2]).all()
+
+
+def _no_parts():
+    return scalar_model(2.0, a=0.5)
+
+
+INDEX_MODELS = {"builtin": builtin_example, "distributed": MODELS["distributed"],
+                "wide-6": lambda: parse_config(json.dumps(inputs.wide_network(0, 6))),
+                "no parts": _no_parts}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_MODELS))
+def test_kernel_index_agrees_with_the_kernel_parts(name):
+    model = INDEX_MODELS[name]()
+    index = KernelIndex(model)
+    sm = SampledModel(model, np.arange(8) * model.omega / 8)
+    assert sm.kernel_index is index and sm.kernel_parts is index.parts  # one per model
+    assert [part for *_, part in index.parts] == [
+        part for row in model.kernels for kern in row for part in kern.parts]
+    slots = {}  # mass key -> slot
+    for k, (i, j, part) in enumerate(index.parts):
+        assert index.pair[k] == i * model.n + j
+        assert model.kernels[i][j].parts[index.position[k]] == part
+        key = part.s if isinstance(part, Atom) else part.shape
+        rep = index.distinct[index.slot[k]]
+        assert key == (rep.s if isinstance(rep, Atom) else rep.shape)
+        assert slots.setdefault(key, index.slot[k]) == index.slot[k]
+    assert sorted(slots.values()) == list(range(len(index.distinct)))
+    # each part position's (parts, pairs), as slices or index arrays
+    parts, pairs = np.arange(len(index.parts)), np.arange(model.n ** 2)
+    assert len(index.by_position) == (index.position.max() + 1 if len(parts) else 0)
+    for p, (cols, dest) in enumerate(index.by_position):
+        np.testing.assert_array_equal(parts[cols], np.flatnonzero(index.position == p))
+        np.testing.assert_array_equal(pairs[dest], index.pair[parts[cols]])
+    if not len(parts):
+        gain, finite = _kernel_gain(sm, 0.3)
+        assert finite and gain.shape == (8, 1, 1) and not gain.any()
+        assert find_decay_rate(model, [1.0], 64) == 1.5  # the cap, max d + 1: no delayed gain
