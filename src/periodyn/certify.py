@@ -84,17 +84,16 @@ def _kernel_gain(sm: SampledModel, alpha: float) -> tuple[np.ndarray, bool]:
     in one pass over blocks of ``_BLOCK_VALUES`` weights.  When a density's moment
     diverges every entry is inf and ``finite`` is False.
     """
-    index = sm.kernel_index
-    masses = [_part_mass(part, alpha) for part in index.distinct]
+    masses = [_part_mass(part, alpha) for part in sm.kernel_index.distinct]
     if not all(finite for _, finite in masses):
         return np.full(sm.a.shape, math.inf), False
-    mass = np.array([m for m, _ in masses])[index.slot]
+    mass = np.array([m for m, _ in masses])[sm.kernel_index.slot]
     weights = sm.kernel_weights.reshape(sm.t.size, len(mass))
     gain = np.zeros((len(weights), sm.model.n ** 2))
     step = max(1, _BLOCK_VALUES // max(len(mass), 1))
     for r in range(0, len(weights), step):
         block = part_gain(weights[r:r + step], mass)
-        for cols, pairs in index.by_position:
+        for cols, pairs in sm.kernel_index.by_position:
             gain[r:r + step, pairs] += block[:, cols]
     return gain.reshape(sm.a.shape), True
 
@@ -142,8 +141,7 @@ class _ConditionGrid:
         return self._zero_rate_gain
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
-        """Row gains G_j |a_ij| + :func:`_delayed_term` of F_j, the kernel gain and tau_ij at
-        every grid time, in two (T, n, n) arrays.
+        """Row gains G_j |a_ij| + :func:`_delayed_term` of F_j, kernel gain and tau_ij: (T, n, n).
 
         The kernel gain becomes the delayed term in place, then G_j |a_ij| is
         made and the term added to it.
@@ -368,10 +366,9 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     if res_lo.max() > 0.0:
         return 0.0
     top = kept[[res_lo.argmax()]]  # the sample worst at rate 0
-    cap = float(sm.d.max()) + 1.0
-    for p in index.distinct:
-        if isinstance(getattr(p, "shape", None), ExponentialDensity):
-            cap = min(cap, p.shape.lam * (1.0 - 1e-9))
+    cap = min([float(sm.d.max()) + 1.0] + [  # below every exponential density's decay constant
+        p.shape.lam * (1.0 - 1e-9) for p in index.distinct
+        if isinstance(getattr(p, "shape", None), ExponentialDensity)])
     lo, hi, alpha, res_hi = 0.0, cap, cap, np.full_like(res_lo, math.inf)  # no chord to cap
     while residual(alpha, top)[0] > 0.0:  # one positive row: alpha is infeasible
         hi, alpha = alpha, 0.5 * (lo + alpha)

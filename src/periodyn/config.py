@@ -102,8 +102,7 @@ def _parse_term(obj) -> Term:
         return Term("const", _number(obj["const"], ".const"))
     if obj.keys() != _TERM_KEYS:
         _reject_unknown(obj, _TERM_KEYS)
-        missing = next(key for key in ("amp", "fn", "k") if key not in obj)
-        raise ConfigError(f"term needs '{missing}'")
+        raise ConfigError(f"term needs '{min(_TERM_KEYS - obj.keys())}'")
     fn, k = obj["fn"], obj["k"]
     if fn not in TERM_KINDS or fn == "const":
         raise ConfigError(f"unknown term function {fn!r}", ".fn")

@@ -207,7 +207,7 @@ class _DelayedReads(NamedTuple):
 
 def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _DelayedReads:
     col, lag, scale = [], [], []
-    for k, (i, j, part) in enumerate(sm.kernel_parts):
+    for k, (i, j, part) in enumerate(sm.kernel_index.parts):
         atom = isinstance(part, Atom)
         # a density reads at Simpson nodes quad_step apart over its support
         with contextlib.nullcontext() if atom else holding(
@@ -218,10 +218,9 @@ def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _Dela
             col += [k] * len(nodes)
             lag.extend(nodes)
             scale.extend(weights)
-    col = np.array(col, dtype=np.intp)
     pair = sm.kernel_index.pair[col]
-    return _DelayedReads(*np.divmod(pair, sm.model.n), pair, col, np.array(lag, dtype=float),
-                         np.array(scale, dtype=float))
+    return _DelayedReads(*np.divmod(pair, sm.model.n), pair, np.array(col, dtype=np.intp),
+                         np.array(lag, dtype=float), np.array(scale, dtype=float))
 
 
 def _elementwise(acts, units):

@@ -309,16 +309,14 @@ class KernelIndex:
                 for *_, p in self.parts]
         self.distinct = tuple(p for _, p in keys.values())
         self.slot = _read_only(np.array(slot, np.intp))
-        n = model.n
-        self.pair = pair = _read_only(np.array([i * n + j for i, j, _ in self.parts], np.intp))
+        self.pair = pair = _read_only(np.array([i * model.n + j for i, j, _ in self.parts], np.intp))
         # pairs ascend, so searchsorted finds the first part of each part's pair
         self.position = position = _read_only(np.arange(len(pair)) - np.searchsorted(pair, pair))
         runs = [np.flatnonzero(position == p) for p in range(position.max(initial=-1) + 1)]
         self.by_position = tuple((_run(cols), _run(pair[cols])) for cols in runs)
 
 
-def _run(idx: np.ndarray):
-    """Increasing indices as a slice where they are consecutive, else as they are."""
+def _run(idx: np.ndarray):  # increasing indices, as a slice where they are consecutive
     return slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else _read_only(idx)
 
 
@@ -348,11 +346,11 @@ class SampledModel:
 
     Time axes come first and the arrays are C-contiguous and read-only:
     ``d`` and ``inputs`` are (*T, n), ``a`` and ``tau`` (*T, n, n).
-    ``kernel_index`` is the model's :class:`KernelIndex`, ``kernel_parts``
-    its (i, j, part) list, and ``kernel_weights`` (*T, K) holds the parts'
-    weights, one column per part.  The arrays come from one evaluation of
-    :func:`coefficient_table`, with the bits of ``PeriodicExpr.eval``.
-    Certification and integration read the coefficients only from here.
+    ``kernel_index`` is the model's :class:`KernelIndex`, and ``kernel_weights``
+    (*T, K) holds its parts' weights, one column per part.  The arrays come
+    from one evaluation of :func:`coefficient_table`, with the bits of
+    ``PeriodicExpr.eval``.  Certification and integration read the
+    coefficients only from here.
     """
 
     def __init__(self, model: NetworkModel, t):
@@ -366,7 +364,6 @@ class SampledModel:
         self.a = _read_only(values["a"].reshape(square))
         self.tau = _read_only(values["tau"].reshape(square))
         self.kernel_index = KernelIndex(model)
-        self.kernel_parts = self.kernel_index.parts
         self.kernel_weights = _read_only(values["weights"])
 
 

@@ -66,7 +66,7 @@ def full_bisection(model, xi, grid, tol=1e-6):
     if worst(0.0) > 0.0:
         return 0.0
     cap = float(cg.sm.d.max()) + 1.0
-    for _, _, part in cg.sm.kernel_parts:
+    for _, _, part in cg.sm.kernel_index.parts:
         if isinstance(getattr(part, "shape", None), ExponentialDensity):
             cap = min(cap, part.shape.lam * (1.0 - 1e-9))
     if worst(cap) <= 0.0:

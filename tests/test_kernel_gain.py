@@ -158,7 +158,7 @@ def test_kernel_index_agrees_with_the_kernel_parts(name):
     model = INDEX_MODELS[name]()
     index = KernelIndex(model)
     sm = SampledModel(model, np.arange(8) * model.omega / 8)
-    assert sm.kernel_index is index and sm.kernel_parts is index.parts  # one per model
+    assert sm.kernel_index is index  # one per model
     assert [part for *_, part in index.parts] == [
         part for row in model.kernels for kern in row for part in kern.parts]
     slots = {}  # mass key -> slot

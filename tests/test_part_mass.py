@@ -60,7 +60,7 @@ def test_sampled_kernel_parts_follow_each_kernels_parts():
     kern = DelayKernel((Atom(0.5, const(0.2)),),
                        DistributedPart(ExponentialDensity(3.0), const(0.1)))
     sm = SampledModel(scalar_model(2.0, kernel=kern, tau=const(0.1)), [0.0, 0.5])
-    assert [part for *_, part in sm.kernel_parts] == list(kern.parts)
+    assert [part for *_, part in sm.kernel_index.parts] == list(kern.parts)
 
 
 def test_builtin_example_is_the_bundled_config():

@@ -157,7 +157,7 @@ def test_plan_grows_with_parts_not_simpson_nodes(h):
     model = parse_config(json.dumps(DISTRIBUTED))
     plan = _plan(model, h)
     samples = 2 * round(model.omega / h)
-    parts = len(plan.sm.kernel_parts)
+    parts = len(plan.sm.kernel_index.parts)
     assert plan.anchor.shape == (samples, parts)
     assert plan.steps.shape == plan.col.shape and plan.col.size > 10 * parts
 
