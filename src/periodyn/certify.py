@@ -115,6 +115,13 @@ def _delayed_term(coef, mass, lag, alpha: float, out=(None, None)) -> np.ndarray
     return term
 
 
+def _row_gains(abs_a, G, moment, F, tau, alpha: float) -> np.ndarray:
+    """G_j |a_ij| + :func:`_delayed_term` of F_j, moment_ij and tau_ij."""
+    gain = abs_a * G
+    gain += _delayed_term(F, moment, tau, alpha)
+    return gain
+
+
 def _row_sums(x: np.ndarray) -> np.ndarray:
     """Sums over the last axis, in its order, not numpy's pairwise order."""
     return functools.reduce(np.add, np.moveaxis(x, -1, 0))
@@ -141,7 +148,7 @@ class _ConditionGrid:
         return self._zero_rate_gain
 
     def gain_matrix(self, alpha: float) -> tuple[np.ndarray, bool]:
-        """Row gains G_j |a_ij| + :func:`_delayed_term` of F_j, kernel gain and tau_ij: (T, n, n).
+        """Row gains :func:`_row_gains` at every grid time, in two (T, n, n) arrays.
 
         The kernel gain becomes the delayed term in place, then G_j |a_ij| is
         made and the term added to it.
@@ -366,9 +373,10 @@ def find_decay_rate(model: NetworkModel, xi, grid_points: int = 4096,
     if res_lo.max() > 0.0:
         return 0.0
     top = kept[[res_lo.argmax()]]  # the sample worst at rate 0
-    cap = min([float(sm.d.max()) + 1.0] + [  # below every exponential density's decay constant
-        p.shape.lam * (1.0 - 1e-9) for p in index.distinct
-        if isinstance(getattr(p, "shape", None), ExponentialDensity)])
+    cap = float(sm.d.max()) + 1.0
+    for p in index.distinct:
+        if isinstance(getattr(p, "shape", None), ExponentialDensity):
+            cap = min(cap, p.shape.lam * (1.0 - 1e-9))
     lo, hi, alpha, res_hi = 0.0, cap, cap, np.full_like(res_lo, math.inf)  # no chord to cap
     while residual(alpha, top)[0] > 0.0:  # one positive row: alpha is infeasible
         hi, alpha = alpha, 0.5 * (lo + alpha)
@@ -467,9 +475,8 @@ def discrete_delay_form(model: NetworkModel, grid_points: int = 4096) -> Discret
 def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
                 theta: np.ndarray | None = None) -> CriterionReport:
     """Sup criterion for weights theta, or for the best weights (one small LP) when None."""
-    S = (form.a_sup * _lipschitz(model.g)  # the grid rows' gains, on the sup coefficients
-         + _delayed_term(_lipschitz(model.f), form.b_sup, form.tau_sup, alpha)
-         + np.diag(alpha - form.d_inf))
+    S = (_row_gains(form.a_sup, _lipschitz(model.g), form.b_sup, _lipschitz(model.f),
+                    form.tau_sup, alpha) + np.diag(alpha - form.d_inf))
     if theta is None:  # an inf row (an overflowing lag) cannot be met: unit weights, as checked
         theta = _lp_weights(S[None]) if np.isfinite(S).all() else np.ones(model.n)
     return _report("sup", S @ theta, {"theta": [float(v) for v in theta], "alpha": alpha})
@@ -587,9 +594,13 @@ def check_period_scaled_criterion(model: NetworkModel,
 def pointwise_criterion_label(model: NetworkModel) -> str:
     """Label the pointwise check by the kernel shapes it specializes to."""
     kernels = [kern for row in model.kernels for kern in row]
-    if not any(kern.density is not None for kern in kernels):
-        return "pointwise-discrete"
-    return "pointwise" if any(kern.atoms for kern in kernels) else "pointwise-distributed"
+    has_atoms = any(kern.atoms for kern in kernels)
+    has_density = any(kern.density is not None for kern in kernels)
+    if has_density and has_atoms:
+        return "pointwise"
+    if has_density:
+        return "pointwise-distributed"
+    return "pointwise-discrete"
 
 
 def _pointwise_report(model: NetworkModel, cert: Certificate | None,
@@ -664,13 +675,19 @@ def random_discrete_delay_model(rng: np.random.Generator) -> NetworkModel:
 
     d = tuple(positive_expr(0.8, 3.0) for _ in range(n))
     a = tuple(tuple(gain_expr(scale) for _ in range(n)) for _ in range(n))
-    # per pair its kernel's weight, then its delay
-    delayed = [[(gain_expr(0.7 * scale), const(float(rng.uniform(0.0, 1.5)))) for _ in range(n)]
-               for _ in range(n)]
-    kernels = [[DelayKernel((Atom(0.0, w),)) if w.terms else DelayKernel() for w, _ in row]
-               for row in delayed]
-    return NetworkModel(n=n, omega=2.0, d=d, a=a, kernels=kernels,
-                        tau=[[lag for _, lag in row] for row in delayed],
-                        inputs=tuple(input_expr() for _ in range(n)),
-                        g=tuple(activation() for _ in range(n)),
-                        f=tuple(activation() for _ in range(n)))
+    kernels = []
+    tau = []
+    for _ in range(n):
+        krow = []
+        trow = []
+        for _ in range(n):
+            w = gain_expr(0.7 * scale)
+            krow.append(DelayKernel() if not w.terms else DelayKernel((Atom(0.0, w),)))
+            trow.append(const(float(rng.uniform(0.0, 1.5))))
+        kernels.append(tuple(krow))
+        tau.append(tuple(trow))
+    inputs = tuple(input_expr() for _ in range(n))
+    g = tuple(activation() for _ in range(n))
+    f = tuple(activation() for _ in range(n))
+    return NetworkModel(n=n, omega=2.0, d=d, a=a, kernels=tuple(kernels),
+                        tau=tuple(tau), inputs=inputs, g=g, f=f)

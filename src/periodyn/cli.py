@@ -53,7 +53,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         step = mag * mult
         if step >= raw:
             break
-    ticks, v = [], math.ceil(lo / step) * step
+    first = math.ceil(lo / step) * step
+    ticks = []
+    v = first
     while v <= hi + 1e-12 * span:
         ticks.append(0.0 if abs(v) < 1e-12 * span else v)
         v += step

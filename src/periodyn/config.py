@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import asdict, fields
 
-from .expressions import _KINDS, PeriodicExpr, Term, TERM_KINDS, const
+from .expressions import PeriodicExpr, Term, TERM_KINDS, const
 from .kernels import DENSITIES, Atom, DelayKernel, DistributedPart
 from .model import ACTIVATIONS, Activation, NetworkModel, validate
 
@@ -81,32 +81,22 @@ def _number(obj, where: str = "") -> float:
 
 
 _TERM_KEYS = {"amp", "fn", "k"}
-_REAL = (float, int)  # exact types: a bool is neither
 
 
 def _parse_term(obj) -> Term:
-    """A term: one test accepts a well-formed one; the checks after it name what is wrong."""
-    try:  # an unhashable fn fails the dict lookup, a number past the float range isfinite
-        if (type(obj) is dict and len(obj) == 1 and type(c := obj.get("const")) in _REAL
-                and math.isfinite(c)):
-            return Term("const", float(c))
-        if (type(obj) is dict and obj.keys() == _TERM_KEYS and obj["fn"] in _KINDS
-                and type(k := obj["k"]) is int and k > 0 and math.isfinite(k)
-                and type(amp := obj["amp"]) in _REAL and math.isfinite(amp)):
-            return Term(obj["fn"], float(amp), k)
-    except (TypeError, OverflowError):
-        pass
     obj = _require_mapping(obj)
     if "const" in obj:
         _reject_unknown(obj, {"const"})
         return Term("const", _number(obj["const"], ".const"))
     if obj.keys() != _TERM_KEYS:
         _reject_unknown(obj, _TERM_KEYS)
-        raise ConfigError(f"term needs '{min(_TERM_KEYS - obj.keys())}'")
+        missing = next(key for key in ("amp", "fn", "k") if key not in obj)
+        raise ConfigError(f"term needs '{missing}'")
     fn, k = obj["fn"], obj["k"]
     if fn not in TERM_KINDS or fn == "const":
         raise ConfigError(f"unknown term function {fn!r}", ".fn")
-    if isinstance(k, bool) or not isinstance(k, int) or k <= 0:
+    # an int but not a bool; JSON gives exactly int, so the type test decides at once
+    if type(k) is not int and (isinstance(k, bool) or not isinstance(k, int)) or k <= 0:
         raise ConfigError("term frequency k must be a positive integer", ".k")
     _number(k, ".k")  # the basis takes k * pi as a float
     return Term(fn, _number(obj["amp"], ".amp"), k)
@@ -230,12 +220,17 @@ def parse_config(doc, source: str = "<config>") -> NetworkModel:
 
 
 def _expr_to_config(expr: PeriodicExpr) -> list:
-    return [{"const": term.c} if term.kind == "const" else
-            {"amp": term.c, "fn": term.kind, "k": term.k} for term in expr.terms]
+    out = []
+    for term in expr.terms:
+        if term.kind == "const":
+            out.append({"const": term.c})
+        else:
+            out.append({"amp": term.c, "fn": term.kind, "k": term.k})
+    return out
 
 
 def _kernel_to_config(kernel: DelayKernel):
-    if not kernel.parts:
+    if kernel.is_zero:
         return None
     out: dict = {}
     if kernel.atoms:

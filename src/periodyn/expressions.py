@@ -114,7 +114,9 @@ ZERO = PeriodicExpr(())
 
 
 def const(c: float) -> PeriodicExpr:
-    return ZERO if c == 0.0 else PeriodicExpr((Term("const", float(c)),))
+    if c == 0.0:
+        return ZERO
+    return PeriodicExpr((Term("const", float(c)),))
 
 
 def term_expr(kind: str, c: float, k: int = 0) -> PeriodicExpr:
@@ -122,7 +124,10 @@ def term_expr(kind: str, c: float, k: int = 0) -> PeriodicExpr:
 
 
 def expr_sum(*parts: PeriodicExpr) -> PeriodicExpr:
-    return PeriodicExpr(tuple(term for part in parts for term in part.terms))
+    terms: list[Term] = []
+    for part in parts:
+        terms.extend(part.terms)
+    return PeriodicExpr(tuple(terms))
 
 
 class TermTable:

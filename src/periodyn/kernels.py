@@ -160,6 +160,10 @@ class DelayKernel:
             raise ValueError("atom locations must be strictly increasing")
 
     @property
+    def is_zero(self) -> bool:
+        return not self.atoms and self.density is None
+
+    @property
     def parts(self) -> tuple:
         """The atoms, then the density part if there is one: the one part order."""
         return self.atoms if self.density is None else self.atoms + (self.density,)

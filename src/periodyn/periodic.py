@@ -60,6 +60,10 @@ class PeriodSegment(HermiteNodes):
         return self.values.shape[1]
 
     @property
+    def nodes_per_period(self) -> int:
+        return self.values.shape[0] - 1
+
+    @property
     def seam_gap(self) -> float:
         """Continuity defect between the two endpoints of the stored period."""
         return float(np.abs(self.values[-1] - self.values[0]).max())
@@ -78,7 +82,7 @@ class PeriodSegment(HermiteNodes):
     def as_history(self, lookback_steps: int) -> SampledIC:
         """Wrap the segment into a sampled history over [-lookback, 0]."""
         m = max(int(lookback_steps), 1)
-        rows = np.arange(-m, 1) % (self.values.shape[0] - 1)  # the last node repeats the first
+        rows = np.arange(-m, 1) % self.nodes_per_period
         return SampledIC(start=-m * self.h, step=self.h,
                          values=self.values[rows], derivs=self.derivs[rows])
 

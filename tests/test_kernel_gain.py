@@ -180,3 +180,22 @@ def test_kernel_index_agrees_with_the_kernel_parts(name):
         gain, finite = _kernel_gain(sm, 0.3)
         assert finite and gain.shape == (8, 1, 1) and not gain.any()
         assert find_decay_rate(model, [1.0], 64) == 1.5  # the cap, max d + 1: no delayed gain
+
+
+@pytest.mark.parametrize("name, count, block", [("wide", 100, None), ("distributed", 64, 40)])
+def test_blocked_gain_has_the_bits_of_the_per_part_sum_over_many_blocks(
+        monkeypatch, name, count, block):
+    # wide(3) at 100 samples: 900 parts, blocks of 72 rows and a last one of 28;
+    # DISTRIBUTED's 8 parts in blocks of 5 rows, its pairs of 2 parts in every one
+    model = wide(3) if name == "wide" else MODELS[name]()
+    if block is not None:
+        monkeypatch.setattr(certify, "_BLOCK_VALUES", block)
+    step = max(1, certify._BLOCK_VALUES // len(KernelIndex(model).parts))
+    assert step < count and count % step
+    sm = _grid(model, count)
+    gain, finite = _kernel_gain(sm, 0.9)
+    assert finite
+    for i in range(model.n):
+        for j in range(model.n):
+            moment, ok = exp_moment_values(model.kernels[i][j], sm.t, 0.9)
+            assert ok and gain[:, i, j].tobytes() == moment.tobytes(), (i, j)
