@@ -12,8 +12,7 @@ from .certify import (Certificate, CriterionReport, ModelShapeError,
                       find_decay_rate, find_weights, search_split_sup_criterion,
                       search_sup_criterion)
 from .integrate import DivergenceError, HistoryBuffer, HistoryUnderrunError, Trajectory, simulate
-from .periodic import (NoConvergenceError, PeriodSegment, RateFit,
-                       estimate_decay_rate, find_periodic_orbit, period_map,
+from .periodic import (NoConvergenceError, PeriodSegment, find_periodic_orbit, period_map,
                        verify_periodicity)
 
 __version__ = "0.1.0"

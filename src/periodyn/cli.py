@@ -21,13 +21,11 @@ import numpy as np
 # validate are re-exported: callers reach them as periodyn.cli.*
 from .config import (ConfigError, builtin_config_path, config_hash, load_model,
                      model_to_config, parse_config, serialize_config)
-from .model import ConstantIC, TooLargeError, holding, validate
+from .model import ConstantIC, holding, validate
 from .certify import (ModelShapeError, check_row_dominance, compare_criteria, compute_bounds,
                       find_decay_rate, find_weights, random_discrete_delay_model)
 from .integrate import DivergenceError, simulate
-from .kernels import TAIL_TOL
-from .periodic import (NoConvergenceError, estimate_decay_rate, find_periodic_orbit,
-                       verify_periodicity)
+from .periodic import NoConvergenceError, find_periodic_orbit, verify_periodicity
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -188,8 +186,7 @@ def cmd_simulate(args) -> int:
     model = load_model(args.config)
     report = RunReport("simulate", args.config, config_hash(model),
                        parameters={"t_end": args.t_end, "h": args.h, "ic": args.ic,
-                                   "tail_tol": args.tail_tol, "grid": args.grid,
-                                   "force": args.force})
+                                   "grid": args.grid, "force": args.force})
     ic = _parse_ic(args.ic, model.n)
     if not args.force:
         cert = find_weights(model, grid_points=args.grid)
@@ -201,7 +198,7 @@ def cmd_simulate(args) -> int:
         # the weight search computes no rate or bounds: print the fields it sets
         report.results["certificate"] = {k: getattr(cert, k) for k in ("xi", "eta", "grid_points")}
     try:
-        traj = simulate(model, ic, args.t_end, args.h, tail_tol=args.tail_tol)
+        traj = simulate(model, ic, args.t_end, args.h)
     except DivergenceError as exc:
         report.results["diverged_at"] = exc.t
         report.emit()
@@ -249,7 +246,8 @@ def cmd_find_period(args) -> int:
     ic = ConstantIC(tuple(0.0 for _ in range(model.n)))
     try:
         segment, residual, iterations = find_periodic_orbit(
-            model, ic, args.h, fp_tol=args.fp_tol, max_iters=args.max_iters, xi=cert.xi)
+            model, ic, args.h, fp_tol=args.fp_tol, max_iters=args.max_iters, xi=cert.xi,
+            alpha=cert.alpha)
         deviation = verify_periodicity(segment, model, args.h, xi=cert.xi)
         report.results.update({
             "converged": True,
@@ -261,17 +259,6 @@ def cmd_find_period(args) -> int:
             "seam_gap": segment.seam_gap,
             "contraction": _contraction(segment, residual, cert.alpha, model.omega),
         })
-        if args.rate_periods > 0:
-            # decay fit from a deterministic off-orbit start: x(0) shifted by one
-            perturbed = ConstantIC(tuple(float(v) + 1.0 for v in segment.eval(0.0)))
-            with holding("--rate-periods", "the rate fit's run is past the float range"):
-                t_end = args.rate_periods * model.omega
-            try:
-                fit = estimate_decay_rate(model, segment, perturbed, args.h, t_end, xi=cert.xi)
-            except TooLargeError as exc:  # the fit's run, whose length --rate-periods sets
-                raise TooLargeError(f"--rate-periods: {str(exc).partition(': ')[2]}") from None
-            # a degenerate fit's rate is inf, which JSON cannot print
-            report.results["rate_fit"] = replace(fit, alpha_emp=None) if fit.degenerate else fit
     except NoConvergenceError as exc:
         report.results["converged"] = False
         report.results["residual_history"] = exc.residual_history[-50:]
@@ -378,7 +365,6 @@ _non_negative_int = _number(int, lambda v: v >= 0, "a non-negative integer")
 _positive_float = _number(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
 _non_negative_float = _number(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _step = _number(float, lambda v: v > 0.0, "a number > 0")  # inf: the period check names it
-_fraction = _number(float, lambda v: 0.0 < v < 1.0, "a number strictly between 0 and 1")
 
 
 COMMANDS = ("certify", "simulate", "find-period", "compare")
@@ -411,7 +397,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--ic", default=None, help="comma-separated constant history")
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--plot", default=None, help="SVG output path")
-        p.add_argument("--tail-tol", type=_fraction, default=TAIL_TOL, dest="tail_tol")
         p.add_argument("--force", action="store_true",
                        help="simulate even when certification fails")
 
@@ -421,8 +406,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--fp-tol", type=_positive_float, default=1e-10, dest="fp_tol")
         p.add_argument("--max-iters", type=_positive_int, default=1000, dest="max_iters")
         p.add_argument("--out", default=None, help="CSV output path for the orbit segment")
-        p.add_argument("--rate-periods", type=_non_negative_int, default=0, dest="rate_periods",
-                       help="periods to simulate for a decay-rate fit (default 0: no fit)")
 
     if p := add("compare", cmd_compare,
                 "evaluate this and rival criteria, optionally on an ensemble"):

@@ -205,16 +205,15 @@ class _DelayedReads(NamedTuple):
     scale: np.ndarray
 
 
-def _delayed_reads(sm: SampledModel, tail_tol: float, quad_step: float) -> _DelayedReads:
+def _delayed_reads(sm: SampledModel, quad_step: float) -> _DelayedReads:
     col, lag, scale = [], [], []
     for k, (i, j, part) in enumerate(sm.kernel_index.parts):
         atom = isinstance(part, Atom)
         # a density reads at Simpson nodes quad_step apart over its support
         with contextlib.nullcontext() if atom else holding(
-                f"kernels[{i}][{j}].density", f"its support of {part.shape.cutoff(tail_tol):.3g}, "
+                f"kernels[{i}][{j}].density", f"its support of {part.shape.cutoff(TAIL_TOL):.3g}, "
                 f"read every {quad_step:g}, needs too many reads to hold in memory"):
-            nodes, weights = ([part.s], [1.0]) if atom else simpson_rule(part.shape, tail_tol,
-                                                                         quad_step)
+            nodes, weights = ([part.s], [1.0]) if atom else simpson_rule(part.shape, step=quad_step)
             col += [k] * len(nodes)
             lag.extend(nodes)
             scale.extend(weights)
@@ -317,7 +316,7 @@ def _block_steps(latest: np.ndarray, width: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=4)
-def _period_plan(model: NetworkModel, h: float, tail_tol: float, samples: int) -> _ReadPlan:
+def _period_plan(model: NetworkModel, h: float, samples: int) -> _ReadPlan:
     """The read plan of a period's first ``samples`` half steps.
 
     Sample r belongs to half step r and is anchored at node ``r // 2``; the
@@ -328,7 +327,7 @@ def _period_plan(model: NetworkModel, h: float, tail_tol: float, samples: int) -
                  "too many to sample in memory"):
         sm = sampled(model, 2 * period, 0.5 * h)
     half = np.arange(samples) % 2
-    plan = _ReadPlan(sm, _delayed_reads(sm, tail_tol, h), h, half * 0.5)
+    plan = _ReadPlan(sm, _delayed_reads(sm, h), h, half * 0.5)
     # the history reaches the midpoint's step end, and the node at the other stages
     ahead = plan.latest - (half + 1e-9)
     if (ahead > 0.0).any():
@@ -430,8 +429,7 @@ def _exact_steps(total: float, h: float, what: str) -> int:
     return int(r)
 
 
-def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
-             tail_tol: float = TAIL_TOL) -> Trajectory:
+def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float) -> Trajectory:
     """Classical RK4 from time 0 with the dense history driving delays.
 
     ``h`` must divide the period exactly and ``t_end`` must be a multiple of
@@ -449,7 +447,7 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float,
     u = np.asarray(ic.eval(0.0), dtype=float).copy()
     if u.shape != (n,):
         raise ValueError(f"initial condition has dimension {u.shape}, expected ({n},)")
-    plan = _period_plan(model, h, tail_tol, min(2 * period, 2 * steps + 1))
+    plan = _period_plan(model, h, min(2 * period, 2 * steps + 1))
     if 0.0 < plan.min_lag < math.inf and h >= plan.min_lag:
         # sub-step lookups will run on the extrapolant every step
         warnings.warn(f"step h={h} is not below the smallest delay {plan.min_lag:.6g}; "

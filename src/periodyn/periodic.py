@@ -1,10 +1,12 @@
-"""Periodic orbit location and exponential rate measurement.
+"""Periodic orbit location.
 
 The period map advances an initial history by one period and re-bases the
-trailing window to end at time zero.  Under the rate-extended certificate it
-is a contraction in the weighted sup norm, so its iteration converges
-geometrically; the fixed point is the attracting periodic orbit.  The search
-speeds that iteration up with Anderson mixing of the last few maps.
+trailing window to end at time zero.  Under the rate-extended certificate
+(weights xi, rate alpha) it contracts by e^{-alpha omega} in the window norm
+that weights the node at time s <= 0 by e^{alpha s}, so its iteration
+converges geometrically; the fixed point is the attracting periodic orbit.
+The search speeds that iteration up with Anderson mixing of the last few
+maps.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import Trajectory, _period_plan, simulate, write_states_csv
-from .kernels import TAIL_TOL
 from .model import (HermiteNodes, InitialCondition, NetworkModel, SampledIC, _positive_weights,
                     holding)
 
@@ -91,24 +92,13 @@ class PeriodSegment(HermiteNodes):
         write_states_csv(path, times, self.values)
 
 
-@dataclass(frozen=True)
-class RateFit:
-    """Least-squares decay rate of log error over a trailing window."""
-
-    alpha_emp: float
-    r_squared: float
-    window: tuple[float, float]
-    n_points: int = 0
-    degenerate: bool = False
-
-
 def lookback_steps(model: NetworkModel, h: float) -> int:
     """History window length (in steps) the period map must carry.
 
     The lag is the reach of the read plan a run of at least one period uses,
     so the window holds every node a delayed read interpolates between.
     """
-    lag = _period_plan(model, h, TAIL_TOL, 2 * round(model.omega / h)).max_lag
+    lag = _period_plan(model, h, 2 * round(model.omega / h)).max_lag
     return max(1, int(math.ceil(lag / h - 1e-9)))
 
 
@@ -129,7 +119,7 @@ def period_map(model: NetworkModel, ic: InitialCondition, h: float) -> SampledIC
 
 def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
                         fp_tol: float = 1e-10, max_iters: int = 1000,
-                        xi=None) -> tuple[PeriodSegment, float, int]:
+                        xi=None, alpha: float = 0.0) -> tuple[PeriodSegment, float, int]:
     """Anderson-accelerated iteration of the period map G to its fixed point.
 
     After the first map, each iterate x is a window (node values and slopes
@@ -140,8 +130,10 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
     G(x) - x.  A residual above the best one so far drops that history and
     takes the plain step G(x) (a restart).  Each map after the second also
     gives the quotient |G(x) - G(x')| / |x - x'| with the previous iterate
-    x', in the same norm, unless |x - x'| is at rounding level
-    (``QUOTIENT_FLOOR`` times |x|): the contraction the search observed.
+    x', unless |x - x'| is at rounding level (``QUOTIENT_FLOOR`` times |x|):
+    the contraction the search observed.  The quotient's norm also weights
+    the node at time s by e^{alpha s}, the norm in which a certificate of
+    rate ``alpha`` proves the map contracts by e^{-alpha omega}.
     Raises NoConvergenceError (with the residual history) when the residual
     fails to shrink by x0.99 over 20 consecutive maps or max_iters maps are
     spent.  The segment is the last map's trajectory and records the
@@ -149,8 +141,8 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
     """
     xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
 
-    def norm(v: np.ndarray) -> float:  # xi-weighted max over the node values
-        return float(np.max(np.abs(v[:len(window.values)]) / xi))
+    def norm(v: np.ndarray, decay=1.0) -> float:  # xi-weighted max over node values, times decay
+        return float(np.max(np.abs(v[:len(window.values)]) / xi * decay))
 
     current: InitialCondition = ic0
     residuals: list[float] = []
@@ -160,12 +152,14 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
     for it in range(1, max_iters + 1):
         window, traj = _advance_one_period(model, current, h)
         g = np.concatenate((window.values, window.derivs))
-        if it > 1:
+        if it == 1:  # e^{alpha s} at the window's nodes, which every map shares; 1.0 at s = 0
+            decay = np.exp(alpha * window.step * np.arange(1 - len(window.values), 1))[:, None]
+        else:
             f = g - x
             res = norm(f)
             residuals.append(res)
-            if it > 2 and (step := norm(x - last[0])) > QUOTIENT_FLOOR * norm(x):
-                quotients.append(norm(g - last[1]) / step)
+            if it > 2 and (step := norm(x - last[0], decay)) > QUOTIENT_FLOOR * norm(x, decay):
+                quotients.append(norm(g - last[1], decay) / step)
             last = x, g  # neither array is written to: the mixing makes a new g
             if res <= fp_tol:
                 k = traj.states.shape[0]
@@ -208,31 +202,3 @@ def verify_periodicity(segment: PeriodSegment, model: NetworkModel, h: float,
     diff = traj.states[k:] - traj.states[:-k]
     return float(np.max(np.abs(diff) / xi[None, :]))
 
-
-def estimate_decay_rate(model: NetworkModel, segment: PeriodSegment,
-                        ic_perturbed: InitialCondition, h: float, t_end: float,
-                        xi=None) -> RateFit:
-    """Fit the exponential approach of a perturbed run toward the orbit.
-
-    Fits log of the weighted distance over [t_end/4, t_end], skipping nodes
-    below 1e-12.  A fit with fewer than two usable nodes is reported as
-    degenerate (convergence faster than measurable), not as a failure.
-    """
-    xi = np.ones(model.n) if xi is None else _positive_weights(xi, model.n)
-    traj = simulate(model, ic_perturbed, t_end, h)
-    err = np.max(np.abs(traj.states - segment.eval(traj.times)) / xi[None, :], axis=1)
-    lo = t_end / 4.0
-    mask = (traj.times >= lo) & (err >= 1e-12)
-    n_points = int(mask.sum())
-    if n_points < 2:
-        return RateFit(alpha_emp=math.inf, r_squared=0.0, window=(lo, t_end),
-                       n_points=n_points, degenerate=True)
-    tt = traj.times[mask]
-    le = np.log(err[mask])
-    slope, intercept = np.polyfit(tt, le, 1)
-    pred = slope * tt + intercept
-    ss_res = float(((le - pred) ** 2).sum())
-    ss_tot = float(((le - le.mean()) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return RateFit(alpha_emp=float(-slope), r_squared=r2, window=(lo, t_end),
-                   n_points=n_points)

@@ -218,7 +218,7 @@ def rhs(model: NetworkModel, t: float, u, history: HistoryBuffer,
     sm = SampledModel(model, [t])
     h = history.h
     node = max(history.count - 1, 0)
-    plan = _ReadPlan(sm, _delayed_reads(sm, TAIL_TOL, h if quad_step is None else quad_step), h,
+    plan = _ReadPlan(sm, _delayed_reads(sm, h if quad_step is None else quad_step), h,
                      [(t - history.start_time) / h - node])
     _check_horizon(history, history.start_time + (node + float(plan.latest[0])) * h)
     stage, delayed = _stage_function(plan, history)
@@ -246,6 +246,22 @@ def convergence_order(model: NetworkModel, ic: InitialCondition, t_end: float,
     if e12 == 0.0:
         return math.inf
     return math.log2(e01 / e12)
+
+
+def estimate_decay_rate(model: NetworkModel, segment, ic: InitialCondition, h: float,
+                        t_end: float, xi=None) -> tuple[float, float]:
+    """Rate and R^2 of a log-linear fit to a run's weighted distance from the orbit.
+
+    The fit covers the nodes in [t_end/4, t_end] that lie at least 1e-12 away.
+    """
+    xi = np.ones(model.n) if xi is None else np.asarray(xi, dtype=float)
+    traj = simulate(model, ic, t_end, h)
+    err = np.max(np.abs(traj.states - segment.eval(traj.times)) / xi, axis=1)
+    keep = (traj.times >= t_end / 4.0) & (err >= 1e-12)
+    t, log_err = traj.times[keep], np.log(err[keep])
+    slope, intercept = np.polyfit(t, log_err, 1)
+    ss_res = ((log_err - slope * t - intercept) ** 2).sum()
+    return float(-slope), float(1.0 - ss_res / ((log_err - log_err.mean()) ** 2).sum())
 
 
 # model

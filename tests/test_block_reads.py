@@ -19,7 +19,7 @@ from periodyn.config import builtin_config_path, parse_config
 from periodyn.expressions import const, term_expr
 from periodyn.integrate import (DivergenceError, HistoryBuffer, _period_plan, _stage_function,
                                 simulate)
-from periodyn.kernels import TAIL_TOL, Atom, DelayKernel
+from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation, ConstantIC, ExprIC, builtin_example
 from periodyn.periodic import period_map
 
@@ -39,7 +39,7 @@ MODELS = {
 
 
 def _plan(model, h):
-    return _period_plan(model, h, TAIL_TOL, 2 * round(model.omega / h))
+    return _period_plan(model, h, 2 * round(model.omega / h))
 
 
 def _history(model, which):

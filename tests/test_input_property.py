@@ -73,10 +73,10 @@ def _options(**flags):
 
 @PROFILE
 @given(changes=st.lists(st.tuples(st.sampled_from(PATHS), MUTATIONS), min_size=1, max_size=2),
-       grid=_flag(256), h=_flag(1e-2), t_end=_flag(0.5), rate_periods=_flag(1), draws=_flag(10),
+       grid=_flag(256), h=_flag(1e-2), t_end=_flag(0.5), draws=_flag(10),
        ensemble=st.integers(1, 4).flatmap(_flag), force=st.booleans())
 def test_every_command_exits_with_a_documented_code(tmp_path_factory, changes, grid, h, t_end,
-                                                    rate_periods, draws, ensemble, force):
+                                                    draws, ensemble, force):
     doc = json.loads(json.dumps(BUILTIN))
     for path, how in changes:
         *parents, last = path
@@ -90,7 +90,7 @@ def test_every_command_exits_with_a_documented_code(tmp_path_factory, changes, g
     commands = [
         ["certify", *_options(grid=grid)],
         ["simulate", *_options(grid=grid, h=h, t_end=t_end or "0.5"), *(["--force"] * force)],
-        ["find-period", *_options(grid=grid, h=h, rate_periods=rate_periods)],
+        ["find-period", *_options(grid=grid, h=h)],
         ["compare", *_options(grid=grid, draws=draws, ensemble=ensemble)],
     ]
     for command, *options in commands:

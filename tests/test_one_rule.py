@@ -14,8 +14,7 @@ from periodyn.expressions import const, expr_sum, term_expr
 from periodyn.integrate import _period_plan
 from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation, ConstantIC, NetworkModel
-from periodyn.periodic import (estimate_decay_rate, find_periodic_orbit, lookback_steps,
-                               verify_periodicity)
+from periodyn.periodic import find_periodic_orbit, lookback_steps, verify_periodicity
 
 from helpers import ZERO, mmatrix_weights, scalar_model
 from test_overflow_rows import lag_one_overflow_model
@@ -47,7 +46,7 @@ def test_period_map_window_covers_the_read_plan_reach():
     m = scalar_model(3.0, kernel=kernel, tau=tau, omega=2.0,
                      g=Activation.tanh(), f=Activation.tanh())
     h = 2e-4
-    reach = _period_plan(m, h, 1e-8, 20000).max_lag / h
+    reach = _period_plan(m, h, 20000).max_lag / h
     assert lookback_steps(m, h) >= reach - 1e-9
 
 
@@ -113,9 +112,8 @@ def test_find_period_report_layout(tmp_path, capsys):
     q = math.exp(-cert.alpha * model.omega)
     ic = ConstantIC((0.0,) * model.n)
     segment, residual, iterations = find_periodic_orbit(model, ic, h, fp_tol=1e-8,
-                                                        max_iters=1000, xi=cert.xi)
-    perturbed = ConstantIC(tuple(float(v) + 1.0 for v in segment.eval(0.0)))
-    fit = estimate_decay_rate(model, segment, perturbed, h, 2 * model.omega, xi=cert.xi)
+                                                        max_iters=1000, xi=cert.xi,
+                                                        alpha=cert.alpha)
     results = {
         "certificate": _certificate(cert),
         "converged": True,
@@ -128,14 +126,10 @@ def test_find_period_report_layout(tmp_path, capsys):
         "contraction": {"observed": max(segment.quotients), "certified": q,
                         "within_certified": max(segment.quotients) <= q,
                         "fixed_point_distance": q / (1.0 - q) * residual},
-        "rate_fit": {"alpha_emp": fit.alpha_emp, "r_squared": fit.r_squared,
-                     "window": list(fit.window), "n_points": fit.n_points,
-                     "degenerate": fit.degenerate},
     }
     parameters = {"h": h, "fp_tol": 1e-8, "grid": 256, "max_iters": 1000}
     expected = _report("find-period", path, parameters, results, [out])
-    argv = ["find-period", path, "--h", "1e-2", "--fp-tol", "1e-8", "--grid", "256",
-            "--rate-periods", "2", "--out", out]
+    argv = ["find-period", path, "--h", "1e-2", "--fp-tol", "1e-8", "--grid", "256", "--out", out]
     assert _stdout(argv, capsys) == _dumped(expected)
 
 

@@ -70,8 +70,7 @@ def test_restart_takes_the_plain_step(monkeypatch, max_iters, residuals):
 
 
 def _find_period(capsys, *flags):
-    code = main(["find-period", builtin_config_path(), "--h", "1e-2", "--fp-tol", "1e-10",
-                 "--rate-periods", "0", *flags])
+    code = main(["find-period", builtin_config_path(), "--h", "1e-2", "--fp-tol", "1e-10", *flags])
     return code, capsys.readouterr().out
 
 
@@ -104,5 +103,3 @@ def test_orbit_maps_refuse_weights_as_certify_does(builtin, xi):
         find_periodic_orbit(builtin, ic, 0.5, max_iters=3, xi=xi)
     with pytest.raises(ValueError, match="positive, finite"):
         periodic.verify_periodicity(segment, builtin, 0.5, k_periods=1, xi=xi)
-    with pytest.raises(ValueError, match="positive, finite"):
-        periodic.estimate_decay_rate(builtin, segment, ic, 0.5, 2.0, xi=xi)

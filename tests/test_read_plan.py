@@ -21,7 +21,6 @@ from periodyn.periodic import period_map
 
 from helpers import lookup_batch, scalar_model
 
-TAIL_TOL = 1e-8
 
 # the densities of the benchmark's distributed input, beside atoms at lag 0
 DISTRIBUTED = {
@@ -52,13 +51,13 @@ DISTRIBUTED = {
 
 def _plan(model, h):
     """The read plan of a whole period."""
-    return _period_plan(model, h, TAIL_TOL, 2 * round(model.omega / h))
+    return _period_plan(model, h, 2 * round(model.omega / h))
 
 
 def _reference(model, h, hist, jh):
     """The delayed sum of half step ``jh`` read time by time through ``lookup_batch``."""
     sm = sampled(model, 2 * round(model.omega / h), 0.5 * h)
-    reads = _delayed_reads(sm, TAIL_TOL, h)
+    reads = _delayed_reads(sm, h)
     idx = jh % sm.t.shape[0]
     tau = sm.tau[idx].reshape(-1)[reads.pair]
     times = (0.5 * h * jh - tau) - reads.lag
@@ -74,7 +73,7 @@ def _replay(model, ic, h, steps):
     Returns the largest difference, the number of reads past the newest node
     and the number of slots read while the run has one node.
     """
-    traj = simulate(model, ic, steps * h, h, TAIL_TOL)
+    traj = simulate(model, ic, steps * h, h)
     plan = _plan(model, h)
     hist = HistoryBuffer(ic, 0.0, h, model.n, capacity=4, lag=plan.max_lag)
     _, delayed = _stage_function(plan, hist)
@@ -165,9 +164,9 @@ def test_plan_grows_with_parts_not_simpson_nodes(h):
 def test_short_run_plans_only_its_samples():
     model = parse_config(json.dumps(DISTRIBUTED))
     h, ic = 0.01, ConstantIC((0.3, -0.2, 0.1))
-    short = simulate(model, ic, 0.5, h, TAIL_TOL)
-    assert _period_plan(model, h, TAIL_TOL, 101).anchor.shape[0] == 101
-    full = simulate(model, ic, 3.0, h, TAIL_TOL)  # past the period: the whole period's plan
+    short = simulate(model, ic, 0.5, h)
+    assert _period_plan(model, h, 101).anchor.shape[0] == 101
+    full = simulate(model, ic, 3.0, h)  # past the period: the whole period's plan
     assert np.array_equal(short.states, full.states[:51])
 
 
@@ -197,4 +196,4 @@ def test_first_stage_reuse_is_bit_identical(builtin, which):
     model = builtin if which == "builtin" else parse_config(json.dumps(DISTRIBUTED))
     ic, h, steps = ConstantIC((0.5, -1.0, 2.0)), 0.01, 250
     expected = _recomputing_run(model, ic, h, steps)
-    assert np.array_equal(simulate(model, ic, steps * h, h, TAIL_TOL).states, expected)
+    assert np.array_equal(simulate(model, ic, steps * h, h).states, expected)

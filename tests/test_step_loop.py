@@ -23,7 +23,7 @@ from periodyn.config import builtin_config_path, parse_config
 from periodyn.expressions import const
 from periodyn.integrate import (DivergenceError, HistoryBuffer, _elementwise, _period_plan,
                                 _stage_function, simulate)
-from periodyn.kernels import TAIL_TOL, Atom, DelayKernel
+from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import ACTIVATIONS, Activation, ConstantIC
 
 from helpers import scalar_model
@@ -58,7 +58,7 @@ def test_divergence_inside_a_block_reports_its_first_nonfinite_node(u0):
         simulate(model, ic, steps * h, h)
     assert blocks.value.t == per_step.value.t
     node = round(blocks.value.t / h)
-    first, last = next(b for b in _blocks(_period_plan(model, h, TAIL_TOL, 20), steps)
+    first, last = next(b for b in _blocks(_period_plan(model, h, 20), steps)
                        if b[0] <= node <= b[1])
     assert first < last and node < last  # inside a block, not at its end
 
@@ -106,7 +106,7 @@ def test_stage_keeps_its_formula_bit_for_bit(which):
     model = (parse_config(json.dumps(inputs.wide_network(3, 30))) if which == "wide3-30"
              else MODELS[which]())
     h, n = 0.01, model.n
-    plan = _period_plan(model, h, TAIL_TOL, 2 * round(model.omega / h))
+    plan = _period_plan(model, h, 2 * round(model.omega / h))
     stage, _ = _stage_function(plan, HistoryBuffer(ConstantIC((0.0,) * n), 0.0, h, n))
     sm, rng = plan.sm, np.random.default_rng(5)
     for jh in rng.integers(0, 4 * len(plan.rows), size=40).tolist():
@@ -147,7 +147,7 @@ def test_find_period_is_byte_identical_across_processes(tmp_path, activations):
         cwd.mkdir()
         proc = subprocess.run(
             [sys.executable, "-m", "periodyn.cli", "find-period", str(config),
-             "--h", "1e-2", "--fp-tol", "1e-8", "--rate-periods", "1", "--out", "orbit.csv"],
+             "--h", "1e-2", "--fp-tol", "1e-8", "--out", "orbit.csv"],
             capture_output=True, cwd=cwd, timeout=300,
             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
         assert proc.returncode == 0, proc.stderr
