@@ -6,11 +6,8 @@ from .kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity, Ta
 from .model import (Activation, ConstantIC, ExprIC, HermiteNodes, NetworkModel, SampledIC,
                     SampledModel, ValidationReport, builtin_example, validate)
 from .config import ConfigError, model_to_config, parse_config
-from .certify import (Certificate, CriterionReport, ModelShapeError,
-                      check_period_scaled_criterion, check_row_dominance,
-                      check_split_sup_criterion, check_sup_criterion, compute_bounds,
-                      find_decay_rate, find_weights, search_split_sup_criterion,
-                      search_sup_criterion)
+from .certify import (Certificate, CriterionReport, ModelShapeError, check_row_dominance,
+                      compare_criteria, compute_bounds, find_decay_rate, find_weights)
 from .integrate import DivergenceError, HistoryBuffer, HistoryUnderrunError, Trajectory, simulate
 from .periodic import (NoConvergenceError, PeriodSegment, find_periodic_orbit, period_map,
                        verify_periodicity)

@@ -482,19 +482,6 @@ def _sup_report(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
     return _report("sup", S @ theta, {"theta": [float(v) for v in theta], "alpha": alpha})
 
 
-def check_sup_criterion(model: NetworkModel, theta, alpha: float = 0.0,
-                        grid_points: int = 4096) -> CriterionReport:
-    """Plain sup-coefficient row condition for fixed weights theta."""
-    return _sup_report(model, discrete_delay_form(model, grid_points), alpha,
-                       np.asarray(theta, dtype=float))
-
-
-def search_sup_criterion(model: NetworkModel, alpha: float = 0.0,
-                         grid_points: int = 4096) -> CriterionReport:
-    """Best-weight variant of the sup criterion (exact small feasibility LP)."""
-    return _sup_report(model, discrete_delay_form(model, grid_points), alpha)
-
-
 def _split_sup_rows(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
                     xi: np.ndarray, a_exp: np.ndarray, b_exp: np.ndarray) -> np.ndarray:
     """Split-criterion row residuals (C, n) of C candidates: xi (C, n), exponents (C, n, n).
@@ -520,45 +507,15 @@ def _split_sup_rows(model: NetworkModel, form: DiscreteDelayForm, alpha: float,
     return np.where(np.isnan(rows), np.inf, rows)
 
 
-def _split_sup_report(rows, xi, alpha, a_exp, b_exp) -> CriterionReport:
-    return _report("split-sup", rows, {"xi": [float(v) for v in xi], "alpha": float(alpha),
-                                       "a_exp": a_exp.tolist(), "b_exp": b_exp.tolist()})
-
-
-def check_split_sup_criterion(model: NetworkModel, xi, alpha, a_exp, b_exp,
-                              grid_points: int = 4096) -> CriterionReport:
-    """Exponent-split sup criterion: symmetrized row/column gain averages.
-
-    Off-diagonal gains enter as halves of |.|^{2p} and |.|^{2(1-p)} powers
-    with free exponents p in (0, 1); small gains are inflated by the powers,
-    which is what makes this criterion the most conservative of the three.
-    """
-    form = discrete_delay_form(model, grid_points)
-    xi, a_exp, b_exp = (np.asarray(v, dtype=float) for v in (xi, a_exp, b_exp))
-    if not all(np.all((0.0 < e) & (e < 1.0)) for e in (a_exp, b_exp)):
-        raise ValueError("exponent matrices must lie strictly inside (0, 1)")
-    rows = _split_sup_rows(model, form, alpha, xi[None], a_exp[None], b_exp[None])[0]
-    return _split_sup_report(rows, xi, alpha, a_exp, b_exp)
-
-
-def search_split_sup_criterion(model: NetworkModel, alpha: float = 0.0, draws: int = 200,
-                               seed: int = 0, grid_points: int = 4096) -> CriterionReport:
-    """Randomized search over weights and exponents for the split criterion.
-
-    Tries unit weights and the certified weights (at a grid of at most
-    1024) with the symmetric exponent choice 1/2, then ``draws`` seeded
-    random (xi, exponents) draws.  Reports the first candidate that
-    satisfies the criterion, else the first with the smallest worst row
-    residual.
-    """
-    form = discrete_delay_form(model, grid_points)
-    cert = find_weights(model, grid_points=min(grid_points, SPLIT_SEED_GRID))
-    return _split_sup_search(model, form, alpha, draws, seed, cert)
-
-
 def _split_sup_search(model: NetworkModel, form: DiscreteDelayForm, alpha: float, draws: int,
                       seed: int, cert: Certificate | None) -> CriterionReport:
-    """:func:`search_split_sup_criterion` with the sup form and the seed weights found."""
+    """Randomized search over weights and exponents for the split criterion on ``form``.
+
+    Tries unit weights and the weights of ``cert`` (when not None) with the
+    symmetric exponent choice 1/2, then ``draws`` seeded random (xi,
+    exponents) draws.  Reports the first candidate that satisfies the
+    criterion, else the first with the smallest worst row residual.
+    """
     n = model.n
     fixed = [np.ones(n)] + ([cert.xi] if cert is not None else [])
     # per-column bounds: each draw takes xi, then a_exp, then b_exp from the stream
@@ -574,7 +531,8 @@ def _split_sup_search(model: NetworkModel, form: DiscreteDelayForm, alpha: float
         rows = _split_sup_rows(model, form, alpha, xi, a_exp, b_exp)
     worst = rows.max(axis=1)
     k = np.argmin(np.where(worst <= -STRICT_TOL, -np.inf, worst))  # first hit, else first min
-    return _split_sup_report(rows[k], xi[k], alpha, a_exp[k], b_exp[k])
+    return _report("split-sup", rows[k], {"xi": [float(v) for v in xi[k]], "alpha": float(alpha),
+                                          "a_exp": a_exp[k].tolist(), "b_exp": b_exp[k].tolist()})
 
 
 def _period_scaled_report(model: NetworkModel, form: DiscreteDelayForm) -> CriterionReport:
@@ -583,12 +541,6 @@ def _period_scaled_report(model: NetworkModel, form: DiscreteDelayForm) -> Crite
             + amp * (form.a_sup * _lipschitz(model.g)[None, :]).sum(axis=1)
             + amp * (form.b_sup * _lipschitz(model.f)[None, :]).sum(axis=1))
     return _report("sup-period-scaled", rows)
-
-
-def check_period_scaled_criterion(model: NetworkModel,
-                                  grid_points: int = 4096) -> CriterionReport:
-    """Sup criterion with gains amplified by (1 + d_i * omega)."""
-    return _period_scaled_report(model, discrete_delay_form(model, grid_points))
 
 
 def pointwise_criterion_label(model: NetworkModel) -> str:
@@ -611,11 +563,6 @@ def _pointwise_report(model: NetworkModel, cert: Certificate | None,
         return _report(label, -check_row_dominance(model, np.ones(model.n), grid_points)[0])
     return _report(label, -cert.eta,
                    {"xi": [float(v) for v in cert.xi], "grid_points": grid_points})
-
-
-def pointwise_report(model: NetworkModel, grid_points: int = 4096) -> CriterionReport:
-    """CriterionReport wrapper around the weight search."""
-    return _pointwise_report(model, find_weights(model, grid_points=grid_points), grid_points)
 
 
 def compare_criteria(model: NetworkModel, grid_points: int = 4096, draws: int = 200,

@@ -110,9 +110,6 @@ class ConstantIC:
     def eval(self, t: float) -> np.ndarray:
         return np.array(self.values, dtype=float)
 
-    def eval_component(self, t: float, j: int) -> float:
-        return self.values[j]
-
     def derivative_component(self, t: float, j: int) -> float:
         return 0.0
 
@@ -129,9 +126,6 @@ class ExprIC:
 
     def eval(self, t: float) -> np.ndarray:
         return np.array([e.eval(t) for e in self.exprs], dtype=float)
-
-    def eval_component(self, t: float, j: int) -> float:
-        return float(self.exprs[j].eval(t))
 
     def derivative_component(self, t: float, j: int) -> float:
         e, dt = self.exprs[j], 1e-6  # central difference
@@ -228,9 +222,6 @@ class SampledIC(HermiteNodes):
 
     def eval(self, t: float) -> np.ndarray:
         return self._value(*self._locate(t))
-
-    def eval_component(self, t: float, j: int) -> float:
-        return float(self._value(*self._locate(t), j))
 
     def derivative_component(self, t: float, j: int) -> float:
         if t <= self.start:

@@ -17,9 +17,8 @@ from periodyn.expressions import const, term_expr
 from periodyn.kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
                               TableDensity, UniformDensity)
 from periodyn.model import Activation, ConstantIC
-from periodyn.certify import (check_row_dominance, compute_bounds, find_decay_rate,
-                              find_weights, random_discrete_delay_model,
-                              search_split_sup_criterion)
+from periodyn.certify import (check_row_dominance, compare_criteria, compute_bounds,
+                              find_decay_rate, find_weights, random_discrete_delay_model)
 from periodyn.cli import builtin_config_path, main, run_ensemble
 from periodyn.integrate import simulate
 from periodyn.periodic import PeriodSegment, find_periodic_orbit, verify_periodicity
@@ -69,8 +68,7 @@ class TestAcceptance:
         out = run_ensemble(200, seed=7, grid=1024, draws=200, workers=1)
         counts = out["counts"]
         builtin_pointwise = find_weights(builtin, 1024) is not None
-        builtin_split = search_split_sup_criterion(builtin, alpha=0.0, draws=200,
-                                                   seed=7).satisfied
+        builtin_split = compare_criteria(builtin, draws=200, seed=7)[1].satisfied
         witness = builtin_pointwise and not builtin_split
         ok = (counts["split_sup_and_not_pointwise"] == 0
               and counts["split_sup"] > 0 and witness)

@@ -67,7 +67,7 @@ class TestBatchedLookup:
         rng = np.random.default_rng(4)
         times = _times(-IC_STEPS * H, 0.0, rng)
         cols = rng.integers(0, 2, size=times.size)
-        expected = [ic.eval_component(float(t), int(j)) for t, j in zip(times, cols)]
+        expected = [ic.eval(float(t))[int(j)] for t, j in zip(times, cols)]
         np.testing.assert_allclose(lookup_batch(hist, times, cols), expected,
                                    rtol=0.0, atol=1e-13)
         # the start time reads the initial node, not the run's node 0

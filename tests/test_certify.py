@@ -7,12 +7,11 @@ from periodyn.expressions import const, expr_sum, term_expr
 from periodyn.kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
                               UniformDensity)
 from periodyn.model import Activation, NetworkModel, validate
-from periodyn.certify import (Certificate, ModelShapeError, check_period_scaled_criterion,
-                              check_row_dominance, check_split_sup_criterion,
-                              check_sup_criterion, compute_bounds, discrete_delay_form,
-                              find_decay_rate, find_weights, pointwise_criterion_label,
-                              pointwise_report, random_discrete_delay_model,
-                              search_split_sup_criterion, search_sup_criterion)
+from periodyn.certify import (Certificate, ModelShapeError, _period_scaled_report,
+                              _split_sup_rows, _split_sup_search, _sup_report,
+                              check_row_dominance, compare_criteria, compute_bounds,
+                              discrete_delay_form, find_decay_rate, find_weights,
+                              pointwise_criterion_label, random_discrete_delay_model)
 
 from helpers import exp_moment_values, mmatrix_weights, row_residual, scalar_model
 
@@ -189,25 +188,35 @@ class TestComputeBounds:
         assert J == 0.0 and M == 1.0
 
 
+def _sup(model, theta, alpha):  # the sup criterion for fixed weights
+    return _sup_report(model, discrete_delay_form(model), alpha, np.asarray(theta, dtype=float))
+
+
+def _split_worst(model, xi, alpha, a_exp, b_exp):  # the worst split-sup row for fixed weights
+    rows = _split_sup_rows(model, discrete_delay_form(model), alpha, np.asarray([xi], dtype=float),
+                           a_exp[None], b_exp[None])
+    return float(rows.max())
+
+
 class TestSupCriterion:
     def test_builtin_unit_weights_residual(self, builtin):
-        rep = check_sup_criterion(builtin, np.ones(3), 0.0)
+        rep = _sup(builtin, np.ones(3), 0.0)
         assert not rep.satisfied
         assert rep.worst_row_residual == pytest.approx(BUILTIN_SUP_ONES, abs=1e-9)
 
     def test_builtin_search_still_unsatisfied(self, builtin):
-        rep = search_sup_criterion(builtin, 0.0)
+        rep = _sup_report(builtin, discrete_delay_form(builtin), 0.0)
         assert not rep.satisfied
 
     def test_decoupled_satisfied(self):
         m = scalar_model(1.0)
-        rep = check_sup_criterion(m, (1.0,), 0.0)
+        rep = _sup(m, (1.0,), 0.0)
         assert rep.satisfied and rep.worst_row_residual == pytest.approx(-1.0)
 
     def test_constant_coefficients_match_pointwise(self):
         m = scalar_model(2.0, a=0.5, kernel=DelayKernel((Atom(0.0, const(-0.3)),)),
                          tau=const(0.4), g=Activation.identity())
-        rep = check_sup_criterion(m, (1.0,), 0.0)
+        rep = _sup(m, (1.0,), 0.0)
         assert rep.worst_row_residual == pytest.approx(
             row_residual(m, (1.0,), 0.77, 0), abs=1e-12)
 
@@ -215,67 +224,59 @@ class TestSupCriterion:
         m = scalar_model(1.0, kernel=DelayKernel(
             density=DistributedPart(UniformDensity(1.0), const(0.1))))
         with pytest.raises(ModelShapeError):
-            check_sup_criterion(m, (1.0,), 0.0)
+            _sup(m, (1.0,), 0.0)
 
     def test_shape_error_on_multiple_atoms(self):
         m = scalar_model(1.0, kernel=DelayKernel(
             atoms=(Atom(0.0, const(0.1)), Atom(1.0, const(0.1)))))
         with pytest.raises(ModelShapeError):
-            check_sup_criterion(m, (1.0,), 0.0)
+            _sup(m, (1.0,), 0.0)
 
 
 class TestSplitSupCriterion:
     def test_builtin_symmetric_exponents(self, builtin):
         half = np.full((3, 3), 0.5)
-        rep = check_split_sup_criterion(builtin, np.ones(3), 0.0, half, half)
-        assert not rep.satisfied
-        assert rep.worst_row_residual == pytest.approx(BUILTIN_SPLIT_ONES_HALF, abs=1e-9)
+        worst = _split_worst(builtin, np.ones(3), 0.0, half, half)
+        assert worst == pytest.approx(BUILTIN_SPLIT_ONES_HALF, abs=1e-9) and worst > 0.0
 
     def test_builtin_search_unsatisfied(self, builtin):
-        rep = search_split_sup_criterion(builtin, alpha=0.0, draws=200, seed=7)
-        assert not rep.satisfied
+        rep = compare_criteria(builtin, draws=200, seed=7)[1]
+        assert rep.criterion == "split-sup" and not rep.satisfied
         assert rep.witness is not None
 
     def test_decoupled_with_rate(self):
         m = scalar_model(1.0)
         half = np.full((1, 1), 0.5)
-        rep = check_split_sup_criterion(m, (1.0,), 0.5, half, half)
-        assert rep.satisfied and rep.worst_row_residual == pytest.approx(-0.5)
+        assert _split_worst(m, (1.0,), 0.5, half, half) == pytest.approx(-0.5)
 
     def test_single_unit_reduces_to_sup_criterion(self):
         m = scalar_model(2.0, a=0.4, kernel=DelayKernel((Atom(0.0, const(0.3)),)),
                          tau=const(0.6), g=Activation.identity())
         half = np.full((1, 1), 0.5)
-        split = check_split_sup_criterion(m, (1.0,), 0.1, half, half)
-        sup = check_sup_criterion(m, (1.0,), 0.1)
-        assert split.worst_row_residual == pytest.approx(sup.worst_row_residual, abs=1e-12)
-
-    def test_exponents_must_be_interior(self, builtin):
-        bad = np.full((3, 3), 1.0)
-        with pytest.raises(ValueError):
-            check_split_sup_criterion(builtin, np.ones(3), 0.0, bad, bad)
+        split = _split_worst(m, (1.0,), 0.1, half, half)
+        assert split == pytest.approx(_sup(m, (1.0,), 0.1).worst_row_residual, abs=1e-12)
 
 
 class TestPeriodScaledCriterion:
     def test_formula_value(self):
         m = scalar_model(1.0, a=0.4, g=Activation.identity())
-        rep = check_period_scaled_criterion(m)
+        rep = _period_scaled_report(m, discrete_delay_form(m))
         assert rep.satisfied
         assert rep.worst_row_residual == pytest.approx(-1.0 + 0.4 * 2.0, abs=1e-12)
 
     def test_decoupled(self):
         m = scalar_model(1.0)
-        rep = check_period_scaled_criterion(m)
+        rep = _period_scaled_report(m, discrete_delay_form(m))
         assert rep.satisfied and rep.worst_row_residual == pytest.approx(-1.0)
 
     def test_builtin_unsatisfied(self, builtin):
-        assert not check_period_scaled_criterion(builtin).satisfied
+        assert not _period_scaled_report(builtin, discrete_delay_form(builtin)).satisfied
 
 
 class TestLabels:
     def test_builtin_is_discrete(self, builtin):
         assert pointwise_criterion_label(builtin) == "pointwise-discrete"
-        rep = pointwise_report(builtin, 1024)
+        rep = compare_criteria(builtin, 1024, draws=10)[0]
         assert rep.satisfied and rep.criterion == "pointwise-discrete"
 
     def test_distributed_label(self):
@@ -329,13 +330,12 @@ class TestInclusionProperties:
         checked = 0
         for seed in range(60):
             m = random_discrete_delay_model(np.random.default_rng(300 + seed))
-            split = search_split_sup_criterion(m, alpha=0.0, draws=60, seed=seed,
-                                               grid_points=512)
+            pointwise, split, sup, _ = compare_criteria(m, 512, draws=60, seed=seed)
             if not split.satisfied:
                 continue
             checked += 1
-            assert find_weights(m, 512) is not None, f"seed {seed}"
-            assert search_sup_criterion(m, 0.0, 512).satisfied, f"seed {seed}"
+            assert pointwise.satisfied, f"seed {seed}"
+            assert sup.satisfied, f"seed {seed}"
         assert checked >= 5
 
     def test_split_sup_at_rate_implies_rate_certificate(self):
@@ -343,8 +343,8 @@ class TestInclusionProperties:
         checked = 0
         for seed in range(40):
             m = random_discrete_delay_model(np.random.default_rng(700 + seed))
-            split = search_split_sup_criterion(m, alpha=alpha, draws=40, seed=seed,
-                                               grid_points=512)
+            split = _split_sup_search(m, discrete_delay_form(m, 512), alpha, 40, seed,
+                                      find_weights(m, 512))
             if not split.satisfied:
                 continue
             checked += 1

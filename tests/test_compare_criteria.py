@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from periodyn import certify, cli
-from periodyn.certify import (check_split_sup_criterion, discrete_delay_form, find_weights,
-                              random_discrete_delay_model, search_split_sup_criterion)
+from periodyn.certify import (_report, _split_sup_rows, _split_sup_search, discrete_delay_form,
+                              find_weights, random_discrete_delay_model)
 from periodyn.expressions import const
 from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation
@@ -19,6 +19,20 @@ from test_read_plan import DISTRIBUTED
 
 DENSITY_ERROR = ("kernel[0][1] has a distributed density; sup criteria need single "
                  "discrete delays")
+
+
+def _split_report(model, form, xi, alpha, a_exp, b_exp):
+    """The split-sup report of one candidate (xi, exponents)."""
+    xi, a_exp, b_exp = (np.asarray(v, dtype=float) for v in (xi, a_exp, b_exp))
+    rows = _split_sup_rows(model, form, alpha, xi[None], a_exp[None], b_exp[None])[0]
+    return _report("split-sup", rows, {"xi": [float(v) for v in xi], "alpha": float(alpha),
+                                       "a_exp": a_exp.tolist(), "b_exp": b_exp.tolist()})
+
+
+def _split_search(model, alpha, draws, seed, grid):
+    """The split search the ensemble runs, seeded from the weights at min(grid, 1024)."""
+    cert = find_weights(model, grid_points=min(grid, 1024))
+    return _split_sup_search(model, discrete_delay_form(model, grid), alpha, draws, seed, cert)
 
 
 def _replayed_split_search(model, alpha, draws, seed, grid):
@@ -33,9 +47,9 @@ def _replayed_split_search(model, alpha, draws, seed, grid):
         a_exp = rng.uniform(0.05, 0.95, size=(n, n))
         b_exp = rng.uniform(0.05, 0.95, size=(n, n))
         candidates.append((xi, a_exp, b_exp))
-    best = None
+    best, form = None, discrete_delay_form(model, grid)
     for xi, a_exp, b_exp in candidates:
-        report = check_split_sup_criterion(model, xi, alpha, a_exp, b_exp, grid_points=grid)
+        report = _split_report(model, form, xi, alpha, a_exp, b_exp)
         if best is None or report.worst_row_residual < best.worst_row_residual:
             best = report
         if best.satisfied:
@@ -73,7 +87,7 @@ def test_split_rows_match_scalar_arithmetic_bit_for_bit():
         for _ in range(25):
             xi = np.exp(rng.uniform(-1.5, 1.5, size=model.n))
             a_exp, b_exp = rng.uniform(0.05, 0.95, size=(2, model.n, model.n))
-            rep = check_split_sup_criterion(model, xi, 0.0, a_exp, b_exp, grid_points=256)
+            rep = _split_report(model, form, xi, 0.0, a_exp, b_exp)
             scalar = _scalar_split_rows(model, form, xi, 0.0, a_exp, b_exp)
             assert rep.worst_row_residual == float(max(scalar)), f"seed {seed}"
 
@@ -83,8 +97,7 @@ def test_batched_split_search_matches_the_candidate_loop(alpha):
     sizes, outcomes = set(), set()
     for seed in range(40, 60):
         model = random_discrete_delay_model(np.random.default_rng(seed))
-        batched = search_split_sup_criterion(model, alpha=alpha, draws=60, seed=seed,
-                                             grid_points=256)
+        batched = _split_search(model, alpha, 60, seed, 256)
         replayed = _replayed_split_search(model, alpha, 60, seed, 256)
         assert batched.witness == replayed.witness, f"seed {seed}"
         assert batched.satisfied == replayed.satisfied, f"seed {seed}"
@@ -102,7 +115,7 @@ def test_overflowing_lag_on_a_zero_gain_stays_finite():
     # e^{800 * 1} is past the float range, but no delayed gain multiplies it
     model = scalar_model(1.0, tau=const(1.0))
     half = np.full((1, 1), 0.5)
-    rep = check_split_sup_criterion(model, (1.0,), 800.0, half, half)
+    rep = _split_report(model, discrete_delay_form(model), (1.0,), 800.0, half, half)
     assert rep.worst_row_residual == 799.0 and not rep.satisfied
 
 
@@ -112,9 +125,9 @@ def test_overflowing_lag_on_a_gain_is_a_violated_row_not_nan(weight):
     model = scalar_model(800.0, kernel=DelayKernel((Atom(0.0, const(weight)),)),
                          tau=const(1.0), g=Activation.zero())
     exps = np.full((1, 1), 0.95)
-    rep = check_split_sup_criterion(model, (1.0,), 800.0, exps, exps)
+    rep = _split_report(model, discrete_delay_form(model), (1.0,), 800.0, exps, exps)
     assert rep.worst_row_residual == math.inf
-    search = search_split_sup_criterion(model, alpha=800.0, draws=5, seed=1, grid_points=64)
+    search = _split_search(model, 800.0, 5, 1, 64)
     assert search.worst_row_residual == math.inf and not search.satisfied
 
 

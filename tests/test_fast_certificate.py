@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from periodyn import certify
-from periodyn.certify import (XI_BOX_MAX, _ConditionGrid, _max_margin_weights,
+from periodyn.certify import (XI_BOX_MAX, _ConditionGrid, _max_margin_weights, _sup_report,
                               check_row_dominance, discrete_delay_form, find_decay_rate,
-                              find_weights, random_discrete_delay_model, search_sup_criterion)
+                              find_weights, random_discrete_delay_model)
 from periodyn.config import parse_config
 from periodyn.kernels import ExponentialDensity
 from periodyn.model import builtin_example, sampled
@@ -150,7 +150,7 @@ def test_sup_lp_is_one_round_and_bit_identical(monkeypatch, seed):
     assert np.array_equal(theta, theta_ref)
     theta_highs = one_shot_lp(S)[0]
     assert -(S @ theta).max() == pytest.approx(-(S @ theta_highs).max(), rel=1e-12)
-    report = search_sup_criterion(model, 0.0, 512)
+    report = _sup_report(model, discrete_delay_form(model, 512), 0.0)
     assert report.witness["theta"] == [float(v) for v in theta_ref / theta_ref.min()]
 
 

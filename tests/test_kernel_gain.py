@@ -9,8 +9,8 @@ import pytest
 from scipy.optimize import brentq
 
 from periodyn import certify, cli
-from periodyn.certify import (_kernel_gain, find_decay_rate, random_discrete_delay_model,
-                              search_split_sup_criterion)
+from periodyn.certify import (_kernel_gain, _split_sup_search, discrete_delay_form,
+                              find_decay_rate, random_discrete_delay_model)
 from periodyn.config import parse_config
 from periodyn.expressions import const, term_expr
 from periodyn.kernels import Atom, DelayKernel, part_mass
@@ -79,7 +79,8 @@ def test_ensemble_instance_solves_one_weight_search(monkeypatch, seed):
     row = cli.ensemble_instance((seed, 256, 20))
     assert calls == [256]
     model = random_discrete_delay_model(np.random.default_rng(seed))
-    split = search_split_sup_criterion(model, alpha=0.0, draws=20, seed=seed, grid_points=256)
+    split = _split_sup_search(model, discrete_delay_form(model, 256), 0.0, 20, seed,
+                              find_weights(model, grid_points=256))
     assert row["split_sup"] == split.satisfied
 
 
@@ -114,7 +115,8 @@ def test_ensemble_instance_above_1024_seeds_the_split_search_at_1024(monkeypatch
     row = cli.ensemble_instance((5, 1280, 20))
     assert calls == [1280, 1024]
     model = random_discrete_delay_model(np.random.default_rng(5))
-    split = search_split_sup_criterion(model, alpha=0.0, draws=20, seed=5, grid_points=1280)
+    split = _split_sup_search(model, discrete_delay_form(model, 1280), 0.0, 20, 5,
+                              find_weights(model, grid_points=1024))
     assert row["split_sup"] == split.satisfied
 
 

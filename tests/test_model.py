@@ -109,12 +109,12 @@ class TestInitialConditions:
     def test_constant_ic(self):
         ic = ConstantIC((1.0, -2.0))
         assert np.array_equal(ic.eval(-7.3), [1.0, -2.0])
-        assert ic.eval_component(-1.0, 1) == -2.0
+        assert ic.eval(-1.0)[1] == -2.0
         assert ic.derivative_component(0.0, 0) == 0.0
 
     def test_expr_ic(self):
         ic = ExprIC((term_expr("sin", 1.0, 2),))
-        assert ic.eval_component(-0.25, 0) == pytest.approx(-1.0)
+        assert ic.eval(-0.25)[0] == pytest.approx(-1.0)
 
     def test_sampled_ic_reproduces_linear_data(self):
         ts = np.linspace(-1.0, 0.0, 11)
@@ -122,9 +122,9 @@ class TestInitialConditions:
         ders = np.full_like(vals, -3.0)
         ic = SampledIC(start=-1.0, step=0.1, values=vals, derivs=ders)
         for t in (-0.97, -0.5, -0.123, 0.0):
-            assert ic.eval_component(t, 0) == pytest.approx(2.0 - 3.0 * t, abs=1e-12)
+            assert ic.eval(t)[0] == pytest.approx(2.0 - 3.0 * t, abs=1e-12)
         # constant extension before the window
-        assert ic.eval_component(-5.0, 0) == pytest.approx(5.0)
+        assert ic.eval(-5.0)[0] == pytest.approx(5.0)
 
     def test_sampled_ic_shape_validation(self):
         with pytest.raises(ValueError):

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from periodyn.certify import (_ConditionGrid, _kernel_gain, _part_mass,
-                              check_split_sup_criterion, check_sup_criterion, find_decay_rate,
-                              find_weights, search_split_sup_criterion, search_sup_criterion)
+from periodyn.certify import (_ConditionGrid, _kernel_gain, _part_mass, _split_sup_rows,
+                              _split_sup_search, _sup_report, discrete_delay_form,
+                              find_decay_rate, find_weights)
 from periodyn.cli import main
 from periodyn.config import parse_config
 from periodyn.expressions import const, expr_sum, term_expr
@@ -47,10 +47,11 @@ def test_gain_inside_the_float_range_keeps_the_product():
 
 def test_sup_search_on_an_overflowing_lag_reports_unsatisfied():
     model = lag_one_overflow_model()
-    rep = search_sup_criterion(model, alpha=800.0, grid_points=64)
+    form = discrete_delay_form(model, 64)
+    rep = _sup_report(model, form, 800.0)
     assert not rep.satisfied and rep.worst_row_residual == math.inf
     assert rep.witness == {"theta": [1.0], "alpha": 800.0}
-    assert rep == check_sup_criterion(model, (1.0,), alpha=800.0, grid_points=64)
+    assert rep == _sup_report(model, form, 800.0, np.ones(1))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -63,9 +64,10 @@ def test_zero_delayed_gain_stays_zero_past_the_float_range():
     assert cert.xi.tolist() == [1.0] and cert.eta == 50.0
     rho, xi = mmatrix_weights(model, 64, 750.0)
     assert rho == 0.0 and xi.tolist() == [1.0]
-    rep = search_sup_criterion(model, alpha=750.0, grid_points=64)
+    form = discrete_delay_form(model, 64)
+    rep = _sup_report(model, form, 750.0)
     assert rep.satisfied and rep.worst_row_residual == -50.0
-    assert rep == check_sup_criterion(model, (1.0,), alpha=750.0, grid_points=64)
+    assert rep == _sup_report(model, form, 750.0, np.ones(1))
     assert 750.0 < find_decay_rate(model, (1.0,), 64) < 800.0
 
 
@@ -75,10 +77,10 @@ def test_zero_delayed_gain_stays_zero_in_the_split_sup_rows():
     zero = Activation.zero()
     model = scalar_model(800.0, kernel=DelayKernel((Atom(0.0, const(0.1)),)), tau=const(1.0),
                          g=zero, f=zero)
-    half = [[0.5]]
-    rep = check_split_sup_criterion(model, (1.0,), 750.0, half, half, grid_points=64)
-    assert rep.satisfied and rep.worst_row_residual == -50.0
-    rep = search_split_sup_criterion(model, alpha=750.0, grid_points=64)
+    half = np.full((1, 1, 1), 0.5)
+    form = discrete_delay_form(model, 64)
+    assert _split_sup_rows(model, form, 750.0, np.ones((1, 1)), half, half).max() == -50.0
+    rep = _split_sup_search(model, form, 750.0, 200, 0, find_weights(model, 64))
     assert rep.satisfied and rep.worst_row_residual == -50.0
 
 

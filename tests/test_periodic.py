@@ -110,10 +110,6 @@ class TestPeriodSegment:
         for t in (0.37, 1.37, -0.63, 10.37):
             assert seg.eval(t)[0] == pytest.approx(seg.eval(0.37)[0], abs=1e-9)
 
-    def test_eval_component_matches_eval(self):
-        seg, _, _ = find_periodic_orbit(linear_forced(), ConstantIC((0.0,)), 0.01)
-        assert seg.eval_component(0.23, 0) == seg.eval(0.23)[0]
-
     def test_csv_schema(self, tmp_path):
         seg, _, _ = find_periodic_orbit(linear_forced(), ConstantIC((0.0,)), 0.01)
         path = tmp_path / "orbit.csv"
@@ -126,9 +122,8 @@ class TestPeriodSegment:
         seg, _, _ = find_periodic_orbit(linear_forced(), ConstantIC((0.0,)), 0.01)
         ic = seg.as_history(25)
         assert ic.end == 0.0
-        assert ic.eval_component(0.0, 0) == seg.values[0, 0]
-        assert ic.eval_component(-0.25, 0) == pytest.approx(
-            seg.eval_component(-0.25, 0), abs=1e-12)
+        assert ic.eval(0.0)[0] == seg.values[0, 0]
+        assert ic.eval(-0.25)[0] == pytest.approx(seg.eval(-0.25)[0], abs=1e-12)
 
 
 class TestVerifyPeriodicity:

@@ -57,7 +57,7 @@ def test_dense_outputs_agree_inside_nodes(nodes):
         assert np.array_equal(lookup(hist, t), ic.eval(t))
         assert np.array_equal(seg.eval(t), ic.eval(t))
         for j in range(2):
-            assert lookup_scalar(hist, t, j) == ic.eval_component(t, j) == seg.eval_component(t, j)
+            assert lookup_scalar(hist, t, j) == ic.eval(t)[j] == seg.eval(t)[j]
             assert derivative(hist, t)[j] == ic.derivative_component(t, j)
 
 
@@ -77,5 +77,5 @@ def test_sampled_history_is_its_first_node_at_and_before_start(nodes, t):
     ic = SampledIC(start=-1.0, step=h, values=values, derivs=derivs)
     assert np.array_equal(ic.eval(t), values[0])
     for j in range(2):
-        assert ic.eval_component(t, j) == values[0, j]
+        assert ic.eval(t)[j] == values[0, j]
         assert ic.derivative_component(t, j) == 0.0

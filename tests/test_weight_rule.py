@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from periodyn import certify
-from periodyn.certify import (LPResult, check_row_dominance, find_weights,
-                              search_sup_criterion)
+from periodyn.certify import (LPResult, _sup_report, check_row_dominance, discrete_delay_form,
+                              find_weights)
 from periodyn.cli import builtin_config_path, main
 from periodyn.expressions import const
 from periodyn.kernels import DelayKernel
@@ -44,9 +44,10 @@ def test_a_failed_lp_certifies_with_unit_weights(failing_lp):
 
 def test_a_failed_lp_gives_the_sup_criterion_unit_weights(failing_lp):
     model = builtin_example()
-    rep = search_sup_criterion(model, grid_points=256)
+    form = discrete_delay_form(model, 256)
+    rep = _sup_report(model, form, 0.0)
     assert rep.witness["theta"] == [1.0, 1.0, 1.0]
-    assert rep == certify.check_sup_criterion(model, np.ones(3), grid_points=256)
+    assert rep == _sup_report(model, form, 0.0, np.ones(3))
 
 
 def cross_model() -> NetworkModel:
