@@ -3,10 +3,11 @@
 The step is fixed at an exact divisor of the period so the period map is
 exact on nodes.  Node values and derivatives feed a cubic Hermite continuous
 extension used for all delayed lookups.  The initial history is a leading
-block of nodes in the same storage: a constant history is one node, a
-sampled history on the same step keeps its own nodes, and any other history
-is sampled onto the step grid back to the read plan's reach.  One locate
-rule then serves every time, before the start and after it.
+block of nodes in the same storage.  A history is a ``ConstantIC``, one
+node, or a ``SampledIC``: on the same step it keeps its own nodes, and off
+the step grid it is read at the grid times back to the read plan's reach
+through its own cubics, in one call.  One locate rule then serves every
+time, before the start and after it.
 
 Each stage reads all its delayed terms -- every atom and every Simpson node
 of every density -- through a read plan.  The step divides the period and
@@ -66,17 +67,18 @@ def _initial_nodes(ic: InitialCondition, start: float, h: float,
 
     A constant history is a single node, which the constant rule before the
     first node returns exactly; a cubic blend of two equal nodes can miss
-    the constant in the last bit.
+    the constant in the last bit.  A sampled history on the step ending at
+    ``start`` keeps its nodes; any other is read at the grid times back to
+    ``lag`` through its own cubics in one call, flat before its first node.
     """
     if isinstance(ic, ConstantIC):
         return np.array([ic.values]), np.zeros((1, ic.n))
-    if isinstance(ic, SampledIC) and ic.step == h and abs(ic.end - start) <= 1e-9 * h:
+    if ic.step == h and abs(ic.end - start) <= 1e-9 * h:
         return ic.values, ic.derivs
     times = start + np.arange(-(math.ceil(lag / h) + 1), 1) * h
-    values = np.array([ic.eval(float(t)) for t in times])
-    derivs = np.array([[ic.derivative_component(float(t), j) for j in range(ic.n)]
-                       for t in times])
-    return values, derivs
+    idx, theta = ic._locate(times)
+    theta = theta[:, None]
+    return ic._value(idx, theta), np.where(times[:, None] > ic.start, ic._slope(idx, theta), 0.0)
 
 
 class HistoryBuffer(HermiteNodes):
@@ -130,10 +132,6 @@ class HistoryBuffer(HermiteNodes):
     @property
     def derivs(self) -> np.ndarray:
         return self._d[:, self.base:].T
-
-    @property
-    def last_time(self) -> float:
-        return self.start_time + (self.count - 1) * self.h
 
     def append(self, u: np.ndarray, du: np.ndarray) -> None:
         row = self.base + self.count
@@ -444,6 +442,8 @@ def simulate(model: NetworkModel, ic: InitialCondition, t_end: float, h: float) 
         raise ValueError(f"step h={h} is longer than the period omega={model.omega}")
     steps = _exact_steps(t_end, h, "t_end")
     n = model.n
+    if not isinstance(ic, InitialCondition):
+        raise TypeError(f"an initial history is a ConstantIC or a SampledIC, not {type(ic).__name__}")
     u = np.asarray(ic.eval(0.0), dtype=float).copy()
     if u.shape != (n,):
         raise ValueError(f"initial condition has dimension {u.shape}, expected ({n},)")

@@ -91,14 +91,11 @@ def _positive_weights(xi, n: int) -> np.ndarray:
     return xi
 
 
-ConstantVector = tuple[float, ...]
-
-
 @dataclass(frozen=True)
 class ConstantIC:
     """History identically equal to a constant vector on (-inf, 0]."""
 
-    values: ConstantVector
+    values: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
@@ -109,27 +106,6 @@ class ConstantIC:
 
     def eval(self, t: float) -> np.ndarray:
         return np.array(self.values, dtype=float)
-
-    def derivative_component(self, t: float, j: int) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
-class ExprIC:
-    """History given by one periodic expression per coordinate."""
-
-    exprs: tuple[PeriodicExpr, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.exprs)
-
-    def eval(self, t: float) -> np.ndarray:
-        return np.array([e.eval(t) for e in self.exprs], dtype=float)
-
-    def derivative_component(self, t: float, j: int) -> float:
-        e, dt = self.exprs[j], 1e-6  # central difference
-        return (e.eval(t + dt) - e.eval(t - dt)) / (2.0 * dt)
 
 
 class HermiteNodes:
@@ -192,7 +168,9 @@ class SampledIC(HermiteNodes):
     """History sampled on a uniform grid ending at 0, constant before it.
 
     Stores values and derivatives so cubic Hermite evaluation keeps the
-    accuracy of the dense output it was extracted from.
+    accuracy of the dense output it was extracted from.  A history is a
+    ``ConstantIC`` or one of these; off the run's step grid it is read at
+    the grid times through these cubics, in one call.
     """
 
     start: float
@@ -223,13 +201,8 @@ class SampledIC(HermiteNodes):
     def eval(self, t: float) -> np.ndarray:
         return self._value(*self._locate(t))
 
-    def derivative_component(self, t: float, j: int) -> float:
-        if t <= self.start:
-            return 0.0
-        return float(self._slope(*self._locate(t), j))
 
-
-InitialCondition = ConstantIC | ExprIC | SampledIC
+InitialCondition = ConstantIC | SampledIC
 
 
 @dataclass(frozen=True)

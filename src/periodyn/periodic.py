@@ -106,11 +106,6 @@ def _advance_one_period(model: NetworkModel, ic: InitialCondition,
         return traj.history.window(steps), traj
 
 
-def period_map(model: NetworkModel, ic: InitialCondition, h: float) -> SampledIC:
-    """Advance the history one period and re-base it to end at time 0."""
-    return _advance_one_period(model, ic, h)[0]
-
-
 def _anderson(mixed: list[np.ndarray], g: np.ndarray, f: np.ndarray):
     """Add (G(x), G(x) - x) to the mixed pairs; the mixed iterate from the last DEPTH + 1."""
     mixed = mixed[-ANDERSON_DEPTH:] + [np.stack((g, f))]
@@ -184,7 +179,10 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
 
     The first map runs from ``ic0``.  Where the sweeps of :func:`_predict` run
     and converge, their window is then the first iterate instead of G(ic0):
-    it lies within the step's discretisation of the fixed point.  Each
+    it lies within the step's discretisation of the fixed point.  With
+    q = e^{-alpha omega} < 1, G(ic0) lies within q / (1 - q) |G(ic0) - ic0|
+    of it in the norm below, so a window more than twice that far from G(ic0)
+    is dropped: G(ic0) is nearer.  Each
     iterate x is a window (node values and slopes on one grid) and its
     residual is the xi-weighted max of G(x) - x over the node values.  The
     next iterate mixes the last ANDERSON_DEPTH + 1 maps (Walker & Ni, SIAM J.
@@ -219,9 +217,11 @@ def find_periodic_orbit(model: NetworkModel, ic0: InitialCondition, h: float,
         if it == 1:  # e^{alpha s} at the window's nodes, which every map shares; 1.0 at s = 0
             decay = np.exp(alpha * window.step * np.arange(1 - len(window.values), 1))[:, None]
             prediction, predicted = _predict(model, ic0, h, fp_tol, xi, len(window.values) - 1)
-            if prediction is not None:  # the first iterate, in place of G(ic0)
+            if prediction is not None:  # the first iterate, in place of G(ic0), where nearer
                 start = np.array([ic0.eval(t) for t in window.step * np.arange(1 - len(g) // 2, 1)])
-                last, g = (np.concatenate((start, 0.0 * start)), g), prediction
+                start, q = np.concatenate((start, 0.0 * start)), math.exp(-alpha * model.omega)
+                if q * norm(g - start, decay) >= 0.5 * (1.0 - q) * norm(prediction - g, decay):
+                    last, g = (start, g), prediction
         else:
             f = g - x
             res = norm(f)

@@ -13,7 +13,8 @@ from periodyn.expressions import PeriodicExpr, const
 from periodyn.integrate import (HistoryBuffer, HistoryUnderrunError, Trajectory, _delayed_reads,
                                 _ReadPlan, _stage_function, simulate)
 from periodyn.kernels import TAIL_TOL, DelayKernel, Density, part_gain, part_mass, simpson_rule
-from periodyn.model import Activation, InitialCondition, NetworkModel, SampledModel
+from periodyn.model import Activation, InitialCondition, NetworkModel, SampledIC, SampledModel
+from periodyn.periodic import _advance_one_period
 
 ZERO = const(0.0)
 
@@ -36,6 +37,20 @@ def scalar_model(d, a=0.0, inputs=None, kernel=None, tau=None, omega=1.0,
 
 def weighted_norms(states, xi):
     return np.max(np.abs(states) / np.asarray(xi)[None, :], axis=1)
+
+
+def wave_history(fn: str, amps, k: int, start: float, nodes: int) -> SampledIC:
+    """``amps[j] * fn(k pi t)`` (``fn`` sin or cos) on ``nodes`` steps from ``start`` to 0.
+
+    Each node carries the wave's exact slope.
+    """
+    t = np.linspace(start, 0.0, nodes + 1)[:, None]
+    w, amps = k * math.pi, np.asarray(amps, dtype=float)
+    if fn == "sin":
+        values, derivs = amps * np.sin(w * t), amps * w * np.cos(w * t)
+    else:
+        values, derivs = amps * np.cos(w * t), -amps * w * np.sin(w * t)
+    return SampledIC(start=start, step=-start / nodes, values=values, derivs=derivs)
 
 
 # --- reference code that no command runs, kept as the tests' oracles ---------
@@ -158,11 +173,30 @@ def convolve(
 
 # integrate
 
+def resample_per_node(ic: SampledIC, start: float, h: float,
+                      lag: float) -> tuple[np.ndarray, np.ndarray]:
+    """``integrate._initial_nodes`` of an off-grid history, one scalar read per node and unit.
+
+    The value at each grid time is the history's cubic there; the slope is
+    that cubic's, zero at and before the history's first node.
+    """
+    times = start + np.arange(-(math.ceil(lag / h) + 1), 1) * h
+    values = np.array([ic.eval(float(t)) for t in times])
+    derivs = np.array([[0.0 if t <= ic.start else float(ic._slope(*ic._locate(float(t)), j))
+                        for j in range(ic.n)] for t in times])
+    return values, derivs
+
+
+def last_time(buf: HistoryBuffer) -> float:
+    """Time of the run's newest node."""
+    return buf.start_time + (buf.count - 1) * buf.h
+
+
 def _check_horizon(buf: HistoryBuffer, t_max: float) -> None:
     """Raise past the last node, or past ``buf.horizon`` where a test sets one."""
-    if t_max > max(buf.last_time, getattr(buf, "horizon", buf.start_time)) + 1e-9 * buf.h:
+    if t_max > max(last_time(buf), getattr(buf, "horizon", buf.start_time)) + 1e-9 * buf.h:
         raise HistoryUnderrunError(
-            f"lookup at t={float(t_max)!r} beyond history end {buf.last_time!r}")
+            f"lookup at t={float(t_max)!r} beyond history end {last_time(buf)!r}")
 
 
 def _locate(buf: HistoryBuffer, t):
@@ -246,6 +280,13 @@ def convergence_order(model: NetworkModel, ic: InitialCondition, t_end: float,
     if e12 == 0.0:
         return math.inf
     return math.log2(e01 / e12)
+
+
+# periodic
+
+def period_map(model: NetworkModel, ic: InitialCondition, h: float) -> SampledIC:
+    """The history advanced one period and re-based to end at time 0."""
+    return _advance_one_period(model, ic, h)[0]
 
 
 def estimate_decay_rate(model: NetworkModel, segment, ic: InitialCondition, h: float,

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from periodyn.expressions import const, term_expr
+from periodyn.expressions import const
 from periodyn.integrate import HistoryBuffer, HistoryUnderrunError, simulate
 from periodyn.kernels import (Atom, DelayKernel, DistributedPart, ExponentialDensity,
                               TableDensity, UniformDensity)
-from periodyn.model import Activation, ConstantIC, ExprIC, SampledIC
+from periodyn.model import Activation, ConstantIC, SampledIC
 
-from helpers import density_quadrature, lookup_batch, lookup_scalar, rhs, scalar_model
+from helpers import (density_quadrature, last_time, lookup_batch, lookup_scalar, rhs,
+                     scalar_model, wave_history)
 
 H = 0.05
 IC_STEPS = 6
@@ -30,7 +31,7 @@ def _buffer(count, seed=11):
     hist = HistoryBuffer(ic, 0.0, H, 2)
     for v, m in zip(rng.normal(size=(count, 2)), rng.normal(size=(count, 2))):
         hist.append(v, m)
-    hist.horizon = max(hist.last_time, 0.0) + 0.5 * H
+    hist.horizon = max(last_time(hist), 0.0) + 0.5 * H
     return ic, hist
 
 
@@ -51,7 +52,7 @@ class TestBatchedLookup:
     def test_equals_scalar_bit_for_bit(self, region):
         ic, hist = _buffer(count=9)
         rng = np.random.default_rng(3)
-        last = hist.last_time
+        last = last_time(hist)
         lo, hi, nodes = {
             "before": (-1.0, -IC_STEPS * H, [-IC_STEPS * H]),
             "initial": (-IC_STEPS * H, 0.0, [-2 * H, 0.0]),
@@ -127,7 +128,7 @@ def test_stage_density_sum_matches_scalar_quadrature(shape):
 def test_expression_history_half_period_delay():
     # history sin(2 pi t) read half a period back: u' = -u + 0.5 sin(2 pi t) on [0, 1/2]
     model = scalar_model(1.0, kernel=DelayKernel((Atom(0.5, const(-0.5)),)))
-    traj = simulate(model, ExprIC((term_expr("sin", 1.0, 2),)), 1.0, 1e-3)
+    traj = simulate(model, wave_history("sin", [1.0], 2, -0.6, 850), 1.0, 1e-3)
     w = 2.0 * math.pi
     t = traj.times[traj.times <= 0.5]
     exact = 0.5 / (1.0 + w * w) * (np.sin(w * t) - w * np.cos(w * t) + w * np.exp(-t))

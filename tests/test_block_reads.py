@@ -16,14 +16,13 @@ import pytest
 
 from periodyn import integrate
 from periodyn.config import builtin_config_path, parse_config
-from periodyn.expressions import const, term_expr
+from periodyn.expressions import const
 from periodyn.integrate import (DivergenceError, HistoryBuffer, _period_plan, _stage_function,
                                 simulate)
 from periodyn.kernels import Atom, DelayKernel
-from periodyn.model import Activation, ConstantIC, ExprIC, builtin_example
-from periodyn.periodic import period_map
+from periodyn.model import Activation, ConstantIC, builtin_example
 
-from helpers import scalar_model
+from helpers import period_map, scalar_model, wave_history
 
 _spec = importlib.util.spec_from_file_location(
     "perfbench_inputs", Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py")
@@ -46,8 +45,8 @@ def _history(model, which):
     n = model.n
     if which == "constant":  # one node: the Taylor step while the run has one node
         return ConstantIC(tuple(0.3 - 0.2 * j for j in range(n)))
-    if which == "expr":
-        return ExprIC(tuple(term_expr("sin", 0.5 + 0.1 * j, 2) for j in range(n)))
+    if which == "expr":  # sine waves sampled off the step grid: the resampled initial block
+        return wave_history("sin", 0.5 + 0.1 * np.arange(n), 2, -3.0, 230)
     window = period_map(model, ConstantIC(tuple(0.1 * (j + 1) for j in range(n))), H)
     if which == "window":  # the initial block
         return window
@@ -124,7 +123,7 @@ def test_steps_not_below_the_least_delay_read_one_step_at_a_time():
     h = 0.01
     model = scalar_model(1.0, tau=const(0.5 * h), f=Activation.arctan(),
                          kernel=DelayKernel((Atom(0.0, const(0.8)),)))
-    ic = ExprIC((term_expr("cos", 0.4, 2),))
+    ic = wave_history("cos", [0.4], 2, -0.05, 7)
     assert set(_plan(model, h).blocks) == {0}
     expected = _per_step_run(model, ic, h, 150)
     with pytest.warns(UserWarning, match="not below the smallest delay"):

@@ -10,7 +10,7 @@ from periodyn.certify import compute_bounds, find_weights, random_discrete_delay
 from periodyn.integrate import DivergenceError, HistoryBuffer, HistoryUnderrunError, simulate
 
 from helpers import (convergence_order, derivative, lookup, lookup_scalar, rhs, scalar_model,
-                     weighted_norms)
+                     wave_history, weighted_norms)
 
 
 def linear_forced():
@@ -160,9 +160,8 @@ class TestSimulate:
 
     def test_expression_history(self):
         # history sin(2 pi t): at t the delayed value is sin(2 pi (t - 1)) = sin(2 pi t)
-        from periodyn.model import ExprIC
         m = scalar_model(1.0, kernel=DelayKernel((Atom(1.0, const(-0.5)),)))
-        ic = ExprIC((term_expr("sin", 1.0, 2),))
+        ic = wave_history("sin", [1.0], 2, -1.2, 1700)  # off the step grid
         traj = simulate(m, ic, 1.0, 1e-3)
         # closed form on [0, 1]: u' = -u - 0.5 sin(2 pi t), u(0) = 0
         w = 2.0 * math.pi

@@ -5,9 +5,10 @@ import pytest
 
 from periodyn.expressions import PeriodicExpr, Term, const, expr_sum, term_expr
 from periodyn.kernels import Atom, DelayKernel
-from periodyn.model import Activation, ConstantIC, ExprIC, NetworkModel, SampledIC, validate
+from periodyn.integrate import _initial_nodes
+from periodyn.model import Activation, ConstantIC, NetworkModel, SampledIC, validate
 
-from helpers import eval_coefficients, scalar_model
+from helpers import eval_coefficients, scalar_model, wave_history
 
 
 class TestPeriodicExpr:
@@ -110,10 +111,12 @@ class TestInitialConditions:
         ic = ConstantIC((1.0, -2.0))
         assert np.array_equal(ic.eval(-7.3), [1.0, -2.0])
         assert ic.eval(-1.0)[1] == -2.0
-        assert ic.derivative_component(0.0, 0) == 0.0
+        values, derivs = _initial_nodes(ic, 0.0, 0.1, 1.0)  # one node, with zero slope
+        assert np.array_equal(values, [[1.0, -2.0]]) and np.array_equal(derivs, [[0.0, 0.0]])
 
     def test_expr_ic(self):
-        ic = ExprIC((term_expr("sin", 1.0, 2),))
+        # sin(2 pi t) sampled with its exact slopes, read midway between two nodes
+        ic = wave_history("sin", [1.0], 2, -1.0, 90)
         assert ic.eval(-0.25)[0] == pytest.approx(-1.0)
 
     def test_sampled_ic_reproduces_linear_data(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from periodyn import periodic
+from periodyn.certify import find_decay_rate, find_weights
 from periodyn.config import parse_config
 from periodyn.expressions import const, term_expr
 from periodyn.kernels import Atom, DelayKernel
@@ -110,6 +111,33 @@ def test_a_stiff_period_sweeps_without_overflow():
     w = math.pi
     exact = (500.0 * np.sin(w * t) - w * np.cos(w * t)) / (500.0 ** 2 + w * w)
     assert np.abs(seg.values[:, 0] - exact).max() <= 1e-8  # RK4's error at h d = 1
+
+
+def test_a_window_farther_from_the_orbit_than_g_ic0_is_dropped(monkeypatch):
+    # u' = -500 u + tanh(u(t - 0.5)) + sin(pi t): q = e^{-alpha omega} is 1.8e-11, so G(ic0)
+    # lies far nearer the orbit than the sweeps' window, 6.8e-7 from it
+    model = scalar_model(500.0, kernel=DelayKernel((Atom(0.5, const(1.0)),)), omega=2.0,
+                         inputs=term_expr("sin", 1.0, 1), g=Activation.zero(), f=Activation.tanh())
+    cert = find_weights(model, grid_points=512)
+    alpha = find_decay_rate(model, cert.xi, grid_points=512)
+    maps, predictions = _recorded_maps(monkeypatch)
+    seg, residual, iterations = find_periodic_orbit(model, ConstantIC((0.0,)), 2e-3, xi=cert.xi,
+                                                    alpha=alpha)
+    (window, _), = predictions
+    assert window is not None and residual <= 1e-10
+    assert iterations == 2  # as plain iteration takes
+    assert np.array_equal(maps[1][0].values, maps[0][1].values)  # G(ic0), not the window
+    assert seg.quotients == ()  # no pair of iterates before the second map
+
+
+def test_builtin_keeps_the_sweeps_window_at_its_certified_rate(monkeypatch, builtin, builtin_cert,
+                                                              builtin_alpha):
+    maps, predictions = _recorded_maps(monkeypatch)
+    _, _, iterations = find_periodic_orbit(builtin, ConstantIC((0.0,) * 3), 1e-2,
+                                           xi=builtin_cert.xi, alpha=builtin_alpha)
+    (window, _), = predictions
+    assert np.array_equal(maps[1][0].values, window[:len(window) // 2])
+    assert iterations == 5
 
 
 def test_identical_searches_give_identical_segments(builtin, builtin_cert):

@@ -11,9 +11,9 @@ from periodyn.expressions import const
 from periodyn.integrate import simulate
 from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation, ConstantIC
-from periodyn.periodic import NoConvergenceError, find_periodic_orbit, period_map
+from periodyn.periodic import NoConvergenceError, find_periodic_orbit
 
-from helpers import scalar_model
+from helpers import period_map, scalar_model
 
 
 def plain_iteration_orbit(model, h, xi, fp_tol=1e-10):

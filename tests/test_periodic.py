@@ -9,9 +9,9 @@ from periodyn.kernels import Atom, DelayKernel
 from periodyn.model import Activation, ConstantIC
 from periodyn.certify import find_decay_rate
 from periodyn.periodic import (NoConvergenceError, find_periodic_orbit, lookback_steps,
-                               period_map, verify_periodicity)
+                               verify_periodicity)
 
-from helpers import estimate_decay_rate, scalar_model
+from helpers import estimate_decay_rate, period_map, scalar_model
 
 # first-run regression snapshot of the one-period advance of the benchmark
 # from zero history at h = 0.002 (window of 787 nodes ending at 0)

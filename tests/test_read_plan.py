@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 
 from periodyn.config import parse_config
-from periodyn.expressions import const, term_expr
+from periodyn.expressions import const
 from periodyn.integrate import (HistoryBuffer, _delayed_reads, _period_plan, _stage_function,
                                 simulate)
 from periodyn.kernels import Atom, DelayKernel
-from periodyn.model import Activation, ConstantIC, ExprIC, sampled
-from periodyn.periodic import period_map
+from periodyn.model import Activation, ConstantIC, sampled
 
-from helpers import lookup_batch, scalar_model
+from helpers import last_time, lookup_batch, period_map, scalar_model, wave_history
 
 
 # the densities of the benchmark's distributed input, beside atoms at lag 0
@@ -83,7 +82,7 @@ def _replay(model, ic, h, steps):
         nonlocal worst, past, taylor
         expected, times = _reference(model, h, hist, jh)
         worst = max(worst, float(np.abs(delayed(jh) - expected).max(initial=0.0)))
-        past += int((times > hist.last_time + 1e-12).sum()) if hist.count > 1 else 0
+        past += int((times > last_time(hist) + 1e-12).sum()) if hist.count > 1 else 0
         taylor += hist.count == 1 and bool((times > 0.0).any())
 
     check(0)
@@ -112,7 +111,7 @@ def test_period_map_window(builtin):
 
 
 def test_expression_history(builtin):
-    ic = ExprIC(tuple(term_expr("sin", 0.5 + j, 2) for j in range(3)))
+    ic = wave_history("sin", 0.5 + np.arange(3), 2, -3.0, 210)
     worst, _, _ = _replay(builtin, ic, 0.05, 30)
     assert worst <= 1e-13
 
@@ -123,7 +122,7 @@ def test_step_zero_taylor_reads(tau):
     h = 0.01
     model = scalar_model(1.0, tau=const(tau * h), f=Activation.arctan(),
                          kernel=DelayKernel((Atom(0.0, const(0.8)),)))
-    ic = ExprIC((term_expr("cos", 0.4, 2),))
+    ic = wave_history("cos", [0.4], 2, -0.05, 7)
     worst, past, taylor = _replay(model, ic, h, 12)
     assert worst <= 1e-13
     assert taylor == (2 if tau < 0.5 else 1) and past > 0  # the midpoint, then RK4's last stage

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from periodyn.expressions import const
-from periodyn.integrate import HistoryBuffer, simulate
+from periodyn.integrate import HistoryBuffer, _initial_nodes, simulate
 from periodyn.kernels import DelayKernel, DistributedPart, ExponentialDensity
 from periodyn.model import Activation, ConstantIC, SampledIC
 from periodyn.periodic import PeriodSegment
@@ -58,7 +58,7 @@ def test_dense_outputs_agree_inside_nodes(nodes):
         assert np.array_equal(seg.eval(t), ic.eval(t))
         for j in range(2):
             assert lookup_scalar(hist, t, j) == ic.eval(t)[j] == seg.eval(t)[j]
-            assert derivative(hist, t)[j] == ic.derivative_component(t, j)
+            assert derivative(hist, t)[j] == _initial_nodes(ic, t, h / 3, 0.0)[1][-1, j]
 
 
 def test_segment_reads_a_time_array_as_each_time(nodes):
@@ -78,4 +78,5 @@ def test_sampled_history_is_its_first_node_at_and_before_start(nodes, t):
     assert np.array_equal(ic.eval(t), values[0])
     for j in range(2):
         assert ic.eval(t)[j] == values[0, j]
-        assert ic.derivative_component(t, j) == 0.0
+    # the history resampled on a grid ending at t: zero slopes at and before its start
+    assert np.array_equal(_initial_nodes(ic, t, h / 3, 0.0)[1], np.zeros((2, 2)))
